@@ -13,8 +13,6 @@ from typing import Mapping, Sequence
 from .errors import ValidationError
 from .space import Event, FiniteSpace
 
-Rational = Fraction
-
 
 def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple[Fraction, ...]:
     n_events = 1 << space.size
@@ -47,9 +45,6 @@ class Capacity:
 
     def __call__(self, event: Event) -> Fraction:
         return self.values[event.mask]
-
-    def value_of_mask(self, mask: int) -> Fraction:
-        return self.values[mask]
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,9 @@ from fractions import Fraction
 
 import click
 
-from . import capacity as cap
 from . import convert as conv
-from . import credal, docio, interval, pbox, possibility, randomset
-from .capacity import Capacity
-from .credal import CredalPolytope, ProbabilityVector
+from . import credal, docio, pbox, possibility, randomset
 from .errors import ImpboxError
-from .interval import ProbabilityInterval
-from .pbox import GeneralizedPBox
-from .possibility import PossibilityDistribution
-from .randomset import MassAssignment
 from .space import Permutation, enumerate_events
 
 
@@ -55,31 +48,18 @@ def main():
 def check(file):
     """Validate a document and report its classification."""
     doc = _load(file)
-    obj = doc.obj
     click.echo(f"kind: {doc.kind}")
     click.echo(f"space: {len(doc.space.labels)} elements")
     click.echo("valid: yes")
-    if isinstance(obj, Capacity):
-        click.echo(f"2-monotone: {'yes' if cap.is_2_monotone(obj) else 'no'}")
-        click.echo(f"infinity-monotone: {'yes' if cap.is_infty_monotone(obj) else 'no'}")
-        click.echo(f"additive: {'yes' if cap.is_additive(obj) else 'no'}")
-    elif isinstance(obj, MassAssignment):
-        click.echo(f"focal events: {len(obj.focal)}")
-        click.echo(f"nested: {'yes' if randomset.is_nested(obj) else 'no'}")
-    elif isinstance(obj, PossibilityDistribution):
-        click.echo(f"distinct levels: {len(obj.levels())}")
-    elif isinstance(obj, ProbabilityInterval):
-        click.echo(f"non-empty: {'yes' if obj.non_empty else 'no'}")
-        click.echo(f"reachable: {'yes' if obj.reachable else 'no'}")
-    elif isinstance(obj, GeneralizedPBox):
-        click.echo("comonotone: yes")
-        click.echo(f"levels: {len(obj.level_masks)}")
-        click.echo(f"blocks: {len(obj.block_masks)}")
+    for name, value in docio.KINDS[doc.kind].facts(doc.obj).items():
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        click.echo(f"{name}: {value}")
 
 
 def _convert(doc: docio.Document, target: str, sigma: str | None):
     obj = doc.obj
-    source = "gen_pbox" if isinstance(obj, GeneralizedPBox) else doc.kind
+    source = docio.document_for(obj).kind
     arrows = {
         ("gen_pbox", "mass"): lambda: pbox.to_random_set(obj),
         ("gen_pbox", "interval"): lambda: conv.pbox_to_interval(obj),
@@ -127,65 +107,12 @@ def convert(file, target, sigma):
 def query(file, event_spec, bound):
     """Print the exact lower or upper probability of an event."""
     doc = _load(file)
-    obj = doc.obj
     try:
         a = doc.space.event(lab for lab in event_spec.split(",") if lab)
-        if isinstance(obj, GeneralizedPBox):
-            value = pbox.lower_prob(obj, a) if bound == "lower" else pbox.upper_prob(obj, a)
-        elif isinstance(obj, MassAssignment):
-            value = randomset.bel(obj, a) if bound == "lower" else randomset.pl(obj, a)
-        elif isinstance(obj, PossibilityDistribution):
-            value = (
-                possibility.necessity(obj, a)
-                if bound == "lower"
-                else possibility.possibility(obj, a)
-            )
-        elif isinstance(obj, ProbabilityInterval):
-            lo, hi = interval.event_bounds(obj, a)
-            value = lo if bound == "lower" else hi
-        elif isinstance(obj, ProbabilityVector):
-            value = obj.prob(a)
-        elif isinstance(obj, Capacity):
-            value = obj(a) if bound == "lower" else cap.conjugate(obj)(a)
-        else:  # pragma: no cover
-            raise click.UsageError(f"cannot query a {doc.kind} document")
+        lower, upper = docio.KINDS[doc.kind].bounds(doc.obj, a)
     except ImpboxError as exc:
         _fail(str(exc))
-    click.echo(_fmt(value))
-
-
-def _bounds_and_polytope(doc: docio.Document):
-    obj = doc.obj
-    if isinstance(obj, GeneralizedPBox):
-        return (
-            lambda a: (pbox.lower_prob(obj, a), pbox.upper_prob(obj, a)),
-            pbox.to_polytope(obj),
-        )
-    if isinstance(obj, MassAssignment):
-        return (
-            lambda a: (randomset.bel(obj, a), randomset.pl(obj, a)),
-            randomset.to_polytope(obj),
-        )
-    if isinstance(obj, PossibilityDistribution):
-        return (
-            lambda a: (possibility.necessity(obj, a), possibility.possibility(obj, a)),
-            possibility.to_polytope(obj),
-        )
-    if isinstance(obj, ProbabilityInterval):
-        return (
-            lambda a: interval.event_bounds(obj, a),
-            interval.to_polytope(obj),
-        )
-    if isinstance(obj, ProbabilityVector):
-        poly = CredalPolytope(
-            doc.space,
-            [(doc.space.singleton(i), v, v) for i, v in enumerate(obj.p)],
-        )
-        return lambda a: (obj.prob(a), obj.prob(a)), poly
-    raise click.UsageError(
-        f"verify does not support {doc.kind} documents; supported kinds: "
-        "gen_pbox, nested_bounds, mass, possibility, interval, probability"
-    )
+    click.echo(_fmt(lower if bound == "lower" else upper))
 
 
 @main.command()
@@ -193,11 +120,17 @@ def _bounds_and_polytope(doc: docio.Document):
 def verify(file):
     """Cross-check every event bound against the exact polytope oracle."""
     doc = _load(file)
+    kind = docio.KINDS[doc.kind]
+    if kind.polytope is None:
+        raise click.UsageError(
+            f"verify does not support {doc.kind} documents; supported kinds: "
+            "gen_pbox, nested_bounds, mass, possibility, interval, probability"
+        )
     try:
-        formula, poly = _bounds_and_polytope(doc)
+        poly = kind.polytope(doc.obj)
         total = 0
         for event in enumerate_events(doc.space):
-            lo, hi = formula(event)
+            lo, hi = kind.bounds(doc.obj, event)
             oracle_lo = credal.lower_envelope(poly, event).value
             oracle_hi = credal.upper_envelope(poly, event).value
             if (lo, hi) != (oracle_lo, oracle_hi):

@@ -9,12 +9,30 @@ the interval exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotReachableError, SpaceMismatchError, ValidationError
 from .interval import ProbabilityInterval, conjunction
 from .pbox import GeneralizedPBox, from_functions, lower_prob, upper_prob
 from .space import FiniteSpace, Permutation
+
+
+def _prefix_bounds(
+    interval: ProbabilityInterval, sigma: Permutation
+) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """(element, alpha, beta) per rank of sigma.
+
+    alpha and beta are the interval's lower and upper probability of the
+    prefix set that ends with the element at that rank.
+    """
+    total_l = sum(interval.lower)
+    total_u = sum(interval.upper)
+    l_in = Fraction(0)
+    u_in = Fraction(0)
+    for i in sigma.order:
+        l_in += interval.lower[i]
+        u_in += interval.upper[i]
+        yield i, max(l_in, 1 - (total_u - u_in)), min(u_in, 1 - (total_l - l_in))
 
 
 def interval_to_sigma_pbox(
@@ -31,19 +49,11 @@ def interval_to_sigma_pbox(
         raise NotReachableError(
             "sigma-p-box conversion needs a reachable interval; normalize first"
         )
-    n = interval.space.size
-    total_l = sum(interval.lower)
-    total_u = sum(interval.upper)
-    flow = [Fraction(0)] * n
-    fupp = [Fraction(0)] * n
-    l_in = Fraction(0)
-    u_in = Fraction(0)
-    for rank in range(n):
-        i = sigma.order[rank]
-        l_in += interval.lower[i]
-        u_in += interval.upper[i]
-        flow[i] = max(l_in, 1 - (total_u - u_in))
-        fupp[i] = min(u_in, 1 - (total_l - l_in))
+    flow = [Fraction(0)] * interval.space.size
+    fupp = [Fraction(0)] * interval.space.size
+    for i, alpha, beta in _prefix_bounds(interval, sigma):
+        flow[i] = alpha
+        fupp[i] = beta
     return from_functions(interval.space, flow, fupp)
 
 
@@ -69,21 +79,11 @@ def _roundtrip(interval: ProbabilityInterval, sigma: Permutation) -> Probability
     p-box would merge into one pre-order block) still yield the exact
     first/last-position bounds the reconstruction relies on.
     """
-    n = interval.space.size
-    total_l = sum(interval.lower)
-    total_u = sum(interval.upper)
-    lower = [Fraction(0)] * n
-    upper = [Fraction(0)] * n
-    l_in = Fraction(0)
-    u_in = Fraction(0)
+    lower = [Fraction(0)] * interval.space.size
+    upper = [Fraction(0)] * interval.space.size
     alpha_prev = Fraction(0)
     beta_prev = Fraction(0)
-    for rank in range(n):
-        i = sigma.order[rank]
-        l_in += interval.lower[i]
-        u_in += interval.upper[i]
-        alpha = max(l_in, 1 - (total_u - u_in))
-        beta = min(u_in, 1 - (total_l - l_in))
+    for i, alpha, beta in _prefix_bounds(interval, sigma):
         lower[i] = max(Fraction(0), alpha - beta_prev)
         upper[i] = beta - alpha_prev
         alpha_prev, beta_prev = alpha, beta

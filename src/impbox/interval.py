@@ -52,14 +52,6 @@ class ProbabilityInterval:
         object.__setattr__(self, "reachable", reachable)
 
 
-def check_nonempty(interval: ProbabilityInterval) -> bool:
-    return interval.non_empty
-
-
-def check_reachable(interval: ProbabilityInterval) -> bool:
-    return interval.reachable
-
-
 def normalize(interval: ProbabilityInterval) -> ProbabilityInterval:
     """Tighten each bound to its envelope value; the credal set is kept.
 

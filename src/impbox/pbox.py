@@ -65,13 +65,6 @@ class GeneralizedPBox:
     def blocks(self) -> tuple[Event, ...]:
         return tuple(Event(self.space, mask) for mask in self.block_masks)
 
-    def block_of(self, i: int) -> int:
-        """Index (0-based) of the block containing element i."""
-        for k, mask in enumerate(self.block_masks):
-            if mask >> i & 1:
-                return k
-        raise ValueError(f"element {i} not covered by the blocks")
-
 
 def from_functions(space: FiniteSpace, flow: Sequence, fupp: Sequence) -> GeneralizedPBox:
     """Build a p-box from its two distributions given in label order.
@@ -249,6 +242,9 @@ def algorithm1(pb: GeneralizedPBox) -> MassAssignment:
     block, and each segment between consecutive thresholds contributes
     its length as mass.  At a tied threshold every triggered addition
     and removal is applied before the next segment is emitted.
+
+    Verification only: the reference route the test suite checks
+    ``to_random_set`` against.  It is not exported from ``impbox``.
     """
     m_levels = len(pb.level_masks)
     additions = [(pb.level_alpha[i - 1] if i > 0 else Fraction(0), i) for i in range(m_levels)]
@@ -311,7 +307,11 @@ def upper_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
 
 
 def lower_prob_via_possibility(pb: GeneralizedPBox, a: Event) -> Fraction:
-    """Same lower probability, computed from the possibility pair."""
+    """Same lower probability, computed from the possibility pair.
+
+    Verification only: the reference route the test suite checks
+    ``lower_prob`` against.  It is not exported from ``impbox``.
+    """
     if a.space != pb.space:
         raise SpaceMismatchError("event and p-box spaces differ")
     pi_upp, pi_low = to_possibility_pair(pb)

@@ -49,9 +49,6 @@ class MassAssignment:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "focal", tuple(sorted(canonical.items())))
 
-    def focal_events(self) -> tuple[Event, ...]:
-        return tuple(Event(self.space, mask) for mask, _ in self.focal)
-
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.focal)
 

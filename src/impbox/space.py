@@ -53,9 +53,6 @@ class FiniteSpace:
             mask |= 1 << self.index(lab)
         return Event(self, mask)
 
-    def event_from_mask(self, mask: int) -> Event:
-        return Event(self, mask)
-
     def singleton(self, i: int) -> Event:
         return Event(self, 1 << i)
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -43,8 +44,9 @@ def test_out_of_range_number_names_the_field():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(DocumentError):
-        parse('{"kind": "mystery", "space": ["x1"]}')
+    for kind in ('"mystery"', '["mass"]', "{}", "null"):
+        with pytest.raises(DocumentError):
+            parse('{"kind": %s, "space": ["x1"]}' % kind)
 
 
 def test_malformed_json_rejected():
@@ -112,3 +114,26 @@ def test_unknown_label_in_event_key():
             '{"kind": "mass", "space": ["x1", "x2"], "focal": {"x9": "1"}}'
         )
     assert "x9" in str(exc.value)
+
+
+def test_oversized_rational_rejected_at_its_field():
+    # 10**5000 has more digits than str() may print (sys.int_max_str_digits)
+    with pytest.raises(DocumentError) as exc:
+        parse('{"kind": "possibility", "space": ["a", "b"], "pi": ["1", "1e-5000"]}')
+    assert exc.value.path == "$.pi[1]"
+
+
+def test_rational_at_the_digit_limit_round_trips():
+    limit = sys.get_int_max_str_digits()
+    text = (
+        '{"kind": "possibility", "space": ["a", "b"], '
+        f'"pi": ["1", "1e-{limit - 1}"]}}'
+    )
+    assert serialize(parse(serialize(parse(text)))) == serialize(parse(text))
+    with pytest.raises(DocumentError):
+        parse(text.replace(f"1e-{limit - 1}", f"1e-{limit}"))
+
+
+def test_oversized_json_integer_is_a_document_error():
+    with pytest.raises(DocumentError):
+        parse('{"kind": "probability", "space": ["a"], "p": [' + "1" * 5000 + "]}")

@@ -18,7 +18,7 @@ from impbox import (
     upper_envelope,
     validate_capacity,
 )
-from impbox.interval import check_nonempty, check_reachable, to_polytope
+from impbox.interval import to_polytope
 
 
 @pytest.fixture
@@ -32,20 +32,20 @@ def interval3():
 
 
 def test_nonempty_and_reachable(interval3):
-    assert check_nonempty(interval3)
-    assert check_reachable(interval3)
+    assert interval3.non_empty
+    assert interval3.reachable
 
 
 def test_empty_when_lowers_exceed_one():
     sp = FiniteSpace(["x1", "x2"])
     iv = ProbabilityInterval(sp, [F(3, 5), F(3, 5)], [F(1), F(1)])
-    assert not check_nonempty(iv)
+    assert not iv.non_empty
 
 
 def test_empty_when_uppers_fall_short():
     sp = FiniteSpace(["x1", "x2"])
     iv = ProbabilityInterval(sp, [F(0), F(0)], [F(3, 10), F(3, 10)])
-    assert not check_nonempty(iv)
+    assert not iv.non_empty
 
 
 def test_normalize_tightens():
