@@ -37,6 +37,7 @@ from .errors import (
     ImpboxError,
     InfeasibleError,
     NotReachableError,
+    OracleError,
     SpaceMismatchError,
     SpaceSizeError,
     ValidationError,
@@ -59,6 +60,7 @@ __all__ = [
     "MassAssignment",
     "MobiusAssignment",
     "NotReachableError",
+    "OracleError",
     "Permutation",
     "PossibilityDistribution",
     "ProbabilityInterval",

@@ -1,13 +1,26 @@
-"""Exact two-phase simplex over rationals.
+"""Exact two-phase simplex with fraction-free integer pivots.
 
 Small dense solver used by the credal oracle: a handful of variables,
-tens of rows, all arithmetic in ``Fraction`` so optima are exact.
-Bland's rule is used throughout, which rules out cycling.
+tens of rows.  A ``Simplex`` is built once per constraint system: every
+row is scaled by the lcm of its denominators, so the tableau holds only
+integers, and phase 1 runs once.  Each ``minimize`` call then runs
+phase 2 from the last optimal basis, which is feasible whatever the
+objective.
+
+Tableau entries are integers over one common denominator ``d > 0``, the
+absolute value of the current basis determinant (Edmonds 1967, Bareiss
+1968).  Pivoting on ``p`` maps an entry ``v`` to ``(p*v - f*q) // d``,
+where ``f`` is the entry of ``v``'s row in the pivot column and ``q`` the
+entry of the pivot row in ``v``'s column; the division is exact, and ``p``
+becomes the new ``d``.  Bland's rule is used throughout, which rules out
+cycling.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class Infeasible(Exception):
@@ -18,140 +31,145 @@ class Unbounded(Exception):
     """The objective is unbounded below on the feasible region."""
 
 
-def solve_min(c, a_ub, b_ub, a_eq, b_eq):
-    """Minimize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0.
+class Solution(NamedTuple):
+    """An optimum with its witness and dual multipliers, over integers."""
+
+    value: Fraction
+    #: the optimal point is ``x[j] / x_den``
+    x: tuple[int, ...]
+    x_den: int
+    #: dual multiplier of each row, the ``<=`` rows then the ``=`` rows,
+    #: is ``y[r] / y_den``; those of ``<=`` rows are ``<= 0`` at an optimum
+    y: tuple[int, ...]
+    y_den: int
+
+
+def _integers(values) -> tuple[int, list[int]]:
+    """The lcm of the denominators of ``values``, and ``values`` times it."""
+    if all(type(v) is int for v in values):
+        return 1, list(values)
+    values = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+class Simplex:
+    """Minimize any objective over ``a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0``.
 
     All right-hand sides must be non-negative (the callers guarantee
     this), so the slacks of the <= rows form a partial starting basis
-    and only the equality rows need artificial variables.
-
-    Returns ``(value, x)`` with exact rationals.
+    and only the equality rows need artificial variables.  Raises
+    ``Infeasible`` when the system has no solution.
     """
-    n = len(c)
-    c = [Fraction(v) for v in c]
-    rows = []
-    rhs = []
-    for a, b in zip(a_ub, b_ub):
-        if b < 0:
-            raise ValueError("upper-bound rows must have non-negative rhs")
-        rows.append([Fraction(v) for v in a])
-        rhs.append(Fraction(b))
-    for a, b in zip(a_eq, b_eq):
-        if b < 0:
-            raise ValueError("equality rows must have non-negative rhs")
-        rows.append([Fraction(v) for v in a])
-        rhs.append(Fraction(b))
-    n_ub = len(a_ub)
-    n_eq = len(a_eq)
-    m = n_ub + n_eq
-    n_cols = n + n_ub + n_eq
 
-    # tableau rows: x columns | ub slacks | eq artificials, then rhs
-    tab = []
-    for i in range(m):
-        row = rows[i] + [Fraction(0)] * (n_ub + n_eq)
-        if i < n_ub:
-            row[n + i] = Fraction(1)
-        else:
-            row[n + n_ub + (i - n_ub)] = Fraction(1)
-        row.append(rhs[i])
-        tab.append(row)
-    basis = [n + i if i < n_ub else n + n_ub + (i - n_ub) for i in range(m)]
+    def __init__(self, n, a_ub, b_ub, a_eq, b_eq):
+        n_ub, n_eq = len(a_ub), len(a_eq)
+        m = n_ub + n_eq
+        self._n = n
+        # columns: x | ub slacks | eq artificials, then the rhs
+        self._art = n + n_ub
+        self._cols = n + m
+        self._scales = []
+        self._tab = []
+        for r, (a, b) in enumerate(zip(list(a_ub) + list(a_eq), list(b_ub) + list(b_eq))):
+            if b < 0:
+                raise ValueError("right-hand sides must be non-negative")
+            scale, row = _integers(list(a) + [b])
+            self._scales.append(scale)
+            body = row[:-1] + [0] * m
+            body[n + r] = 1
+            body.append(row[-1])
+            self._tab.append(body)
+        self._basis = [n + r for r in range(m)]
+        self._d = 1
+        if n_eq:
+            self._phase1()
 
-    def pivot(zrow, r, j):
-        piv = tab[r][j]
-        tab[r] = [v / piv for v in tab[r]]
-        for i in range(m):
-            if i != r and tab[i][j] != 0:
-                f = tab[i][j]
-                tab[i] = [v - f * p for v, p in zip(tab[i], tab[r])]
-        if zrow[j] != 0:
-            f = zrow[j]
-            for k in range(len(zrow)):
-                zrow[k] -= f * tab[r][k]
-        basis[r] = j
+    def _phase1(self) -> None:
+        art = self._art
+        z = self._objective_row([0] * art + [1] * (self._cols - art))
+        self._run(z, self._cols)
+        if z[-1] != 0:
+            raise Infeasible()
+        # drive any degenerate basic artificial out, or drop its row
+        r = 0
+        while r < len(self._tab):
+            if self._basis[r] >= art:
+                row = self._tab[r]
+                j = next((j for j in range(art) if row[j] != 0), -1)
+                if j < 0:
+                    del self._tab[r], self._basis[r]
+                    continue
+                self._pivot(None, r, j)
+            r += 1
 
-    def run(zrow, allowed):
-        # zrow[j] = c_B B^-1 A_j - c_j; entering while some zrow[j] > 0
+    def _objective_row(self, cost: list[int]) -> list[int]:
+        """``d`` times the reduced costs of ``cost`` at the current basis.
+
+        The last entry is ``d`` times the objective value.
+        """
+        d = self._d
+        z = [-v * d for v in cost] + [0]
+        for row, j in zip(self._tab, self._basis):
+            cb = cost[j]
+            if cb:
+                z = [zk + cb * v for zk, v in zip(z, row)]
+        return z
+
+    def _run(self, z: list[int], limit: int) -> None:
+        """Pivot until no column below ``limit`` has a positive reduced cost."""
+        tab, basis = self._tab, self._basis
         while True:
-            enter = -1
-            for j in range(n_cols):
-                if allowed[j] and basis_pos[j] is None and zrow[j] > 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(limit) if z[j] > 0), -1)
             if enter < 0:
                 return
             leave = -1
-            best = None
-            for i in range(m):
-                if tab[i][enter] > 0:
-                    ratio = tab[i][-1] / tab[i][enter]
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+            for i, row in enumerate(tab):
+                a = row[enter]
+                if a > 0:
+                    if leave < 0:
+                        leave, num, den = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, num, den = i, row[-1], a
             if leave < 0:
                 raise Unbounded()
-            basis_pos[basis[leave]] = None
-            pivot(zrow, leave, enter)
-            basis_pos[enter] = leave
+            self._pivot(z, leave, enter)
 
-    basis_pos = [None] * n_cols
-    for i, j in enumerate(basis):
-        basis_pos[j] = i
+    def _pivot(self, z: list[int] | None, r: int, j: int) -> None:
+        tab, d = self._tab, self._d
+        prow = tab[r]
+        p = prow[j]
+        if p < 0:  # negate the pivot row so that the new d stays positive
+            prow = tab[r] = [-v for v in prow]
+            p = -p
+        for i, row in enumerate(tab):
+            if i == r:
+                continue
+            f = row[j]
+            if f:
+                tab[i] = [(p * v - f * q) // d for v, q in zip(row, prow)]
+            elif p != d:
+                tab[i] = [p * v // d for v in row]
+        if z is not None:
+            f = z[j]
+            z[:] = [(p * v - f * q) // d for v, q in zip(z, prow)]
+        self._d = p
+        self._basis[r] = j
 
-    # phase 1: minimize the sum of artificials
-    if n_eq:
-        art_start = n + n_ub
-        zrow = [Fraction(0)] * (n_cols + 1)
-        for i in range(n_ub, m):
-            for k in range(n_cols + 1):
-                zrow[k] += tab[i][k]
-        for j in range(art_start, n_cols):
-            zrow[j] -= 1
-        allowed = [True] * n_cols
-        run(zrow, allowed)
-        if zrow[-1] != 0:
-            raise Infeasible()
-        # drive any degenerate basic artificial out, or drop its row
-        drop = []
-        for i in range(m):
-            if basis[i] >= art_start:
-                for j in range(art_start):
-                    if tab[i][j] != 0:
-                        basis_pos[basis[i]] = None
-                        pivot([Fraction(0)] * (n_cols + 1), i, j)
-                        basis_pos[j] = i
-                        break
-                else:
-                    drop.append(i)
-        for i in reversed(drop):
-            basis_pos[basis[i]] = None
-            del tab[i], basis[i]
-            for j, pos in enumerate(basis_pos):
-                if pos is not None and pos > i:
-                    basis_pos[j] = pos - 1
-            m -= 1
-    else:
-        art_start = n_cols
-
-    # phase 2: minimize the real objective over non-artificial columns
-    cost = c + [Fraction(0)] * (n_cols - n)
-    zrow = [Fraction(0)] * (n_cols + 1)
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb != 0:
-            for k in range(n_cols + 1):
-                zrow[k] += cb * tab[i][k]
-    for j in range(n_cols):
-        zrow[j] -= cost[j]
-    allowed = [j < art_start for j in range(n_cols)]
-    run(zrow, allowed)
-
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return value, x
+    def minimize(self, c) -> Solution:
+        """Minimize ``c.x`` by phase 2 from the last optimal basis."""
+        n, tab, basis = self._n, self._tab, self._basis
+        scale, cost = _integers(c)
+        z = self._objective_row(cost + [0] * (self._cols - n))
+        self._run(z, self._art)
+        d = self._d
+        x = [0] * n
+        for row, j in zip(tab, basis):
+            if j < n:
+                x[j] = row[-1]
+        # the reduced cost of row r's slack or artificial column is d
+        # times its dual in the scaled system; undo the row scaling
+        y = tuple(s * z[n + r] for r, s in enumerate(self._scales))
+        return Solution(Fraction(z[-1], d * scale), tuple(x), d, y, d * scale)

@@ -17,8 +17,15 @@ from .errors import ImpboxError
 from .space import Permutation, enumerate_events
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    # Name the stream: click caches the stream it finds in sys.stdout or
+    # sys.stderr in a weak-keyed dict whose value is that same stream, so
+    # each in-process run on fresh streams would stay alive for good.
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(1)
 
 
@@ -48,13 +55,13 @@ def main():
 def check(file):
     """Validate a document and report its classification."""
     doc = _load(file)
-    click.echo(f"kind: {doc.kind}")
-    click.echo(f"space: {len(doc.space.labels)} elements")
-    click.echo("valid: yes")
+    _echo(f"kind: {doc.kind}")
+    _echo(f"space: {len(doc.space.labels)} elements")
+    _echo("valid: yes")
     for name, value in docio.KINDS[doc.kind].facts(doc.obj).items():
         if isinstance(value, bool):
             value = "yes" if value else "no"
-        click.echo(f"{name}: {value}")
+        _echo(f"{name}: {value}")
 
 
 def _convert(doc: docio.Document, target: str, sigma: str | None):
@@ -97,7 +104,7 @@ def convert(file, target, sigma):
         result = _convert(doc, target, sigma)
     except ImpboxError as exc:
         _fail(str(exc))
-    click.echo(docio.serialize(docio.document_for(result)), nl=False)
+    _echo(docio.serialize(docio.document_for(result)), nl=False)
 
 
 @main.command()
@@ -112,7 +119,12 @@ def query(file, event_spec, bound):
         lower, upper = docio.KINDS[doc.kind].bounds(doc.obj, a)
     except ImpboxError as exc:
         _fail(str(exc))
-    click.echo(_fmt(lower if bound == "lower" else upper))
+    _echo(_fmt(lower if bound == "lower" else upper))
+
+
+def _witness(envelope: credal.Envelope) -> str:
+    labels = envelope.witness.space.labels
+    return ", ".join(f"{lab}={v}" for lab, v in zip(labels, envelope.witness.p))
 
 
 @main.command()
@@ -122,28 +134,39 @@ def verify(file):
     doc = _load(file)
     kind = docio.KINDS[doc.kind]
     if kind.polytope is None:
+        supported = ", ".join(k for k, e in docio.KINDS.items() if e.polytope)
         raise click.UsageError(
-            f"verify does not support {doc.kind} documents; supported kinds: "
-            "gen_pbox, nested_bounds, mass, possibility, interval, probability"
+            f"verify does not support {doc.kind} documents; "
+            f"supported kinds: {supported}"
         )
     try:
         poly = kind.polytope(doc.obj)
+        lowers: dict[int, credal.Envelope] = {}
+
+        def lower(event):
+            # one LP per event: upper(A) = 1 - lower(A^c) on any credal set
+            if event.mask not in lowers:
+                lowers[event.mask] = credal.lower_envelope(poly, event)
+            return lowers[event.mask]
+
         total = 0
         for event in enumerate_events(doc.space):
             lo, hi = kind.bounds(doc.obj, event)
-            oracle_lo = credal.lower_envelope(poly, event).value
-            oracle_hi = credal.upper_envelope(poly, event).value
+            below, above = lower(event), lower(event.complement())
+            oracle_lo, oracle_hi = below.value, 1 - above.value
             if (lo, hi) != (oracle_lo, oracle_hi):
-                click.echo(
+                _echo(
                     f"mismatch on {event!r}: formula [{lo}, {hi}] vs "
                     f"oracle [{oracle_lo}, {oracle_hi}]",
                     err=True,
                 )
+                side, witness = ("lower", below) if lo != oracle_lo else ("upper", above)
+                _echo(f"oracle {side} witness: {_witness(witness)}", err=True)
                 sys.exit(3)
             total += 1
     except ImpboxError as exc:
         _fail(str(exc))
-    click.echo(f"{total}/{total} events agree")
+    _echo(f"{total}/{total} events agree")
 
 
 if __name__ == "__main__":

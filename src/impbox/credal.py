@@ -2,19 +2,26 @@
 
 A credal polytope is the probability simplex intersected with interval
 constraints on events.  Everything here is exact: membership is plain
-rational arithmetic, envelopes are exact linear programs.  This module
-is the independent verifier the rest of the library is checked against,
+rational arithmetic, envelopes are exact linear programs.  A polytope
+builds its pruned constraint rows and an integer-pivot simplex on its
+first query, runs phase 1 once, and warm-starts every later envelope
+from the last optimal basis.  Each answer is proven before it is
+returned: the witness must satisfy every row and the dual multipliers
+must reach the same value (LP duality), checked over integers against
+the rows themselves; a failure raises ``OracleError``.  This module is
+the independent verifier the rest of the library is checked against,
 so it deliberately knows nothing about p-boxes, random sets, etc.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from . import _simplex
-from .errors import InfeasibleError, SpaceMismatchError, ValidationError
+from .errors import InfeasibleError, OracleError, SpaceMismatchError, ValidationError
 from .space import Event, FiniteSpace
 
 
@@ -85,15 +92,14 @@ def is_member(poly: CredalPolytope, p: ProbabilityVector) -> bool:
     return all(lo <= p.prob(event) <= hi for event, lo, hi in poly.constraints)
 
 
-def _le_rows(poly: CredalPolytope) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """All constraints as <= rows on p, deduplicated and pruned.
+def _le_rows(poly: CredalPolytope) -> list[tuple[int, Fraction]]:
+    """All constraints as <= rows ``(mask, bound)`` on p, deduplicated and pruned.
 
     Each (event, lo, hi) yields P(event) <= hi and P(event^c) <= 1 - lo.
     Rows with bound >= 1 are vacuous inside the simplex; a row is also
     dropped when another row covers a superset event with a smaller or
     equal bound.
     """
-    n = poly.space.size
     best: dict[int, Fraction] = {}
     for event, lo, hi in poly.constraints:
         for mask, bound in (
@@ -105,62 +111,131 @@ def _le_rows(poly: CredalPolytope) -> tuple[list[list[Fraction]], list[Fraction]
             if mask not in best or bound < best[mask]:
                 best[mask] = bound
     items = sorted(best.items())
-    kept = []
-    for mask, bound in items:
-        redundant = any(
+    return [
+        (mask, bound)
+        for mask, bound in items
+        if not any(
             other != mask and mask & ~other == 0 and obound <= bound
             for other, obound in items
         )
-        if not redundant:
-            kept.append((mask, bound))
-    rows = [[Fraction(1 if mask >> i & 1 else 0) for i in range(n)] for mask, _ in kept]
-    rhs = [bound for _, bound in kept]
-    return rows, rhs
+    ]
 
 
-def _solve(poly: CredalPolytope, objective: Sequence[Fraction]):
-    n = poly.space.size
-    a_ub, b_ub = _le_rows(poly)
-    a_eq = [[Fraction(1)] * n]
-    b_eq = [Fraction(1)]
-    try:
-        value, x = _simplex.solve_min(objective, a_ub, b_ub, a_eq, b_eq)
-    except _simplex.Infeasible:
-        raise InfeasibleError("the credal polytope is empty") from None
-    return value, ProbabilityVector(poly.space, x)
+class _Oracle:
+    """The pruned rows of one polytope and a warm solver over them.
+
+    ``solver`` is ``None`` when phase 1 finds the polytope empty.
+    """
+
+    def __init__(self, poly: CredalPolytope):
+        n = poly.space.size
+        rows = _le_rows(poly)
+        self.space = poly.space
+        # the certificate scales every bound num/den by lcd, to lcd*num/den
+        self.lcd = math.lcm(*(b.denominator for _, b in rows))
+        self.rows = [
+            (
+                [i for i in range(n) if mask >> i & 1],
+                b.numerator,
+                b.denominator,
+                b.numerator * (self.lcd // b.denominator),
+            )
+            for mask, b in rows
+        ]
+        try:
+            self.solver = _simplex.Simplex(
+                n,
+                [[mask >> i & 1 for i in range(n)] for mask, _ in rows],
+                [bound for _, bound in rows],
+                [[1] * n],
+                [1],
+            )
+        except _simplex.Infeasible:
+            self.solver = None
+
+    def certified(self, c: list[int], sol: _simplex.Solution) -> bool:
+        """Check ``sol`` exactly against the pruned rows, by LP duality.
+
+        The witness must satisfy every row and attain ``sol.value``; the
+        duals must be feasible for the dual LP and reach the same value.
+        Everything is compared over integers.
+        """
+        n = self.space.size
+        x, xd, y, yd = sol.x, sol.x_den, sol.y, sol.y_den
+        vn, vd = sol.value.numerator, sol.value.denominator
+        if not (
+            len(x) == n
+            and len(y) == len(self.rows) + 1
+            and xd > 0
+            and yd > 0
+            and all(v >= 0 for v in x)
+            and sum(x) == xd
+            and vd * sum(ci * xi for ci, xi in zip(c, x)) == vn * xd
+        ):
+            return False
+        y_eq = y[-1]
+        dual_value = y_eq * self.lcd
+        reach = [y_eq] * n  # y_eq + the duals of the rows holding i
+        for (members, num, den, weight), yr in zip(self.rows, y):
+            if sum(map(x.__getitem__, members)) * den > num * xd or yr > 0:
+                return False
+            if yr:
+                dual_value += yr * weight
+                for i in members:
+                    reach[i] += yr
+        return (
+            all(r <= ci * yd for r, ci in zip(reach, c))
+            and vn * yd * self.lcd == vd * dual_value
+        )
+
+
+def _oracle(poly: CredalPolytope) -> _Oracle:
+    # kept outside the dataclass fields, so == and hash ignore it; the
+    # solver's tableau changes on every query, so one polytope must not
+    # be queried from two threads at once
+    state = vars(poly).get("_oracle")
+    if state is None:
+        state = _Oracle(poly)
+        object.__setattr__(poly, "_oracle", state)
+    return state
+
+
+def _solve(poly: CredalPolytope, objective: list[int]) -> tuple[Fraction, ProbabilityVector]:
+    oracle = _oracle(poly)
+    if oracle.solver is None:
+        raise InfeasibleError("the credal polytope is empty")
+    sol = oracle.solver.minimize(objective)
+    if not oracle.certified(objective, sol):
+        raise OracleError(
+            f"the simplex answer {sol.value} for objective {objective} failed "
+            "its exact duality certificate"
+        )
+    # the certificate has checked x >= 0 and sum(x) == x_den, which is
+    # all ProbabilityVector.__init__ would check
+    witness = object.__new__(ProbabilityVector)
+    object.__setattr__(witness, "space", poly.space)
+    object.__setattr__(witness, "p", tuple(Fraction(v, sol.x_den) for v in sol.x))
+    return sol.value, witness
 
 
 def lower_envelope(poly: CredalPolytope, a: Event) -> Envelope:
     """Exact minimum of P(a) over the polytope, with an attaining member."""
     if a.space != poly.space:
         raise SpaceMismatchError("event and polytope spaces differ")
-    indicator = [Fraction(1 if a.mask >> i & 1 else 0) for i in range(poly.space.size)]
-    if a.is_empty or a.is_full:
-        _, witness = _solve(poly, [Fraction(0)] * poly.space.size)
-        return Envelope(Fraction(1 if a.is_full else 0), witness)
-    value, witness = _solve(poly, indicator)
-    return Envelope(value, witness)
+    return Envelope(*_solve(poly, [a.mask >> i & 1 for i in range(poly.space.size)]))
 
 
 def upper_envelope(poly: CredalPolytope, a: Event) -> Envelope:
     """Exact maximum of P(a) over the polytope, with an attaining member."""
     if a.space != poly.space:
         raise SpaceMismatchError("event and polytope spaces differ")
-    if a.is_empty or a.is_full:
-        _, witness = _solve(poly, [Fraction(0)] * poly.space.size)
-        return Envelope(Fraction(1 if a.is_full else 0), witness)
-    negated = [Fraction(-1 if a.mask >> i & 1 else 0) for i in range(poly.space.size)]
-    value, witness = _solve(poly, negated)
+    value, witness = _solve(poly, [-(a.mask >> i & 1) for i in range(poly.space.size)])
     return Envelope(-value, witness)
 
 
 def is_empty(poly: CredalPolytope) -> bool:
     """True iff no probability vector satisfies all constraints."""
-    try:
-        _solve(poly, [Fraction(0)] * poly.space.size)
-    except InfeasibleError:
-        return True
-    return False
+    return _oracle(poly).solver is None
 
 
 def is_coherent(poly: CredalPolytope) -> CoherenceReport:

@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 from . import capacity, credal, interval, pbox, possibility, randomset
 from .errors import ImpboxError
-from .space import Event, FiniteSpace, enumerate_events
+from .space import MAX_ELEMENTS, Event, FiniteSpace, enumerate_events
 
 
 class DocumentError(ImpboxError):
@@ -36,10 +36,15 @@ class Document:
 
 
 def _max_elements() -> int:
-    try:
-        return int(os.environ.get("IMPBOX_MAX_N", "24"))
-    except ValueError:
-        return 24
+    """The space-size cap: ``IMPBOX_MAX_N`` if set, else ``MAX_ELEMENTS``."""
+    raw = os.environ.get("IMPBOX_MAX_N")
+    if raw is None:
+        return MAX_ELEMENTS
+    if raw not in {str(k) for k in range(1, MAX_ELEMENTS + 1)}:
+        raise DocumentError(
+            f"must be an integer from 1 to {MAX_ELEMENTS}, got {raw!r}", "IMPBOX_MAX_N"
+        )
+    return int(raw)
 
 
 def _rational(value, path: str) -> Fraction:
@@ -262,10 +267,10 @@ def parse(text: str) -> Document:
     labels = payload.get("space")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise DocumentError("space must be a list of labels", "$.space")
-    if len(labels) > _max_elements():
+    cap = _max_elements()
+    if len(labels) > cap:
         raise DocumentError(
-            f"space exceeds the configured maximum of {_max_elements()} elements "
-            "(IMPBOX_MAX_N)",
+            f"space exceeds the configured maximum of {cap} elements (IMPBOX_MAX_N)",
             "$.space",
         )
     try:

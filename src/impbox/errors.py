@@ -35,3 +35,7 @@ class NotReachableError(ImpboxError):
 
     Call ``normalize`` on the interval first.
     """
+
+
+class OracleError(ImpboxError):
+    """The credal oracle produced an answer that failed its exact certificate."""

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
 
+from impbox import ProbabilityVector, docio, is_member, pbox
 from impbox.cli import main
 
 EXPERT_TEXT = json.dumps(
@@ -222,7 +224,7 @@ ALL_KINDS_GOLDEN = {
     ("capacity", "verify"): _usage_error(
         "verify",
         "verify does not support capacity documents; supported kinds: "
-        "gen_pbox, nested_bounds, mass, possibility, interval, probability",
+        "mass, possibility, interval, gen_pbox, nested_bounds, probability",
     ),
     ("capacity", "to_mass"): _unsupported("capacity", "mass"),
     ("capacity", "to_interval"): _unsupported("capacity", "interval"),
@@ -349,3 +351,61 @@ def test_oversized_numbers_are_validation_failures(runner, tmp_path, text, args)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "mask, side, formula",
+    [(0b011100, "lower", "[3/10, 9/10]"), (0b100011, "upper", "[1/5, 4/5]")],
+    ids=["lower", "upper"],
+)
+def test_verify_mismatch_exits_3_with_witness(
+    runner, expert_file, monkeypatch, mask, side, formula
+):
+    # a wrong closed form for one event; upper({x3,x4,x5}) reads lower({x1,x2,x6})
+    honest = pbox.lower_prob
+    monkeypatch.setattr(
+        pbox,
+        "lower_prob",
+        lambda pb, a: honest(pb, a) + (F(1, 10) if a.mask == mask else 0),
+    )
+    result = runner.invoke(main, ["verify", expert_file])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    mismatch, witness_line, rest = result.stderr.split("\n")
+    assert mismatch == (
+        f"mismatch on {{x3,x4,x5}}: formula {formula} vs oracle [1/5, 9/10]"
+    )
+    assert rest == ""
+    prefix = f"oracle {side} witness: "
+    assert witness_line.startswith(prefix)
+    pairs = [item.split("=") for item in witness_line[len(prefix):].split(", ")]
+    doc = docio.parse(EXPERT_TEXT)
+    assert [label for label, _ in pairs] == list(doc.space.labels)
+    witness = ProbabilityVector(doc.space, [F(v) for _, v in pairs])
+    assert is_member(pbox.to_polytope(doc.obj), witness)
+    event = doc.space.event(["x3", "x4", "x5"])
+    assert witness.prob(event) == (F(1, 5) if side == "lower" else F(9, 10))
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "30", "25", "", " 5", "4.0"])
+def test_bad_max_n_is_a_validation_failure(runner, expert_file, monkeypatch, value):
+    monkeypatch.setenv("IMPBOX_MAX_N", value)
+    for args in (["check", expert_file], ["verify", expert_file]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: IMPBOX_MAX_N: must be an integer from 1 to 24, got {value!r}\n"
+        )
+
+
+@pytest.mark.parametrize("value, exit_code", [("6", 0), ("24", 0), ("5", 1), ("1", 1)])
+def test_max_n_in_range_caps_the_space(runner, expert_file, monkeypatch, value, exit_code):
+    monkeypatch.setenv("IMPBOX_MAX_N", value)
+    result = runner.invoke(main, ["check", expert_file])
+    assert result.exit_code == exit_code
+    if exit_code:
+        assert result.stderr == (
+            f"error: $.space: space exceeds the configured maximum of {value} "
+            "elements (IMPBOX_MAX_N)\n"
+        )

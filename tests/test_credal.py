@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from impbox import (
     CredalPolytope,
     FiniteSpace,
     InfeasibleError,
+    OracleError,
     ProbabilityVector,
     ValidationError,
     enumerate_events,
@@ -16,6 +18,7 @@ from impbox import (
     lower_envelope,
     upper_envelope,
 )
+from impbox import _simplex, interval, possibility, randomset
 from impbox.credal import is_empty
 from impbox.pbox import to_polytope
 
@@ -150,3 +153,150 @@ def test_conjugacy_and_witnesses_random():
             assert lo.value == 1 - hi.value
             assert is_member(poly, lo.witness)
             assert is_member(poly, hi.witness)
+
+
+def _pbox_polytope(rng, sp):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate first levels are fine here
+        return to_polytope(gen.rand_pbox(rng, sp, ties=rng.random() < 0.5))
+
+
+MODELS = {
+    "mass": lambda rng, sp: randomset.to_polytope(gen.rand_mass(rng, sp)),
+    "interval": lambda rng, sp: interval.to_polytope(gen.rand_reachable_interval(rng, sp)),
+    "pbox": _pbox_polytope,
+    "possibility": lambda rng, sp: possibility.to_polytope(gen.rand_possibility(rng, sp)),
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_shared_polytope_is_order_independent(model):
+    """A polytope keeps a warm solver; answers must not depend on query order."""
+    rng = random.Random(37)
+    for _ in range(5):
+        sp = gen.SPACES[rng.randint(1, 5)]
+        poly = MODELS[model](rng, sp)
+        queries = [
+            (envelope, event)
+            for event in enumerate_events(sp)
+            for envelope in (lower_envelope, upper_envelope)
+        ]
+        rng.shuffle(queries)
+        for envelope, event in queries:
+            fresh = CredalPolytope(sp, poly.constraints)
+            shared = envelope(poly, event)
+            assert shared.value == envelope(fresh, event).value
+            assert is_member(poly, shared.witness)
+            assert shared.witness.prob(event) == shared.value
+            assert fresh == poly and hash(fresh) == hash(poly)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [F(1, 2), F(1, 2), F(0)],
+        [F(1, 3), F(1, 3), F(1, 3)],
+        [F(1), F(0), F(0)],
+        [F(0), F(1, 4), F(3, 4)],
+    ],
+)
+def test_point_polytope_envelopes_are_its_probabilities(p):
+    # the polytope of a probability document; phase 1 ends with the
+    # artificial basic at zero and drives it out
+    sp = FiniteSpace(["x1", "x2", "x3"])
+    poly = CredalPolytope(sp, [(sp.singleton(i), v, v) for i, v in enumerate(p)])
+    for event in enumerate_events(sp):
+        expected = sum((p[i] for i in event.indices()), F(0))
+        assert lower_envelope(poly, event).value == expected
+        assert upper_envelope(poly, event).value == expected
+        assert lower_envelope(poly, event).witness.p == tuple(p)
+
+
+def test_duplicated_constraints_do_not_change_envelopes():
+    rng = random.Random(41)
+    for _ in range(5):
+        sp = gen.SPACES[rng.randint(2, 4)]
+        poly = randomset.to_polytope(gen.rand_mass(rng, sp))
+        doubled = CredalPolytope(sp, poly.constraints + poly.constraints[::-1])
+        for event in enumerate_events(sp):
+            assert lower_envelope(doubled, event).value == lower_envelope(poly, event).value
+            assert upper_envelope(doubled, event).value == upper_envelope(poly, event).value
+
+
+def test_polytope_with_only_vacuous_rows():
+    sp = FiniteSpace(["x1", "x2", "x3"])
+    poly = CredalPolytope(
+        sp, [(sp.event(["x1"]), F(0), F(1)), (sp.full, F(1), F(1)), (sp.empty, F(0), F(0))]
+    )
+    assert not is_empty(poly)
+    for event in enumerate_events(sp):
+        assert lower_envelope(poly, event).value == (1 if event.is_full else 0)
+        assert upper_envelope(poly, event).value == (0 if event.is_empty else 1)
+
+
+def test_empty_polytope_raises_on_every_call():
+    sp = FiniteSpace(["x1", "x2"])
+    over = CredalPolytope(
+        sp, [(sp.event(["x1"]), F(3, 5), F(1)), (sp.event(["x2"]), F(3, 5), F(1))]
+    )
+    for _ in range(2):
+        for event in enumerate_events(sp):
+            with pytest.raises(InfeasibleError):
+                lower_envelope(over, event)
+            with pytest.raises(InfeasibleError):
+                upper_envelope(over, event)
+        assert is_empty(over)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda sol: sol._replace(value=sol.value + F(1, 7)),
+        lambda sol: sol._replace(y=sol.y[:-1] + (sol.y[-1] + sol.y_den,)),
+        lambda sol: sol._replace(x=(sol.x_den,) + (0,) * (len(sol.x) - 1)),
+        lambda sol: sol._replace(y=(sol.y_den,) + sol.y[1:]),
+    ],
+    ids=["value", "dual-value", "witness", "dual-sign"],
+)
+def test_tampered_solver_answer_raises(monkeypatch, expert_polytope, space6, tamper):
+    honest = _simplex.Simplex.minimize
+    monkeypatch.setattr(
+        _simplex.Simplex, "minimize", lambda self, c: tamper(honest(self, c))
+    )
+    with pytest.raises(OracleError):
+        lower_envelope(expert_polytope, space6.event(["x3", "x4", "x5"]))
+
+
+def _assert_optimal(a_ub, b_ub, a_eq, b_eq, c, sol):
+    """Primal and dual feasibility and equal objectives, in Fractions."""
+    x = [F(v, sol.x_den) for v in sol.x]
+    y = [F(v, sol.y_den) for v in sol.y]
+    rows = list(a_ub) + list(a_eq)
+    assert all(v >= 0 for v in x)
+    for r, (a, b) in enumerate(zip(rows, list(b_ub) + list(b_eq))):
+        lhs = sum(ai * xi for ai, xi in zip(a, x))
+        assert lhs <= b if r < len(a_ub) else lhs == b
+    assert all(v <= 0 for v in y[: len(a_ub)])
+    for j, cj in enumerate(c):
+        assert sum(a[j] * yr for a, yr in zip(rows, y)) <= cj
+    assert sum(ci * xi for ci, xi in zip(c, x)) == sol.value
+    assert sum(b * yr for b, yr in zip(list(b_ub) + list(b_eq), y)) == sol.value
+
+
+def test_simplex_drops_a_redundant_equality_row():
+    a_ub, b_ub = [[1, 0]], [F(1, 2)]
+    a_eq, b_eq = [[1, 1], [2, 2]], [1, 2]
+    solver = _simplex.Simplex(2, a_ub, b_ub, a_eq, b_eq)
+    for c in ([1, 2], [-1, 0], [F(1, 3), F(-1, 2)], [0, 0]):
+        sol = solver.minimize(c)
+        _assert_optimal(a_ub, b_ub, a_eq, b_eq, c, sol)
+    assert solver.minimize([1, 2]).value == F(3, 2)
+
+
+def test_simplex_rejects_negative_rhs_and_reports_infeasible():
+    with pytest.raises(ValueError):
+        _simplex.Simplex(1, [[1]], [-1], [], [])
+    with pytest.raises(_simplex.Infeasible):
+        _simplex.Simplex(2, [[1, 1]], [F(1, 2)], [[1, 1]], [1])
+    with pytest.raises(_simplex.Unbounded):
+        _simplex.Simplex(1, [], [], [], []).minimize([-1])

@@ -108,6 +108,14 @@ def test_space_size_cap_env(monkeypatch):
     assert "IMPBOX_MAX_N" in str(exc.value)
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "25", "30"])
+def test_space_size_cap_env_out_of_range(monkeypatch, value):
+    monkeypatch.setenv("IMPBOX_MAX_N", value)
+    with pytest.raises(DocumentError) as exc:
+        parse('{"kind": "probability", "space": ["x1"], "p": ["1"]}')
+    assert exc.value.path == "IMPBOX_MAX_N"
+
+
 def test_unknown_label_in_event_key():
     with pytest.raises(DocumentError) as exc:
         parse(
