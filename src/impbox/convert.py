@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotReachableError, SpaceMismatchError, ValidationError
-from .interval import ProbabilityInterval, conjunction
+from .interval import ProbabilityInterval, _envelope, conjunction
 from .pbox import GeneralizedPBox, from_functions, lower_prob, upper_prob
 from .space import FiniteSpace, Permutation
 
@@ -32,7 +32,7 @@ def _prefix_bounds(
     for i in sigma.order:
         l_in += interval.lower[i]
         u_in += interval.upper[i]
-        yield i, max(l_in, 1 - (total_u - u_in)), min(u_in, 1 - (total_l - l_in))
+        yield i, *_envelope(l_in, u_in, total_l, total_u)
 
 
 def interval_to_sigma_pbox(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,19 +48,47 @@ def _max_elements() -> int:
     return int(raw)
 
 
+@dataclass(frozen=True)
+class _HugeExponent:
+    """A JSON number whose exponent is past the digit limit, left unbuilt."""
+
+    text: str
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+
+
+def _huge_exponent(text: str) -> bool:
+    """Whether a decimal literal's exponent exceeds the int->str digit limit,
+    read off the text: ``Fraction`` would first build 10**exponent."""
+    limit = sys.get_int_max_str_digits()
+    match = _EXPONENT.search(text)
+    if not limit or not match:
+        return False
+    digits = match.group(1).lstrip("+-").replace("_", "").lstrip("0")
+    return len(digits) > len(str(limit)) or int(digits or 0) > limit
+
+
+def _json_number(text: str) -> Fraction | _HugeExponent:
+    return _HugeExponent(text) if _huge_exponent(text) else Fraction(text)
+
+
 def _rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError("expected a rational number, got a boolean", path)
+    limit = sys.get_int_max_str_digits()
+    too_long = f"numerator or denominator exceeds {limit} digits"
+    if isinstance(value, _HugeExponent) or isinstance(value, str) and _huge_exponent(value):
+        raise DocumentError(too_long, path)
     try:
         q = Fraction(value) if not isinstance(value, float) else Fraction(str(value))
     except (ValueError, ZeroDivisionError, TypeError):
         raise DocumentError(f"cannot parse {value!r} as a rational", path) from None
     # every accepted value must print again: str() of a longer int raises.
     # An int below 2**(3 * limit) = 8**limit has fewer than limit digits.
-    limit = sys.get_int_max_str_digits()
     big = max(abs(q.numerator), q.denominator)
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:
-        raise DocumentError(f"numerator or denominator exceeds {limit} digits", path)
+        raise DocumentError(too_long, path)
     if not 0 <= q <= 1:
         raise DocumentError(f"value {q} outside [0, 1]", path)
     return q
@@ -79,6 +108,8 @@ def _vector(payload, field: str, space: FiniteSpace) -> list[Fraction]:
 
 
 def _event(space: FiniteSpace, key: str, path: str) -> Event:
+    if not isinstance(key, str):
+        raise DocumentError("expected a string of comma-separated labels", path)
     labels = [part for part in key.split(",") if part]
     try:
         return space.event(labels)
@@ -252,9 +283,11 @@ KINDS: dict[str, Kind] = {
 def parse(text: str) -> Document:
     """Parse a document, building and validating its domain object."""
     try:
-        payload = json.loads(text, parse_float=Fraction)
+        payload = json.loads(text, parse_float=_json_number)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("malformed JSON: nested too deeply") from None
     except ValueError as exc:  # an integer past the int->str digit limit
         raise DocumentError(str(exc)) from None
     if not isinstance(payload, dict):
@@ -267,6 +300,9 @@ def parse(text: str) -> Document:
     labels = payload.get("space")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise DocumentError("space must be a list of labels", "$.space")
+    commas = [label for label in labels if "," in label]
+    if commas:  # event keys join labels with ","
+        raise DocumentError(f"label {commas[0]!r} contains ','", "$.space")
     cap = _max_elements()
     if len(labels) > cap:
         raise DocumentError(

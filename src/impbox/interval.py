@@ -39,17 +39,23 @@ class ProbabilityInterval:
         # into emptiness instead of rejected, so conjunction pipelines
         # can propagate the result.
         pointwise_ok = all(l <= u for l, u in zip(lower, upper))
-        non_empty = pointwise_ok and sum(lower) <= 1 <= sum(upper)
+        total_l, total_u = sum(lower), sum(upper)
+        non_empty = pointwise_ok and total_l <= 1 <= total_u
+        # reachable: each element's own bounds are already tight
         reachable = non_empty and all(
-            upper[i] + sum(lower) - lower[i] <= 1
-            and lower[i] + sum(upper) - upper[i] >= 1
-            for i in range(space.size)
+            _envelope(l, u, total_l, total_u) == (l, u) for l, u in zip(lower, upper)
         )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "non_empty", non_empty)
         object.__setattr__(self, "reachable", reachable)
+
+
+def _envelope(l_in, u_in, total_l, total_u) -> tuple[Fraction, Fraction]:
+    """Coherent (lower, upper) probability of a set whose lower/upper bounds
+    sum to l_in/u_in, on a space where they sum to total_l/total_u."""
+    return max(l_in, 1 - (total_u - u_in)), min(u_in, 1 - (total_l - l_in))
 
 
 def normalize(interval: ProbabilityInterval) -> ProbabilityInterval:
@@ -62,13 +68,11 @@ def normalize(interval: ProbabilityInterval) -> ProbabilityInterval:
         raise InfeasibleError("cannot normalize an empty probability interval")
     total_l = sum(interval.lower)
     total_u = sum(interval.upper)
-    lower = tuple(
-        max(l, 1 - (total_u - u))
-        for l, u in zip(interval.lower, interval.upper)
-    )
-    upper = tuple(
-        min(u, 1 - (total_l - l))
-        for l, u in zip(interval.lower, interval.upper)
+    lower, upper = zip(
+        *(
+            _envelope(l, u, total_l, total_u)
+            for l, u in zip(interval.lower, interval.upper)
+        )
     )
     return ProbabilityInterval(interval.space, lower, upper)
 
@@ -88,9 +92,7 @@ def event_bounds(interval: ProbabilityInterval, a: Event) -> tuple[Fraction, Fra
     inside = set(a.indices())
     l_in = sum((interval.lower[i] for i in inside), Fraction(0))
     u_in = sum((interval.upper[i] for i in inside), Fraction(0))
-    l_out = sum(interval.lower) - l_in
-    u_out = sum(interval.upper) - u_in
-    return max(l_in, 1 - u_out), min(u_in, 1 - l_out)
+    return _envelope(l_in, u_in, sum(interval.lower), sum(interval.upper))
 
 
 def conjunction(

@@ -1,11 +1,11 @@
 """Generalized p-boxes: comonotone lower/upper distribution pairs.
 
-A p-box is stored through the total indexing induced by its pre-order:
-``order`` ranks the elements, ``alpha``/``beta`` are the per-element
-lower/upper values along that ranking.  Elements with identical value
-pairs are equivalent in the pre-order; they are grouped into blocks,
-and the distinct nested level sets with their bounds are derived once
-at construction.
+A p-box is stored once, as its levels: bounds alpha_k <= P(A_k) <= beta_k
+on a nested family A_1 subset ... subset A_M = X, kept as the partition
+blocks G_k = A_k minus A_(k-1) with the bounds of their level.  Levels
+with equal bounds are merged, so the blocks are the equivalence classes
+of the pre-order; the distributions, the level sets, the possibility
+pair and the random set are all read off the blocks.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Sequence
 
 from .credal import CredalPolytope
@@ -27,34 +29,27 @@ from .space import Event, FiniteSpace
 @dataclass(frozen=True)
 class GeneralizedPBox:
     space: FiniteSpace
-    #: element indices ranked by the pre-order (ties in input order)
-    order: tuple[int, ...]
-    #: per-element lower values along ``order``
-    alpha: tuple[Fraction, ...]
-    #: per-element upper values along ``order``
-    beta: tuple[Fraction, ...]
-    #: nested level sets A_(1) subset ... subset A_(M) = X, as masks
-    level_masks: tuple[int, ...]
+    #: partition blocks G_k = A_(k) minus A_(k-1), innermost first, as masks
+    block_masks: tuple[int, ...]
+    #: bounds alpha_k <= P(A_(k)) <= beta_k, non-decreasing in k; no two
+    #: neighbouring levels have equal (alpha, beta)
     level_alpha: tuple[Fraction, ...]
     level_beta: tuple[Fraction, ...]
-    #: partition blocks G_k = A_(k) minus A_(k-1), as masks
-    block_masks: tuple[int, ...]
+
+    @property
+    def level_masks(self) -> tuple[int, ...]:
+        """Nested level sets A_(1) subset ... subset A_(M) = X, as masks."""
+        return tuple(accumulate(self.block_masks, or_))
 
     @property
     def f_lower(self) -> tuple[Fraction, ...]:
         """Lower distribution in label order."""
-        out = [Fraction(0)] * self.space.size
-        for rank, i in enumerate(self.order):
-            out[i] = self.alpha[rank]
-        return tuple(out)
+        return _spread(self, self.level_alpha)
 
     @property
     def f_upper(self) -> tuple[Fraction, ...]:
         """Upper distribution in label order."""
-        out = [Fraction(0)] * self.space.size
-        for rank, i in enumerate(self.order):
-            out[i] = self.beta[rank]
-        return tuple(out)
+        return _spread(self, self.level_beta)
 
     def levels(self) -> tuple[tuple[Event, Fraction, Fraction], ...]:
         return tuple(
@@ -64,6 +59,38 @@ class GeneralizedPBox:
 
     def blocks(self) -> tuple[Event, ...]:
         return tuple(Event(self.space, mask) for mask in self.block_masks)
+
+
+def _spread(pb: GeneralizedPBox, per_level: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Per-level values in label order: each element takes its block's."""
+    out = [Fraction(0)] * pb.space.size
+    for mask, value in zip(pb.block_masks, per_level):
+        for i in Event(pb.space, mask).indices():
+            out[i] = value
+    return tuple(out)
+
+
+def _merge(space: FiniteSpace, blocks: Iterable[tuple]) -> GeneralizedPBox:
+    """The p-box of validated (block mask, alpha, beta) triples in pre-order.
+
+    Empty blocks are dropped and neighbours with equal bounds merge into
+    one block, so equal p-boxes get equal fields whichever builder made
+    them.
+    """
+    merged: list[list] = []
+    for mask, lo, hi in blocks:
+        if merged and [lo, hi] == merged[-1][1:]:
+            merged[-1][0] |= mask
+        elif mask:
+            merged.append([mask, lo, hi])
+    block_masks, level_alpha, level_beta = zip(*merged)
+    if level_beta[0] == 0:
+        warnings.warn(
+            "first level has upper bound 0; the innermost level set is "
+            "then forced to probability 0",
+            stacklevel=3,
+        )
+    return GeneralizedPBox(space, block_masks, level_alpha, level_beta)
 
 
 def from_functions(space: FiniteSpace, flow: Sequence, fupp: Sequence) -> GeneralizedPBox:
@@ -97,45 +124,7 @@ def from_functions(space: FiniteSpace, flow: Sequence, fupp: Sequence) -> Genera
         raise ValidationError(
             "some element must carry the value 1 in both distributions"
         )
-
-    alpha = tuple(flow[i] for i in order)
-    beta = tuple(fupp[i] for i in order)
-
-    # group equal (alpha, beta) pairs: pre-order equivalence classes
-    block_masks = []
-    level_alpha = []
-    level_beta = []
-    for rank, i in enumerate(order):
-        pair = (alpha[rank], beta[rank])
-        if block_masks and pair == (level_alpha[-1], level_beta[-1]):
-            block_masks[-1] |= 1 << i
-        else:
-            block_masks.append(1 << i)
-            level_alpha.append(pair[0])
-            level_beta.append(pair[1])
-    level_masks = []
-    acc = 0
-    for mask in block_masks:
-        acc |= mask
-        level_masks.append(acc)
-
-    if level_beta[0] == 0:
-        warnings.warn(
-            "first level has upper bound 0; the innermost level set is "
-            "then forced to probability 0",
-            stacklevel=2,
-        )
-
-    return GeneralizedPBox(
-        space=space,
-        order=tuple(order),
-        alpha=alpha,
-        beta=beta,
-        level_masks=tuple(level_masks),
-        level_alpha=tuple(level_alpha),
-        level_beta=tuple(level_beta),
-        block_masks=tuple(block_masks),
-    )
+    return _merge(space, ((1 << i, flow[i], fupp[i]) for i in order))
 
 
 def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
@@ -171,16 +160,9 @@ def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
             raise ValidationError("the whole space must carry bounds [1, 1]")
     else:
         levels.append((space.full, Fraction(1), Fraction(1)))
-
-    flow = [None] * space.size
-    fupp = [None] * space.size
-    covered = 0
-    for event, lo, hi in levels:
-        for i in Event(space, event.mask & ~covered).indices():
-            flow[i] = lo
-            fupp[i] = hi
-        covered |= event.mask
-    return from_functions(space, flow, fupp)
+    # block k is A_k minus A_(k-1)
+    inner = [0, *(event.mask for event, _, _ in levels)]
+    return _merge(space, ((e.mask & ~m, lo, hi) for m, (e, lo, hi) in zip(inner, levels)))
 
 
 def to_possibility_pair(
@@ -195,40 +177,31 @@ def to_possibility_pair(
     equal to the p-box credal set even when two distinct levels share
     a lower bound.
     """
-    n = pb.space.size
-    pi_upp = [Fraction(0)] * n
-    pi_low = [Fraction(0)] * n
-    for k, mask in enumerate(pb.block_masks):
-        level_before = pb.level_alpha[k - 1] if k > 0 else Fraction(0)
-        for i in Event(pb.space, mask).indices():
-            pi_low[i] = 1 - level_before
-    for rank, i in enumerate(pb.order):
-        pi_upp[i] = pb.beta[rank]
+    alpha_before = (Fraction(0), *pb.level_alpha[:-1])
     return (
-        PossibilityDistribution(pb.space, pi_upp),
-        PossibilityDistribution(pb.space, pi_low),
+        PossibilityDistribution(pb.space, _spread(pb, pb.level_beta)),
+        PossibilityDistribution(pb.space, _spread(pb, [1 - a for a in alpha_before])),
     )
 
 
 def to_random_set(pb: GeneralizedPBox) -> MassAssignment:
     """The random set with the same lower probability, threshold form.
 
-    For each distinct merged level gamma of the two distributions, the
-    focal event collects the elements whose upper possibility reaches
-    gamma while their lower one has not been exhausted; its mass is the
-    gap to the previous level.
+    For each distinct level bound gamma > 0, the focal event collects
+    the blocks k with beta_k >= gamma > alpha_(k-1) (alpha_0 = 0): the
+    upper bound of their level reaches gamma while the lower bound of
+    the level before has not.  Its mass is the gap to the previous
+    threshold.
     """
-    pi_upp, pi_low = to_possibility_pair(pb)
-    gammas = sorted(set(pb.alpha) | set(pb.beta))
+    alpha_before = (Fraction(0), *pb.level_alpha[:-1])
+    gammas = sorted((set(pb.level_alpha) | set(pb.level_beta)) - {0})
     masses: dict[int, Fraction] = {}
     previous = Fraction(0)
     for gamma in gammas:
-        if gamma == 0:
-            continue
         mask = 0
-        for i in range(pb.space.size):
-            if pi_upp.pi[i] >= gamma and 1 - pi_low.pi[i] < gamma:
-                mask |= 1 << i
+        for block, before, beta in zip(pb.block_masks, alpha_before, pb.level_beta):
+            if beta >= gamma > before:
+                mask |= block
         masses[mask] = masses.get(mask, Fraction(0)) + (gamma - previous)
         previous = gamma
     return MassAssignment(pb.space, masses)
@@ -246,7 +219,7 @@ def algorithm1(pb: GeneralizedPBox) -> MassAssignment:
     Verification only: the reference route the test suite checks
     ``to_random_set`` against.  It is not exported from ``impbox``.
     """
-    m_levels = len(pb.level_masks)
+    m_levels = len(pb.block_masks)
     additions = [(pb.level_alpha[i - 1] if i > 0 else Fraction(0), i) for i in range(m_levels)]
     removals = [(pb.level_beta[i], i) for i in range(m_levels - 1)]
     thresholds = sorted(
@@ -326,10 +299,4 @@ def lower_prob_via_possibility(pb: GeneralizedPBox, a: Event) -> Fraction:
 
 def to_polytope(pb: GeneralizedPBox) -> CredalPolytope:
     """One interval constraint per distinct nested level set."""
-    return CredalPolytope(
-        pb.space,
-        [
-            (Event(pb.space, mask), a, b)
-            for mask, a, b in zip(pb.level_masks, pb.level_alpha, pb.level_beta)
-        ],
-    )
+    return CredalPolytope(pb.space, pb.levels())

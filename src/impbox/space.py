@@ -105,13 +105,6 @@ class Event:
         self._check_space(other)
         return self.mask & ~other.mask == 0
 
-    def __le__(self, other: Event) -> bool:
-        return self.issubset(other)
-
-    def intersects(self, other: Event) -> bool:
-        self._check_space(other)
-        return self.mask & other.mask != 0
-
     @property
     def is_empty(self) -> bool:
         return self.mask == 0

@@ -340,11 +340,54 @@ def test_all_kinds_golden(runner, tmp_path, kind, command):
             ["query", "--event", "b", "--bound", "upper"],
         ),
         ('{"kind": "probability", "space": ["a"], "p": [' + "1" * 5000 + "]}", ["check"]),
+        (
+            '{"kind": "possibility", "space": ["a", "b"], "pi": ["1", "1e-100000000"]}',
+            ["check"],
+        ),
+        ('{"kind": "possibility", "space": ["a", "b"], "pi": ["1", 0e9999999]}', ["check"]),
     ],
-    ids=["convert-1e-5000", "query-1e-5000", "check-5000-digit-int"],
+    ids=[
+        "convert-1e-5000",
+        "query-1e-5000",
+        "check-5000-digit-int",
+        "check-string-exponent-bomb",
+        "check-json-exponent-bomb",
+    ],
 )
 def test_oversized_numbers_are_validation_failures(runner, tmp_path, text, args):
-    path = tmp_path / "big.json"
+    _assert_validation_failure(runner, tmp_path, text, args)
+
+
+@pytest.mark.parametrize(
+    "text, args",
+    [
+        (
+            '{"kind": "nested_bounds", "space": ["a", "b"], "levels": [{"event": 1}]}',
+            ["check"],
+        ),
+        (
+            '{"kind": "nested_bounds", "space": ["a", "b"], "levels": [{"event": ["a"]}]}',
+            ["check"],
+        ),
+        ("[" * 100_000 + "]" * 100_000, ["check"]),
+        (
+            '{"kind": "possibility", "space": ["a,b", "c"], "pi": ["1", "1/2"]}',
+            ["convert", "--to", "mass"],
+        ),
+    ],
+    ids=[
+        "check-number-event",
+        "check-list-event",
+        "check-deep-nesting",
+        "convert-comma-label",
+    ],
+)
+def test_malformed_documents_are_validation_failures(runner, tmp_path, text, args):
+    _assert_validation_failure(runner, tmp_path, text, args)
+
+
+def _assert_validation_failure(runner, tmp_path, text, args):
+    path = tmp_path / "doc.json"
     path.write_text(text)
     name, *options = args
     result = runner.invoke(main, [name, str(path), *options])

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -145,3 +146,40 @@ def test_rational_at_the_digit_limit_round_trips():
 def test_oversized_json_integer_is_a_document_error():
     with pytest.raises(DocumentError):
         parse('{"kind": "probability", "space": ["a"], "p": [' + "1" * 5000 + "]}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['"1e-100000000"', "0e9999999", "1e99999999999999999999", '"0e5000"', '" 1E+4301 "'],
+)
+def test_exponent_past_the_digit_limit_is_rejected_unbuilt(text):
+    # building 10**exponent first would take seconds to minutes
+    start = time.perf_counter()
+    with pytest.raises(DocumentError) as exc:
+        parse('{"kind": "possibility", "space": ["a", "b"], "pi": ["1", ' + text + "]}")
+    assert time.perf_counter() - start < 5
+    assert exc.value.path == "$.pi[1]"
+    assert "exceeds" in str(exc.value)
+
+
+@pytest.mark.parametrize("event", [1, ["a"], None, {"a": 1}])
+def test_level_event_must_be_a_string(event):
+    text = json.dumps(
+        {"kind": "nested_bounds", "space": ["a", "b"], "levels": [{"event": event}]}
+    )
+    with pytest.raises(DocumentError) as exc:
+        parse(text)
+    assert exc.value.path == "$.levels[0].event"
+
+
+def test_deeply_nested_json_is_a_document_error():
+    with pytest.raises(DocumentError) as exc:
+        parse("[" * 100_000 + "]" * 100_000)
+    assert "nested too deeply" in str(exc.value)
+
+
+def test_label_with_a_comma_is_rejected():
+    # event keys join labels with ","; "a,b" would read back as {a, b}
+    with pytest.raises(DocumentError) as exc:
+        parse('{"kind": "possibility", "space": ["a,b", "c"], "pi": ["1", "1/2"]}')
+    assert exc.value.path == "$.space"

@@ -1,5 +1,6 @@
 import random
 import warnings
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import gen
 from impbox import (
     FiniteSpace,
+    GeneralizedPBox,
     ValidationError,
     bel,
     enumerate_events,
@@ -82,6 +84,46 @@ def test_from_nested_sets_reproduces_expert_pbox(expert_pbox, space6):
         ],
     )
     assert pb == expert_pbox
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_both_builders_store_the_same_levels(ties):
+    rng = random.Random(71 + ties)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(150):
+            sp = gen.SPACES[rng.randint(1, 6)]
+            pb = gen.rand_pbox(rng, sp, ties=ties)
+            assert from_functions(sp, pb.f_lower, pb.f_upper) == pb
+            assert from_nested_sets(sp, pb.levels()) == pb
+            assert to_random_set(pb) == algorithm1(pb)
+
+
+def test_pbox_stores_only_its_levels():
+    assert [f.name for f in fields(GeneralizedPBox)] == [
+        "space", "block_masks", "level_alpha", "level_beta"
+    ]
+
+
+def test_from_nested_sets_drops_an_empty_level_and_merges_equal_ones():
+    sp = FiniteSpace(["x1", "x2", "x3", "x4"])
+    pb = from_nested_sets(
+        sp,
+        [
+            (sp.empty, F(0), F(1, 4)),
+            (sp.event(["x2"]), F(1, 5), F(1, 2)),
+            (sp.event(["x1", "x2"]), F(1, 5), F(1, 2)),
+            (sp.event(["x1", "x2", "x4"]), F(1, 2), F(1, 2)),
+        ],
+    )
+    assert pb.block_masks == (0b0011, 0b1000, 0b0100)
+    assert pb.level_masks == (0b0011, 0b1011, 0b1111)
+    assert pb.level_alpha == (F(1, 5), F(1, 2), F(1))
+    assert pb.level_beta == (F(1, 2), F(1, 2), F(1))
+    assert pb == from_functions(
+        sp, [F(1, 5), F(1, 5), F(1), F(1, 2)], [F(1, 2), F(1, 2), F(1), F(1, 2)]
+    )
+    assert to_random_set(pb) == algorithm1(pb)
 
 
 def test_from_nested_sets_vacuous(space6):

@@ -1,0 +1,140 @@
+"""Property tests for the document format and the CLI boundary.
+
+Hypothesis runs derandomized with a bounded example count, so every run
+draws the same examples and the suite stays fast.
+"""
+
+import json
+import random
+import warnings
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gen
+from impbox import FiniteSpace
+from impbox.cli import main
+from impbox.docio import Document, DocumentError, parse, serialize
+
+PROPERTY = settings(derandomize=True, max_examples=120, deadline=None)
+
+#: one seeded generator per document kind; both p-box kinds take a p-box
+BUILDERS = {
+    "capacity": gen.rand_capacity,
+    "mass": gen.rand_mass,
+    "possibility": gen.rand_possibility,
+    "interval": gen.rand_reachable_interval,
+    "gen_pbox": gen.rand_pbox,
+    "nested_bounds": gen.rand_pbox,
+    "probability": gen.rand_probability,
+}
+
+# commas are drawn often: event keys join labels with them
+LABELS = st.lists(
+    st.text(
+        st.one_of(st.just(","), st.characters(blacklist_categories=("Cs",))),
+        min_size=1,
+        max_size=3,
+    ),
+    min_size=1,
+    max_size=4,
+    unique=True,
+)
+
+NUMBER_TEXT = st.from_regex(
+    r"-?[0-9]{1,3}(\.[0-9]{1,3})?([eE]-?[0-9]{1,8})?|[0-9]{1,3}/[0-9]{1,3}",
+    fullmatch=True,
+)
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | NUMBER_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _build(kind, seed, space):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a p-box may have a first level at 0
+        return Document(kind, space, BUILDERS[kind](random.Random(seed), space))
+
+
+@PROPERTY
+@given(kind=st.sampled_from(list(BUILDERS)), seed=st.integers(0, 2**32), labels=LABELS)
+def test_parse_inverts_serialize(kind, seed, labels):
+    doc = _build(kind, seed, FiniteSpace(labels))
+    text = serialize(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if any("," in label for label in labels):
+            with pytest.raises(DocumentError) as exc:
+                parse(text)
+            assert exc.value.path == "$.space"
+            return
+        again = parse(text)
+    assert again.kind == kind
+    assert again.obj == doc.obj
+    assert serialize(again) == text
+
+
+def _check_exits_cleanly(value):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("doc.json", "w", encoding="utf-8") as handle:
+            json.dump(value, handle)
+        result = runner.invoke(main, ["check", "doc.json"])
+    assert result.exit_code in (0, 1, 2, 3)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@PROPERTY
+@given(value=JSON)
+def test_check_on_any_json_value_exits_cleanly(value):
+    _check_exits_cleanly(value)
+
+
+def _paths(value, path=()):
+    """The path to every node of a JSON value, the root's included."""
+    yield path
+    if isinstance(value, list):
+        children = enumerate(value)
+    elif isinstance(value, dict):
+        children = value.items()
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+def _mutate(data, value):
+    """Replace or delete one node of a JSON value, in place."""
+    # deepest first: draws lean to early entries, and the leaves are the
+    # fields a reader has to check
+    path = data.draw(st.sampled_from(sorted(_paths(value), key=len, reverse=True)))
+    if not path:
+        return data.draw(JSON)
+    *parents, last = path
+    node = value
+    for key in parents:
+        node = node[key]
+    if data.draw(st.booleans()):
+        node[last] = data.draw(JSON)
+    else:
+        del node[last]
+    return value
+
+
+@PROPERTY
+@given(kind=st.sampled_from(list(BUILDERS)), seed=st.integers(0, 2**32), data=st.data())
+def test_check_on_a_mutated_document_exits_cleanly(kind, seed, data):
+    space = gen.SPACES[data.draw(st.integers(1, 4))]
+    valid = json.loads(serialize(_build(kind, seed, space)))
+    _check_exits_cleanly(_mutate(data, valid))
