@@ -1,11 +1,15 @@
 """Capacities (monotone set functions), conjugates and Möbius transforms.
 
 Set functions are stored as tuples of exact rationals indexed by event
-bitmask, so every identity here is checked with zero tolerance.
+bitmask, so every identity here is checked with zero tolerance. The
+checks put all values of one set function over a common denominator and
+compare the integer numerators, whose signs are exactly the rationals'.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -36,6 +40,36 @@ def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple
     return table
 
 
+def _numerators(values: Sequence[Fraction]) -> list[int]:
+    """The numerators of ``values`` over ``den > 0``, the lcm of their denominators.
+
+    Sums and differences of the numerators have the signs of the same
+    sums and differences of the rationals. ``den`` must print within the
+    int->str digit limit, so the table stays small and every integer
+    combination of the values (a Möbius mass, say) prints too.
+    """
+    dens = {v.denominator for v in values}
+    den = math.lcm(*dens)
+    limit = sys.get_int_max_str_digits()
+    # below 2**(3 * limit) = 8**limit an int has fewer than limit digits
+    if limit and den.bit_length() > 3 * limit and den >= 10**limit:
+        raise ValidationError(
+            f"common denominator of the values exceeds {limit} digits"
+        )
+    scale = {d: den // d for d in dens}
+    return [v.numerator * scale[v.denominator] for v in values]
+
+
+def _mobius(table: list) -> list:
+    """Möbius transform of a table indexed by event bitmask, in place."""
+    for i in range(len(table).bit_length() - 1):
+        bit = 1 << i
+        for mask in range(len(table)):
+            if mask & bit:
+                table[mask] -= table[mask ^ bit]
+    return table
+
+
 @dataclass(frozen=True)
 class Capacity:
     """A set function with mu(empty)=0, mu(X)=1, monotone under inclusion."""
@@ -62,7 +96,8 @@ def validate_capacity(space: FiniteSpace, values) -> Capacity:
     """Build a capacity, checking boundary values and monotonicity.
 
     Monotonicity is checked on all covering pairs A and A+{x}, which is
-    equivalent to checking all inclusions.
+    equivalent to checking all inclusions. The values' common denominator
+    must print within the int->str digit limit.
     """
     table = _as_table(space, values)
     if table[0] != 0:
@@ -72,12 +107,13 @@ def validate_capacity(space: FiniteSpace, values) -> Capacity:
         raise ValidationError(
             f"capacity of the whole space must be 1, got {table[full]}"
         )
+    v = _numerators(table)
     for mask in range(full + 1):
         for i in range(space.size):
             bit = 1 << i
             if mask & bit:
                 continue
-            if table[mask] > table[mask | bit]:
+            if v[mask] > v[mask | bit]:
                 small = Event(space, mask)
                 big = Event(space, mask | bit)
                 raise ValidationError(
@@ -114,13 +150,7 @@ def mobius_transform(c: Capacity) -> MobiusAssignment:
     Inverse of ``mobius_inverse``: summing the masses over the subsets
     of any event recovers the capacity there.
     """
-    table = list(c.values)
-    for i in range(c.space.size):
-        bit = 1 << i
-        for mask in range(len(table)):
-            if mask & bit:
-                table[mask] -= table[mask ^ bit]
-    return MobiusAssignment(c.space, tuple(table))
+    return MobiusAssignment(c.space, tuple(_mobius(list(c.values))))
 
 
 def mobius_masses(space: FiniteSpace, masses) -> MobiusAssignment:
@@ -157,26 +187,37 @@ def is_2_monotone(c: Capacity) -> bool:
 
 
 def find_2_monotone_violation(c: Capacity) -> tuple[Event, Event] | None:
-    """First pair A, B with c(A|B) + c(A&B) < c(A) + c(B), if any."""
-    n_events = 1 << c.space.size
-    v = c.values
-    for a in range(n_events):
-        for b in range(a + 1, n_events):
-            if v[a | b] + v[a & b] < v[a] + v[b]:
-                return Event(c.space, a), Event(c.space, b)
+    """A pair A, B with c(A|B) + c(A&B) < c(A) + c(B), if any.
+
+    Tests the local condition c(S+i+j) + c(S) >= c(S+i) + c(S+j) for
+    i < j outside S, which holds iff the inequality holds on all pairs
+    (Chateauneuf & Jaffray 1989): O(n^2 2^n) integer comparisons, not
+    O(4^n). A failure at S returns the pair (S+i, S+j), whose union is
+    S+i+j and whose intersection is S, so it breaks the global inequality.
+    """
+    v = _numerators(c.values)
+    full = len(v) - 1
+    for i in range(c.space.size):
+        bi = 1 << i
+        for j in range(i + 1, c.space.size):
+            bj = 1 << j
+            both = bi | bj
+            rest = s = full ^ both
+            while True:  # every S within rest, from rest down to the empty set
+                if v[s | both] + v[s] < v[s | bi] + v[s | bj]:
+                    return Event(c.space, s | bi), Event(c.space, s | bj)
+                if not s:
+                    break
+                s = (s - 1) & rest
     return None
 
 
 def is_infty_monotone(c: Capacity) -> bool:
     """True iff all Möbius masses are non-negative (belief function)."""
-    return all(mass >= 0 for mass in mobius_transform(c).masses)
+    return min(_mobius(_numerators(c.values))) >= 0
 
 
 def is_additive(c: Capacity) -> bool:
     """True iff the Möbius masses are supported on singletons only."""
-    m = mobius_transform(c)
-    return all(
-        mass == 0
-        for mask, mass in enumerate(m.masses)
-        if mask.bit_count() != 1
-    )
+    m = _mobius(_numerators(c.values))
+    return all(mass == 0 for mask, mass in enumerate(m) if mask.bit_count() != 1)

@@ -102,9 +102,10 @@ def convert(file, target, sigma):
     doc = _load(file)
     try:
         result = _convert(doc, target, sigma)
+        text = docio.serialize(docio.document_for(result))
     except ImpboxError as exc:
         _fail(str(exc))
-    _echo(docio.serialize(docio.document_for(result)), nl=False)
+    _echo(text, nl=False)
 
 
 @main.command()
@@ -119,7 +120,14 @@ def query(file, event_spec, bound):
         lower, upper = docio.KINDS[doc.kind].bounds(doc.obj, a)
     except ImpboxError as exc:
         _fail(str(exc))
-    _echo(_fmt(lower if bound == "lower" else upper))
+    try:
+        text = _fmt(lower if bound == "lower" else upper)
+    except ValueError:  # str() of an int past the int->str digit limit
+        _fail(
+            f"a derived numerator or denominator exceeds "
+            f"{sys.get_int_max_str_digits()} digits"
+        )
+    _echo(text)
 
 
 def _witness(envelope: credal.Envelope) -> str:

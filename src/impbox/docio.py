@@ -325,7 +325,13 @@ def parse(text: str) -> Document:
 def serialize(doc: Document) -> str:
     """Canonical text form: fixed key order, rationals as "p/q" strings."""
     body = {"kind": doc.kind, "space": list(doc.space.labels)}
-    body.update(KINDS[doc.kind].write(doc.obj))
+    try:
+        body.update(KINDS[doc.kind].write(doc.obj))
+    except ValueError:  # str() of an int past the int->str digit limit
+        raise DocumentError(
+            f"a derived numerator or denominator exceeds "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     return json.dumps(body, indent=2) + "\n"
 
 

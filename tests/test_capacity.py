@@ -173,3 +173,104 @@ def test_is_additive():
 
 def test_expert_belief_not_additive(expert_mass):
     assert not is_additive(bel_capacity(expert_mass))
+
+
+def _mixed_capacity(rng, space):
+    """Values drawn over different denominators, monotonized like gen's."""
+    table = [F(0)] * (1 << space.size)
+    for mask in range(1, len(table) - 1):
+        denom = rng.choice([2, 3, 5, 7, 12, 60])
+        table[mask] = F(rng.randint(0, denom), denom)
+    table[-1] = F(1)
+    for mask in range(1, len(table)):
+        for i in range(space.size):
+            if mask & 1 << i:
+                table[mask] = max(table[mask], table[mask ^ 1 << i])
+    return validate_capacity(space, table)
+
+
+def _violates(c, pair):
+    a, b = pair
+    v = c.values
+    return v[a.mask | b.mask] + v[a.mask & b.mask] < v[a.mask] + v[b.mask]
+
+
+def test_2_monotone_agrees_with_the_pairwise_definition():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(150):
+        sp = gen.SPACES[rng.randint(1, 5)]
+        if rng.random() < 0.3:
+            c = bel_capacity(gen.rand_mass(rng, sp))
+        else:
+            c = gen.rand_capacity(rng, sp, denom=rng.choice([2, 3, 6, 12, 35]))
+        expected = gen.is_k_monotone_bruteforce(c, 2)
+        assert is_2_monotone(c) == expected
+        pair = find_2_monotone_violation(c)
+        assert (pair is None) == expected
+        if pair is not None:
+            assert _violates(c, pair)
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_violation_planted_at_the_top_of_the_lattice_is_found(n):
+    """Raise one (n-1)-set of the uniform probability, where every local
+    inequality is tight: only sets S with |S| = n - 2 then break it."""
+    rng = random.Random(n)
+    sp = gen.SPACES[n]
+    full = (1 << n) - 1
+    for _ in range(10):
+        values = [F(mask.bit_count(), n) for mask in range(full + 1)]
+        values[full ^ 1 << rng.randrange(n)] += F(1, 2 * n)
+        c = validate_capacity(sp, values)
+        pair = find_2_monotone_violation(c)
+        assert pair is not None
+        assert _violates(c, pair)
+        assert (pair[0].mask & pair[1].mask).bit_count() == n - 2
+        assert not is_2_monotone(c)
+
+
+def test_2_monotone_on_one_and_two_elements(two_point_six):
+    one = FiniteSpace(["x1"])
+    assert is_2_monotone(validate_capacity(one, [F(0), F(1)]))
+    two = FiniteSpace(["x1", "x2"])
+    assert is_2_monotone(validate_capacity(two, [F(0), F(1, 5), F(2, 7), F(1)]))
+    assert is_2_monotone(validate_capacity(two, [F(0), F(2, 5), F(3, 5), F(1)]))
+    assert not is_2_monotone(validate_capacity(two, [F(0), F(1, 2), F(4, 7), F(1)]))
+    assert find_2_monotone_violation(two_point_six) == (
+        two.event(["x1"]),
+        two.event(["x2"]),
+    )
+
+
+def test_classification_reads_the_mobius_masses():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(150):
+        sp = gen.SPACES[rng.randint(1, 5)]
+        pick = rng.random()
+        if pick < 0.3:
+            c = bel_capacity(gen.rand_mass(rng, sp))
+        elif pick < 0.45:
+            c = capacity_from_probability(sp, gen.rand_probability(rng, sp).p)
+        else:
+            c = _mixed_capacity(rng, sp)
+        masses = mobius_transform(c).masses
+        infty = all(m >= 0 for m in masses)
+        additive = all(m == 0 for mask, m in enumerate(masses) if mask.bit_count() != 1)
+        assert is_infty_monotone(c) == infty
+        assert is_additive(c) == additive
+        seen.add((infty, additive))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_common_denominator_past_the_digit_limit_is_rejected():
+    # both values print, but their lcm, the denominator of a Möbius mass, does not
+    big = 10**2200
+    sp = FiniteSpace(["x1", "x2"])
+    with pytest.raises(ValidationError, match="common denominator"):
+        validate_capacity(sp, [F(0), F(1, big + 1), F(1, big + 3), F(1)])
+    c = validate_capacity(sp, [F(0), F(1, big), F(1, 2 * big), F(1)])
+    assert is_2_monotone(c)

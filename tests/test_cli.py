@@ -345,6 +345,48 @@ def test_all_kinds_golden(runner, tmp_path, kind, command):
             ["check"],
         ),
         ('{"kind": "possibility", "space": ["a", "b"], "pi": ["1", 0e9999999]}', ["check"]),
+        # each value prints; the masses' denominators have 8000 digits
+        (
+            json.dumps(
+                {
+                    "kind": "possibility",
+                    "space": ["a", "b", "c"],
+                    "pi": ["1", f"1/1{'7' * 3999}1", f"1/1{'3' * 3999}1"],
+                }
+            ),
+            ["convert", "--to", "mass"],
+        ),
+        # bel({a, b}) = 1/P + 1/Q has a 6000-digit denominator
+        (
+            json.dumps(
+                {
+                    "kind": "mass",
+                    "space": ["a", "b", "c", "d"],
+                    "focal": {
+                        "a": f"1/{10**2999 + 1}",
+                        "b": f"1/{10**2999 + 3}",
+                        "c": str(F(1, 2) - F(1, 10**2999 + 1)),
+                        "d": str(F(1, 2) - F(1, 10**2999 + 3)),
+                    },
+                }
+            ),
+            ["query", "--event", "a,b", "--bound", "lower"],
+        ),
+        (
+            json.dumps(
+                {
+                    "kind": "capacity",
+                    "space": ["a", "b"],
+                    "values": {
+                        "": "0",
+                        "a": f"1/1{'0' * 2199}1",
+                        "b": f"1/1{'0' * 2199}3",
+                        "a,b": "1",
+                    },
+                }
+            ),
+            ["check"],
+        ),
     ],
     ids=[
         "convert-1e-5000",
@@ -352,6 +394,9 @@ def test_all_kinds_golden(runner, tmp_path, kind, command):
         "check-5000-digit-int",
         "check-string-exponent-bomb",
         "check-json-exponent-bomb",
+        "convert-4001-digit-possibility-to-mass",
+        "query-6000-digit-belief",
+        "check-capacity-common-denominator",
     ],
 )
 def test_oversized_numbers_are_validation_failures(runner, tmp_path, text, args):

@@ -85,12 +85,13 @@ def test_parse_inverts_serialize(kind, seed, labels):
     assert serialize(again) == text
 
 
-def _check_exits_cleanly(value):
+def _exits_cleanly(value, command=("check",)):
+    name, *options = command
     runner = CliRunner()
     with runner.isolated_filesystem():
         with open("doc.json", "w", encoding="utf-8") as handle:
             json.dump(value, handle)
-        result = runner.invoke(main, ["check", "doc.json"])
+        result = runner.invoke(main, [name, "doc.json", *options])
     assert result.exit_code in (0, 1, 2, 3)
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
@@ -98,7 +99,7 @@ def _check_exits_cleanly(value):
 @PROPERTY
 @given(value=JSON)
 def test_check_on_any_json_value_exits_cleanly(value):
-    _check_exits_cleanly(value)
+    _exits_cleanly(value)
 
 
 def _paths(value, path=()):
@@ -137,4 +138,35 @@ def _mutate(data, value):
 def test_check_on_a_mutated_document_exits_cleanly(kind, seed, data):
     space = gen.SPACES[data.draw(st.integers(1, 4))]
     valid = json.loads(serialize(_build(kind, seed, space)))
-    _check_exits_cleanly(_mutate(data, valid))
+    _exits_cleanly(_mutate(data, valid))
+
+
+def _command(data, labels):
+    """A query, convert or verify command line, options drawn from labels."""
+    some_labels = st.lists(st.sampled_from(labels) | st.text(max_size=3), max_size=4)
+    name = data.draw(st.sampled_from(["query", "convert", "verify"]))
+    if name == "query":
+        event = ",".join(data.draw(some_labels))
+        bound = data.draw(st.sampled_from(["lower", "upper"]))
+        return ["query", "--event", event, "--bound", bound]
+    if name == "convert":
+        # the targets of the supported conversions, or any kind
+        target = st.sampled_from(["mass", "interval", "gen_pbox"]) | st.sampled_from(
+            list(BUILDERS)
+        )
+        options = ["--to", data.draw(target)]
+        if data.draw(st.booleans()):
+            options += ["--sigma", ",".join(data.draw(some_labels))]
+        return ["convert", *options]
+    return ["verify"]
+
+
+@PROPERTY
+@given(kind=st.sampled_from(list(BUILDERS)), seed=st.integers(0, 2**32), data=st.data())
+def test_other_commands_on_a_mutated_document_exit_cleanly(kind, seed, data):
+    space = gen.SPACES[data.draw(st.integers(1, 4))]
+    valid = json.loads(serialize(_build(kind, seed, space)))
+    command = _command(data, list(space.labels))
+    if data.draw(st.booleans()):  # else the command gets past parsing
+        valid = _mutate(data, valid)
+    _exits_cleanly(valid, command)
