@@ -18,9 +18,10 @@ cycling.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
+
+from ._exact import over_lcd
 
 
 class Infeasible(Exception):
@@ -44,15 +45,6 @@ class Solution(NamedTuple):
     y_den: int
 
 
-def _integers(values) -> tuple[int, list[int]]:
-    """The lcm of the denominators of ``values``, and ``values`` times it."""
-    if all(type(v) is int for v in values):
-        return 1, list(values)
-    values = [Fraction(v) for v in values]
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
 class Simplex:
     """Minimize any objective over ``a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0``.
 
@@ -74,7 +66,7 @@ class Simplex:
         for r, (a, b) in enumerate(zip(list(a_ub) + list(a_eq), list(b_ub) + list(b_eq))):
             if b < 0:
                 raise ValueError("right-hand sides must be non-negative")
-            scale, row = _integers(list(a) + [b])
+            scale, row = over_lcd(list(a) + [b])
             self._scales.append(scale)
             body = row[:-1] + [0] * m
             body[n + r] = 1
@@ -161,7 +153,7 @@ class Simplex:
     def minimize(self, c) -> Solution:
         """Minimize ``c.x`` by phase 2 from the last optimal basis."""
         n, tab, basis = self._n, self._tab, self._basis
-        scale, cost = _integers(c)
+        scale, cost = over_lcd(c)
         z = self._objective_row(cost + [0] * (self._cols - n))
         self._run(z, self._art)
         d = self._d

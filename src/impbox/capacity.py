@@ -8,14 +8,13 @@ compare the integer numerators, whose signs are exactly the rationals'.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._exact import over_lcd, too_long_message
 from .errors import ValidationError
-from .space import Event, FiniteSpace
+from .space import Event, FiniteSpace, _mask_of
 
 
 def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple[Fraction, ...]:
@@ -23,8 +22,7 @@ def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple
     if isinstance(values, Mapping):
         table = [fill] * n_events
         for key, val in values.items():
-            mask = key.mask if isinstance(key, Event) else int(key)
-            table[mask] = Fraction(val)
+            table[_mask_of(space, key)] = Fraction(val)
         missing = [m for m, v in enumerate(table) if v is None]
         if missing:
             raise ValidationError(
@@ -41,23 +39,12 @@ def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple
 
 
 def _numerators(values: Sequence[Fraction]) -> list[int]:
-    """The numerators of ``values`` over ``den > 0``, the lcm of their denominators.
-
-    Sums and differences of the numerators have the signs of the same
-    sums and differences of the rationals. ``den`` must print within the
-    int->str digit limit, so the table stays small and every integer
-    combination of the values (a Möbius mass, say) prints too.
-    """
-    dens = {v.denominator for v in values}
-    den = math.lcm(*dens)
-    limit = sys.get_int_max_str_digits()
-    # below 2**(3 * limit) = 8**limit an int has fewer than limit digits
-    if limit and den.bit_length() > 3 * limit and den >= 10**limit:
-        raise ValidationError(
-            f"common denominator of the values exceeds {limit} digits"
-        )
-    scale = {d: den // d for d in dens}
-    return [v.numerator * scale[v.denominator] for v in values]
+    """``over_lcd(values)``'s numerators, for a common denominator that
+    prints: the table stays small and every Möbius mass prints too."""
+    try:
+        return over_lcd(values, printable=True)[1]
+    except ValueError:
+        raise ValidationError(too_long_message("common denominator of the values")) from None
 
 
 def _mobius(table: list) -> list:

@@ -13,6 +13,7 @@ import click
 
 from . import convert as conv
 from . import credal, docio, pbox, possibility, randomset
+from ._exact import too_long, too_long_message
 from .errors import ImpboxError
 from .space import Permutation, enumerate_events
 
@@ -120,14 +121,10 @@ def query(file, event_spec, bound):
         lower, upper = docio.KINDS[doc.kind].bounds(doc.obj, a)
     except ImpboxError as exc:
         _fail(str(exc))
-    try:
-        text = _fmt(lower if bound == "lower" else upper)
-    except ValueError:  # str() of an int past the int->str digit limit
-        _fail(
-            f"a derived numerator or denominator exceeds "
-            f"{sys.get_int_max_str_digits()} digits"
-        )
-    _echo(text)
+    q = lower if bound == "lower" else upper
+    if too_long(q.numerator) or too_long(q.denominator):
+        _fail(too_long_message())
+    _echo(_fmt(q))
 
 
 def _witness(envelope: credal.Envelope) -> str:

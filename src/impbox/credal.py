@@ -15,12 +15,12 @@ so it deliberately knows nothing about p-boxes, random sets, etc.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import _simplex
+from ._exact import over_lcd
 from .errors import InfeasibleError, OracleError, SpaceMismatchError, ValidationError
 from .space import Event, FiniteSpace
 
@@ -132,15 +132,10 @@ class _Oracle:
         rows = _le_rows(poly)
         self.space = poly.space
         # the certificate scales every bound num/den by lcd, to lcd*num/den
-        self.lcd = math.lcm(*(b.denominator for _, b in rows))
+        self.lcd, weights = over_lcd([b for _, b in rows])
         self.rows = [
-            (
-                [i for i in range(n) if mask >> i & 1],
-                b.numerator,
-                b.denominator,
-                b.numerator * (self.lcd // b.denominator),
-            )
-            for mask, b in rows
+            ([i for i in range(n) if mask >> i & 1], b.numerator, b.denominator, weight)
+            for (mask, b), weight in zip(rows, weights)
         ]
         try:
             self.solver = _simplex.Simplex(

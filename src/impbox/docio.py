@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from . import capacity, credal, interval, pbox, possibility, randomset
+from ._exact import too_long, too_long_message
 from .errors import ImpboxError
 from .space import MAX_ELEMENTS, Event, FiniteSpace, enumerate_events
 
@@ -76,19 +77,15 @@ def _json_number(text: str) -> Fraction | _HugeExponent:
 def _rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError("expected a rational number, got a boolean", path)
-    limit = sys.get_int_max_str_digits()
-    too_long = f"numerator or denominator exceeds {limit} digits"
     if isinstance(value, _HugeExponent) or isinstance(value, str) and _huge_exponent(value):
-        raise DocumentError(too_long, path)
+        raise DocumentError(too_long_message("numerator or denominator"), path)
     try:
         q = Fraction(value) if not isinstance(value, float) else Fraction(str(value))
     except (ValueError, ZeroDivisionError, TypeError):
         raise DocumentError(f"cannot parse {value!r} as a rational", path) from None
-    # every accepted value must print again: str() of a longer int raises.
-    # An int below 2**(3 * limit) = 8**limit has fewer than limit digits.
-    big = max(abs(q.numerator), q.denominator)
-    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
-        raise DocumentError(too_long, path)
+    # every accepted value must print again: str() of a longer int raises
+    if too_long(max(abs(q.numerator), q.denominator)):
+        raise DocumentError(too_long_message("numerator or denominator"), path)
     if not 0 <= q <= 1:
         raise DocumentError(f"value {q} outside [0, 1]", path)
     return q
@@ -183,11 +180,7 @@ _PBOX = dict(
     cls=pbox.GeneralizedPBox,
     bounds=lambda pb, a: (pbox.lower_prob(pb, a), pbox.upper_prob(pb, a)),
     polytope=lambda pb: pbox.to_polytope(pb),
-    facts=lambda pb: {
-        "comonotone": True,
-        "levels": len(pb.level_masks),
-        "blocks": len(pb.block_masks),
-    },
+    facts=lambda pb: {"comonotone": True, "levels": len(pb.block_masks)},
 )
 
 #: every document kind, in document-format order
@@ -328,10 +321,7 @@ def serialize(doc: Document) -> str:
     try:
         body.update(KINDS[doc.kind].write(doc.obj))
     except ValueError:  # str() of an int past the int->str digit limit
-        raise DocumentError(
-            f"a derived numerator or denominator exceeds "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
+        raise DocumentError(too_long_message()) from None
     return json.dumps(body, indent=2) + "\n"
 
 

@@ -14,7 +14,7 @@ from typing import Mapping
 from .credal import CredalPolytope
 from .errors import SpaceMismatchError, ValidationError
 from .interval import ProbabilityInterval
-from .space import Event, FiniteSpace, enumerate_events
+from .space import Event, FiniteSpace, _mask_of, enumerate_events
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,7 @@ class MassAssignment:
     def __init__(self, space: FiniteSpace, masses: Mapping):
         canonical: dict[int, Fraction] = {}
         for key, val in masses.items():
-            if isinstance(key, Event):
-                if key.space != space:
-                    raise SpaceMismatchError("focal event on a different space")
-                mask = key.mask
-            else:
-                mask = int(key)
-                Event(space, mask)  # range check
+            mask = _mask_of(space, key, "focal event")
             val = Fraction(val)
             if val < 0:
                 raise ValidationError(f"negative mass {val} on {Event(space, mask)}")

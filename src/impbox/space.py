@@ -132,6 +132,17 @@ class Event:
         return "{" + ",".join(self.labels) + "}"
 
 
+def _mask_of(space: FiniteSpace, key, what: str = "event") -> int:
+    """The bitmask of a set-function key: an ``Event`` of ``space`` or an int."""
+    if isinstance(key, Event):
+        if key.space is not space and key.space != space:
+            raise SpaceMismatchError(f"{what} on a different space")
+        return key.mask
+    mask = int(key)
+    Event(space, mask)  # range check
+    return mask
+
+
 def enumerate_events(space: FiniteSpace) -> Iterator[Event]:
     """Yield all 2^n events of the space exactly once, in bit-order."""
     for mask in range(1 << space.size):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import gen
 from impbox import (
     FiniteSpace,
+    MassAssignment,
+    SpaceMismatchError,
     ValidationError,
     capacity_from_probability,
     conjugate,
@@ -274,3 +277,32 @@ def test_common_denominator_past_the_digit_limit_is_rejected():
         validate_capacity(sp, [F(0), F(1, big + 1), F(1, big + 3), F(1)])
     c = validate_capacity(sp, [F(0), F(1, big), F(1, 2 * big), F(1)])
     assert is_2_monotone(c)
+    # at the edge: an lcm of 10**limit - 1 has exactly limit digits, 10**limit one more
+    limit = sys.get_int_max_str_digits()
+    c = validate_capacity(sp, [F(0), F(1, 3), F(1, 10**limit - 1), F(1)])
+    assert is_2_monotone(c)
+    with pytest.raises(ValidationError, match="common denominator"):
+        validate_capacity(sp, [F(0), F(1, 2**limit), F(1, 5**limit), F(1)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda sp, table: validate_capacity(sp, table),
+        lambda sp, table: mobius_masses(sp, table),
+        lambda sp, table: MassAssignment(sp, table),
+    ],
+    ids=["validate_capacity", "mobius_masses", "MassAssignment"],
+)
+def test_set_function_keys_become_masks_by_one_rule(build):
+    sp = FiniteSpace(["x1", "x2"])
+    # -1 used to alias the full set, 4 to raise a bare IndexError
+    for bad in (-1, 4):
+        with pytest.raises(ValidationError, match="outside the 2-element space"):
+            build(sp, {0: 0, 1: 0, 2: 0, 3: 1, bad: 1})
+    other = FiniteSpace(["y1", "y2"])
+    with pytest.raises(SpaceMismatchError):
+        build(sp, {e: int(e.is_full) for e in enumerate_events(other)})
+    # an equal space built apart is the same space
+    twin = FiniteSpace(["x1", "x2"])
+    build(sp, {e: int(e.is_full) for e in enumerate_events(twin)})

@@ -55,7 +55,7 @@ def test_check_valid_document(runner, expert_file):
     result = runner.invoke(main, ["check", expert_file])
     assert result.exit_code == 0
     assert "valid: yes" in result.output
-    assert "blocks: 4" in result.output
+    assert "levels: 4" in result.output
 
 
 def test_check_invalid_document(runner, tmp_path):
@@ -263,9 +263,7 @@ ALL_KINDS_GOLDEN = {
         "convert",
         f"Invalid value for '--to': 'banana' is not one of {KIND_CHOICES}.",
     ),
-    ("gen_pbox", "check"): _check(
-        "gen_pbox", "comonotone: yes", "levels: 3", "blocks: 3"
-    ),
+    ("gen_pbox", "check"): _check("gen_pbox", "comonotone: yes", "levels: 3"),
     ("gen_pbox", "lower"): _ok("1/5 = 0.2"),
     ("gen_pbox", "upper"): _ok("7/10 = 0.7"),
     ("gen_pbox", "verify"): AGREE,
@@ -279,9 +277,7 @@ ALL_KINDS_GOLDEN = {
     ("gen_pbox", "to_gen_pbox"): _document(
         "gen_pbox", F_low=["0", "1/5", "1"], F_upp=["3/10", "7/10", "1"]
     ),
-    ("nested_bounds", "check"): _check(
-        "nested_bounds", "comonotone: yes", "levels: 3", "blocks: 3"
-    ),
+    ("nested_bounds", "check"): _check("nested_bounds", "comonotone: yes", "levels: 3"),
     ("nested_bounds", "lower"): _ok("1/2 = 0.5"),
     ("nested_bounds", "upper"): _ok("4/5 = 0.8"),
     ("nested_bounds", "verify"): AGREE,

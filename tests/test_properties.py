@@ -5,8 +5,10 @@ draws the same examples and the suite stays fast.
 """
 
 import json
+import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import gen
 from impbox import FiniteSpace
+from impbox._exact import over_lcd
 from impbox.cli import main
 from impbox.docio import Document, DocumentError, parse, serialize
 
@@ -170,3 +173,21 @@ def test_other_commands_on_a_mutated_document_exit_cleanly(kind, seed, data):
     if data.draw(st.booleans()):  # else the command gets past parsing
         valid = _mutate(data, valid)
     _exits_cleanly(valid, command)
+
+
+@PROPERTY
+@given(values=st.lists(st.integers(-1000, 1000) | st.fractions(), max_size=8))
+def test_over_lcd_puts_values_over_the_lcm_of_their_denominators(values):
+    den, nums = over_lcd(values)
+    assert den > 0 and len(nums) == len(values)
+    assert all(Fraction(num, den) == v for num, v in zip(nums, values))
+    # den is a common multiple, and no smaller one works: were den = k*lcm
+    # with k > 1, k would divide den and every numerator
+    assert all(den % Fraction(v).denominator == 0 for v in values)
+    assert math.gcd(den, *nums) == 1
+
+
+@PROPERTY
+@given(values=st.lists(st.integers(), max_size=8))
+def test_over_lcd_of_ints_is_the_ints_over_one(values):
+    assert over_lcd(values) == (1, values)
