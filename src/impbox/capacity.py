@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from ._exact import over_lcd, too_long_message
 from .errors import ValidationError
-from .space import Event, FiniteSpace, _mask_of
+from .space import Event, FiniteSpace, _mask_of, _same_space, _unit_values
 
 
 def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple[Fraction, ...]:
@@ -65,6 +65,7 @@ class Capacity:
     values: tuple[Fraction, ...]
 
     def __call__(self, event: Event) -> Fraction:
+        _same_space(self.space, event.space, "event and capacity spaces differ")
         return self.values[event.mask]
 
 
@@ -76,6 +77,7 @@ class MobiusAssignment:
     masses: tuple[Fraction, ...]
 
     def __call__(self, event: Event) -> Fraction:
+        _same_space(self.space, event.space, "event and Möbius assignment spaces differ")
         return self.masses[event.mask]
 
 
@@ -113,10 +115,8 @@ def validate_capacity(space: FiniteSpace, values) -> Capacity:
 
 def capacity_from_probability(space: FiniteSpace, p: Sequence) -> Capacity:
     """The additive capacity of a probability distribution p."""
-    p = [Fraction(v) for v in p]
-    if len(p) != space.size:
-        raise ValidationError("distribution length must match the space size")
-    if any(v < 0 for v in p) or sum(p) != 1:
+    p = _unit_values(space, p, "probabilities")
+    if sum(p) != 1:
         raise ValidationError("probability distribution must be non-negative and sum to 1")
     table = []
     for mask in range(1 << space.size):

@@ -21,8 +21,8 @@ from typing import Iterable, NamedTuple
 
 from . import _simplex
 from ._exact import over_lcd
-from .errors import InfeasibleError, OracleError, SpaceMismatchError, ValidationError
-from .space import Event, FiniteSpace
+from .errors import InfeasibleError, OracleError, ValidationError
+from .space import Event, FiniteSpace, _same_space, _unit_values
 
 
 @dataclass(frozen=True)
@@ -33,21 +33,14 @@ class ProbabilityVector:
     p: tuple[Fraction, ...]
 
     def __init__(self, space: FiniteSpace, p: Iterable):
-        p = tuple(Fraction(v) for v in p)
-        if len(p) != space.size:
-            raise ValidationError(
-                f"expected {space.size} probabilities, got {len(p)}"
-            )
-        if any(v < 0 for v in p):
-            raise ValidationError("probabilities must be non-negative")
+        p = _unit_values(space, p, "probabilities")
         if sum(p) != 1:
             raise ValidationError(f"probabilities must sum to 1, got {sum(p)}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "p", p)
 
     def prob(self, event: Event) -> Fraction:
-        if event.space != self.space:
-            raise SpaceMismatchError("event and probability vector spaces differ")
+        _same_space(self.space, event.space, "event and probability vector spaces differ")
         return sum((self.p[i] for i in event.indices()), Fraction(0))
 
 
@@ -61,8 +54,7 @@ class CredalPolytope:
     def __init__(self, space: FiniteSpace, constraints: Iterable):
         checked = []
         for event, lo, hi in constraints:
-            if event.space != space:
-                raise SpaceMismatchError("constraint event on a different space")
+            _same_space(space, event.space, "constraint event on a different space")
             lo, hi = Fraction(lo), Fraction(hi)
             if not 0 <= lo <= hi <= 1:
                 raise ValidationError(
@@ -87,8 +79,7 @@ class CoherenceReport(NamedTuple):
 
 def is_member(poly: CredalPolytope, p: ProbabilityVector) -> bool:
     """True iff p satisfies every constraint of the polytope exactly."""
-    if p.space != poly.space:
-        raise SpaceMismatchError("vector and polytope spaces differ")
+    _same_space(poly.space, p.space, "vector and polytope spaces differ")
     return all(lo <= p.prob(event) <= hi for event, lo, hi in poly.constraints)
 
 
@@ -215,15 +206,13 @@ def _solve(poly: CredalPolytope, objective: list[int]) -> tuple[Fraction, Probab
 
 def lower_envelope(poly: CredalPolytope, a: Event) -> Envelope:
     """Exact minimum of P(a) over the polytope, with an attaining member."""
-    if a.space != poly.space:
-        raise SpaceMismatchError("event and polytope spaces differ")
+    _same_space(poly.space, a.space, "event and polytope spaces differ")
     return Envelope(*_solve(poly, [a.mask >> i & 1 for i in range(poly.space.size)]))
 
 
 def upper_envelope(poly: CredalPolytope, a: Event) -> Envelope:
     """Exact maximum of P(a) over the polytope, with an attaining member."""
-    if a.space != poly.space:
-        raise SpaceMismatchError("event and polytope spaces differ")
+    _same_space(poly.space, a.space, "event and polytope spaces differ")
     value, witness = _solve(poly, [-(a.mask >> i & 1) for i in range(poly.space.size)])
     return Envelope(-value, witness)
 

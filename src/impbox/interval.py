@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .credal import CredalPolytope
-from .errors import InfeasibleError, NotReachableError, SpaceMismatchError, ValidationError
-from .space import Event, FiniteSpace
+from .errors import InfeasibleError, NotReachableError
+from .space import Event, FiniteSpace, _same_space, _unit_values
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,8 @@ class ProbabilityInterval:
     reachable: bool
 
     def __init__(self, space: FiniteSpace, lower: Iterable, upper: Iterable):
-        lower = tuple(Fraction(v) for v in lower)
-        upper = tuple(Fraction(v) for v in upper)
-        if len(lower) != space.size or len(upper) != space.size:
-            raise ValidationError("bound vectors must match the space size")
-        for v in (*lower, *upper):
-            if not 0 <= v <= 1:
-                raise ValidationError(f"bounds must lie in [0, 1], got {v}")
+        lower = _unit_values(space, lower, "bounds")
+        upper = _unit_values(space, upper, "bounds")
         # l(x) > u(x) can only come out of a conjunction; it is folded
         # into emptiness instead of rejected, so conjunction pipelines
         # can propagate the result.
@@ -83,8 +78,7 @@ def event_bounds(interval: ProbabilityInterval, a: Event) -> tuple[Fraction, Fra
     lower = max(sum of l inside, 1 - sum of u outside), and dually.
     Only valid on reachable intervals.
     """
-    if a.space != interval.space:
-        raise SpaceMismatchError("event and interval spaces differ")
+    _same_space(interval.space, a.space, "event and interval spaces differ")
     if not interval.reachable:
         raise NotReachableError(
             "event bounds need a reachable interval; call normalize first"
@@ -103,8 +97,7 @@ def conjunction(
     The result may be empty; that is reported through its ``non_empty``
     flag, never as an exception.
     """
-    if a.space != b.space:
-        raise SpaceMismatchError("intervals on different spaces")
+    _same_space(a.space, b.space, "intervals on different spaces")
     lower = tuple(max(x, y) for x, y in zip(a.lower, b.lower))
     upper = tuple(min(x, y) for x, y in zip(a.upper, b.upper))
     return ProbabilityInterval(a.space, lower, upper)

@@ -18,12 +18,12 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .credal import CredalPolytope
-from .errors import SpaceMismatchError, ValidationError
+from .errors import ValidationError
 from .possibility import PossibilityDistribution
 from .possibility import necessity as _necessity
 from .possibility import possibility as _possibility
 from .randomset import MassAssignment
-from .space import Event, FiniteSpace
+from .space import Event, FiniteSpace, _same_space, _unit_values
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,8 @@ def from_functions(space: FiniteSpace, flow: Sequence, fupp: Sequence) -> Genera
     Validates comonotonicity (a common sorting permutation must exist),
     flow <= fupp, and that some element carries the value 1 in both.
     """
-    flow = tuple(Fraction(v) for v in flow)
-    fupp = tuple(Fraction(v) for v in fupp)
-    if len(flow) != space.size or len(fupp) != space.size:
-        raise ValidationError("distribution lengths must match the space size")
-    for v in (*flow, *fupp):
-        if not 0 <= v <= 1:
-            raise ValidationError(f"distribution values must lie in [0, 1], got {v}")
+    flow = _unit_values(space, flow, "distribution values")
+    fupp = _unit_values(space, fupp, "distribution values")
     for i in range(space.size):
         if flow[i] > fupp[i]:
             raise ValidationError(
@@ -136,8 +131,7 @@ def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
     """
     levels = []
     for event, lo, hi in nested:
-        if event.space != space:
-            raise SpaceMismatchError("nested event on a different space")
+        _same_space(space, event.space, "nested event on a different space")
         lo, hi = Fraction(lo), Fraction(hi)
         if not 0 <= lo <= hi <= 1:
             raise ValidationError(
@@ -265,8 +259,7 @@ def lower_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
     sums max(0, alpha_(j) - beta_(i-1)) over the maximal consecutive
     runs of blocks.
     """
-    if a.space != pb.space:
-        raise SpaceMismatchError("event and p-box spaces differ")
+    _same_space(pb.space, a.space, "event and p-box spaces differ")
     total = Fraction(0)
     for i, j in _runs(pb, a):
         beta_before = pb.level_beta[i - 1] if i > 0 else Fraction(0)
@@ -285,8 +278,7 @@ def lower_prob_via_possibility(pb: GeneralizedPBox, a: Event) -> Fraction:
     Verification only: the reference route the test suite checks
     ``lower_prob`` against.  It is not exported from ``impbox``.
     """
-    if a.space != pb.space:
-        raise SpaceMismatchError("event and p-box spaces differ")
+    _same_space(pb.space, a.space, "event and p-box spaces differ")
     pi_upp, pi_low = to_possibility_pair(pb)
     total = Fraction(0)
     for i, j in _runs(pb, a):

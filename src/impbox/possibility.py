@@ -13,9 +13,9 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .credal import CredalPolytope, ProbabilityVector
-from .errors import SpaceMismatchError, ValidationError
+from .errors import ValidationError
 from .randomset import MassAssignment
-from .space import Event, FiniteSpace
+from .space import Event, FiniteSpace, _same_space, _unit_values
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,7 @@ class PossibilityDistribution:
     pi: tuple[Fraction, ...]
 
     def __init__(self, space: FiniteSpace, pi: Iterable):
-        pi = tuple(Fraction(v) for v in pi)
-        if len(pi) != space.size:
-            raise ValidationError("distribution length must match the space size")
-        for v in pi:
-            if not 0 <= v <= 1:
-                raise ValidationError(f"possibility degrees must lie in [0, 1], got {v}")
+        pi = _unit_values(space, pi, "possibility degrees")
         if max(pi) != 1:
             raise ValidationError("a possibility distribution must reach 1 somewhere")
         object.__setattr__(self, "space", space)
@@ -49,8 +44,7 @@ class Measures(NamedTuple):
 
 
 def possibility(d: PossibilityDistribution, a: Event) -> Fraction:
-    if a.space != d.space:
-        raise SpaceMismatchError("event and distribution spaces differ")
+    _same_space(d.space, a.space, "event and distribution spaces differ")
     return max((d.pi[i] for i in a.indices()), default=Fraction(0))
 
 
@@ -59,8 +53,7 @@ def necessity(d: PossibilityDistribution, a: Event) -> Fraction:
 
 
 def sufficiency(d: PossibilityDistribution, a: Event) -> Fraction:
-    if a.space != d.space:
-        raise SpaceMismatchError("event and distribution spaces differ")
+    _same_space(d.space, a.space, "event and distribution spaces differ")
     return min((d.pi[i] for i in a.indices()), default=Fraction(1))
 
 
@@ -86,8 +79,7 @@ def contains(d: PossibilityDistribution, p: ProbabilityVector) -> bool:
     Checks 1 - alpha <= P({pi > alpha}) at every distinct level of pi;
     cuts are step functions of alpha, so these levels suffice.
     """
-    if p.space != d.space:
-        raise SpaceMismatchError("vector and distribution spaces differ")
+    _same_space(d.space, p.space, "vector and distribution spaces differ")
     return all(
         1 - alpha <= p.prob(alpha_cut(d, alpha, strong=True))
         for alpha in d.levels()

@@ -12,9 +12,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .credal import CredalPolytope
-from .errors import SpaceMismatchError, ValidationError
+from .errors import ValidationError
 from .interval import ProbabilityInterval
-from .space import Event, FiniteSpace, _mask_of, enumerate_events
+from .space import Event, FiniteSpace, _mask_of, _same_space, enumerate_events
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,13 @@ class MassAssignment:
 
 def bel(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events contained in a."""
-    if a.space != ms.space:
-        raise SpaceMismatchError("event and mass assignment spaces differ")
+    _same_space(ms.space, a.space, "event and mass assignment spaces differ")
     return sum((m for mask, m in ms.focal if mask & ~a.mask == 0), Fraction(0))
 
 
 def pl(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events meeting a; equals 1 - bel(complement)."""
-    if a.space != ms.space:
-        raise SpaceMismatchError("event and mass assignment spaces differ")
+    _same_space(ms.space, a.space, "event and mass assignment spaces differ")
     return sum((m for mask, m in ms.focal if mask & a.mask), Fraction(0))
 
 

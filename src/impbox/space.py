@@ -7,7 +7,9 @@ the position of each label in the space.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import SpaceMismatchError, SpaceSizeError, ValidationError
@@ -80,11 +82,7 @@ class Event:
             )
 
     def _check_space(self, other: Event) -> None:
-        if self.space != other.space:
-            raise SpaceMismatchError(
-                f"events live on different spaces: "
-                f"{self.space.labels} vs {other.space.labels}"
-            )
+        _same_space(self.space, other.space, "events live on different spaces")
 
     def __or__(self, other: Event) -> Event:
         self._check_space(other)
@@ -132,13 +130,32 @@ class Event:
         return "{" + ",".join(self.labels) + "}"
 
 
+def _same_space(space: FiniteSpace, other: FiniteSpace, what: str) -> None:
+    """Raise ``SpaceMismatchError`` unless ``other`` is (equal to) ``space``."""
+    if other is not space and other != space:
+        raise SpaceMismatchError(f"{what}: {space.labels} vs {other.labels}")
+
+
+def _unit_values(space: FiniteSpace, values: Iterable, what: str) -> tuple[Fraction, ...]:
+    """One rational in [0, 1] per element of ``space``."""
+    values = tuple(Fraction(v) for v in values)
+    if len(values) != space.size:
+        raise ValidationError(f"expected {space.size} {what}, got {len(values)}")
+    for v in values:
+        if not 0 <= v <= 1:
+            raise ValidationError(f"{what} must lie in [0, 1], got {v}")
+    return values
+
+
 def _mask_of(space: FiniteSpace, key, what: str = "event") -> int:
     """The bitmask of a set-function key: an ``Event`` of ``space`` or an int."""
     if isinstance(key, Event):
-        if key.space is not space and key.space != space:
-            raise SpaceMismatchError(f"{what} on a different space")
+        _same_space(space, key.space, f"{what} on a different space")
         return key.mask
-    mask = int(key)
+    try:
+        mask = operator.index(key)
+    except TypeError:
+        raise ValidationError(f"{what} key {key!r} is neither an Event nor an int") from None
     Event(space, mask)  # range check
     return mask
 

@@ -300,6 +300,10 @@ def test_set_function_keys_become_masks_by_one_rule(build):
     for bad in (-1, 4):
         with pytest.raises(ValidationError, match="outside the 2-element space"):
             build(sp, {0: 0, 1: 0, 2: 0, 3: 1, bad: 1})
+    # keys that are not ints used to be truncated: 7/2 and "3" to mask 3, 2.9 to 2
+    for bad in (F(7, 2), 2.9, "3"):
+        with pytest.raises(ValidationError, match="neither an Event nor an int"):
+            build(sp, {0: 0, 1: 0, 2: 0, 3: 1, bad: 1})
     other = FiniteSpace(["y1", "y2"])
     with pytest.raises(SpaceMismatchError):
         build(sp, {e: int(e.is_full) for e in enumerate_events(other)})

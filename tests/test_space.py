@@ -14,6 +14,7 @@ from impbox import (
     SpaceMismatchError,
     SpaceSizeError,
     ValidationError,
+    capacity_from_probability,
     convert,
     credal,
     enumerate_events,
@@ -95,52 +96,67 @@ def test_permutation_from_labels():
     assert sigma.first() == 2 and sigma.last() == 1
 
 
-# a model on SP given an event, vector or constraint from OTHER, which has
-# the same size, so only the space check can catch it
+# a model on SP given an event, vector or constraint from another space of
+# the same size, so only the space check can catch a foreign one
 SP = FiniteSpace(["x1", "x2", "x3"])
 OTHER = FiniteSpace(["y1", "y2", "y3"])
+TWIN = FiniteSpace(list(SP.labels))  # equal to SP, built apart
 HALF = Fraction(1, 2)
 _PI = PossibilityDistribution(SP, [1, HALF, 0])
 _IV = ProbabilityInterval(SP, [0, 0, 0], [HALF, HALF, 1])
 _PB = from_functions(SP, [0, HALF, 1], [HALF, 1, 1])
 _MS = MassAssignment(SP, {SP.full: 1})
+_C = capacity_from_probability(SP, [HALF, HALF, 0])
+_M = mobius_masses(SP, {SP.full: 1})
 _P = ProbabilityVector(SP, [HALF, HALF, 0])
 _POLY = CredalPolytope(SP, [(SP.full, 1, 1)])
-_A = OTHER.event(["y1"])
-_Q = ProbabilityVector(OTHER, [HALF, HALF, 0])
-
-MISMATCHES = {
-    "possibility.possibility": lambda: possibility.possibility(_PI, _A),
-    "possibility.necessity": lambda: possibility.necessity(_PI, _A),
-    "possibility.sufficiency": lambda: possibility.sufficiency(_PI, _A),
-    "possibility.contains": lambda: possibility.contains(_PI, _Q),
-    "interval.event_bounds": lambda: interval.event_bounds(_IV, _A),
-    "interval.conjunction": lambda: interval.conjunction(
-        _IV, ProbabilityInterval(OTHER, _IV.lower, _IV.upper)
-    ),
-    "pbox.from_nested_sets": lambda: pbox.from_nested_sets(SP, [(_A, 0, HALF)]),
-    "pbox.lower_prob": lambda: pbox.lower_prob(_PB, _A),
-    "pbox.upper_prob": lambda: pbox.upper_prob(_PB, _A),
-    "pbox.lower_prob_via_possibility": lambda: pbox.lower_prob_via_possibility(_PB, _A),
-    "randomset.MassAssignment": lambda: MassAssignment(SP, {OTHER.full: 1}),
-    "randomset.bel": lambda: randomset.bel(_MS, _A),
-    "randomset.pl": lambda: randomset.pl(_MS, _A),
-    "capacity.mobius_masses": lambda: mobius_masses(SP, {OTHER.full: 1}),
-    "capacity.validate_capacity": lambda: validate_capacity(
-        SP, {e: int(e.is_full) for e in enumerate_events(OTHER)}
-    ),
-    "credal.ProbabilityVector.prob": lambda: _P.prob(_A),
-    "credal.CredalPolytope": lambda: CredalPolytope(SP, [(_A, 0, HALF)]),
-    "credal.is_member": lambda: credal.is_member(_POLY, _Q),
-    "credal.lower_envelope": lambda: credal.lower_envelope(_POLY, _A),
-    "credal.upper_envelope": lambda: credal.upper_envelope(_POLY, _A),
-    "convert.interval_to_sigma_pbox": lambda: convert.interval_to_sigma_pbox(
-        _IV, Permutation.identity(2)
-    ),
-}
 
 
-@pytest.mark.parametrize("call", MISMATCHES.values(), ids=MISMATCHES)
-def test_a_foreign_space_raises_space_mismatch(call):
+def _entry_points(other):
+    """Each public entry point called with an event, vector or constraint of other."""
+    a = other.event(other.labels[:1])
+    q = ProbabilityVector(other, [HALF, HALF, 0])
+    return {
+        "possibility.possibility": lambda: possibility.possibility(_PI, a),
+        "possibility.necessity": lambda: possibility.necessity(_PI, a),
+        "possibility.sufficiency": lambda: possibility.sufficiency(_PI, a),
+        "possibility.contains": lambda: possibility.contains(_PI, q),
+        "interval.event_bounds": lambda: interval.event_bounds(_IV, a),
+        "interval.conjunction": lambda: interval.conjunction(
+            _IV, ProbabilityInterval(other, _IV.lower, _IV.upper)
+        ),
+        "pbox.from_nested_sets": lambda: pbox.from_nested_sets(SP, [(a, 0, HALF)]),
+        "pbox.lower_prob": lambda: pbox.lower_prob(_PB, a),
+        "pbox.upper_prob": lambda: pbox.upper_prob(_PB, a),
+        "pbox.lower_prob_via_possibility": lambda: pbox.lower_prob_via_possibility(_PB, a),
+        "randomset.MassAssignment": lambda: MassAssignment(SP, {other.full: 1}),
+        "randomset.bel": lambda: randomset.bel(_MS, a),
+        "randomset.pl": lambda: randomset.pl(_MS, a),
+        "capacity.Capacity.__call__": lambda: _C(a),
+        "capacity.MobiusAssignment.__call__": lambda: _M(a),
+        "capacity.mobius_masses": lambda: mobius_masses(SP, {other.full: 1}),
+        "capacity.validate_capacity": lambda: validate_capacity(
+            SP, {e: int(e.is_full) for e in enumerate_events(other)}
+        ),
+        "credal.ProbabilityVector.prob": lambda: _P.prob(a),
+        "credal.CredalPolytope": lambda: CredalPolytope(SP, [(a, 0, HALF)]),
+        "credal.is_member": lambda: credal.is_member(_POLY, q),
+        "credal.lower_envelope": lambda: credal.lower_envelope(_POLY, a),
+        "credal.upper_envelope": lambda: credal.upper_envelope(_POLY, a),
+        # a permutation has no space, only a size: the order is given by
+        # the labels of SP that other also has, none for OTHER
+        "convert.interval_to_sigma_pbox": lambda: convert.interval_to_sigma_pbox(
+            _IV, Permutation.from_labels(SP, (x for x in other.labels if x in SP.labels))
+        ),
+    }
+
+
+MISMATCHES = _entry_points(OTHER)
+
+
+@pytest.mark.parametrize("name", MISMATCHES)
+def test_a_foreign_space_raises_space_mismatch(name):
     with pytest.raises(SpaceMismatchError):
-        call()
+        MISMATCHES[name]()
+    # spaces are compared by identity first, then by value
+    _entry_points(TWIN)[name]()
