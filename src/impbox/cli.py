@@ -7,6 +7,7 @@ mismatch (verify only).
 from __future__ import annotations
 
 import sys
+import warnings
 from fractions import Fraction
 
 import click
@@ -36,10 +37,16 @@ def _load(path: str) -> docio.Document:
             text = handle.read()
     except OSError as exc:
         _fail(str(exc))
-    try:
-        return docio.parse(text)
-    except ImpboxError as exc:
-        _fail(str(exc))
+    # a warning is echoed as one "warning:" line, not Python's source dump
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            doc = docio.parse(text)
+        except ImpboxError as exc:
+            _fail(str(exc))
+    for warning in caught:
+        _echo(f"warning: {warning.message}", err=True)
+    return doc
 
 
 def _fmt(q: Fraction) -> str:

@@ -9,30 +9,12 @@ the interval exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotReachableError, SpaceMismatchError, ValidationError
 from .interval import ProbabilityInterval, _envelope, conjunction
-from .pbox import GeneralizedPBox, from_functions, lower_prob, upper_prob
+from .pbox import GeneralizedPBox, lower_prob, upper_prob
 from .space import FiniteSpace, Permutation
-
-
-def _prefix_bounds(
-    interval: ProbabilityInterval, sigma: Permutation
-) -> Iterator[tuple[int, Fraction, Fraction]]:
-    """(element, alpha, beta) per rank of sigma.
-
-    alpha and beta are the interval's lower and upper probability of the
-    prefix set that ends with the element at that rank.
-    """
-    total_l = sum(interval.lower)
-    total_u = sum(interval.upper)
-    l_in = Fraction(0)
-    u_in = Fraction(0)
-    for i in sigma.order:
-        l_in += interval.lower[i]
-        u_in += interval.upper[i]
-        yield i, *_envelope(l_in, u_in, total_l, total_u)
 
 
 def interval_to_sigma_pbox(
@@ -40,8 +22,10 @@ def interval_to_sigma_pbox(
 ) -> GeneralizedPBox:
     """Outer-approximating p-box of an interval under an element order.
 
-    The cumulative bounds of the prefix sets under sigma are the event
-    bounds induced by the interval.
+    One level per rank of sigma, even where neighbours share bounds: the
+    interval's lower and upper probability of the prefix set ending
+    there.  For a reachable interval these are non-decreasing, with
+    alpha <= beta, and end at (1, 1), so they need no re-validation.
     """
     if sigma.size != interval.space.size:
         raise SpaceMismatchError("permutation size does not match the space")
@@ -49,12 +33,18 @@ def interval_to_sigma_pbox(
         raise NotReachableError(
             "sigma-p-box conversion needs a reachable interval; normalize first"
         )
-    flow = [Fraction(0)] * interval.space.size
-    fupp = [Fraction(0)] * interval.space.size
-    for i, alpha, beta in _prefix_bounds(interval, sigma):
-        flow[i] = alpha
-        fupp[i] = beta
-    return from_functions(interval.space, flow, fupp)
+    total_l = sum(interval.lower)
+    total_u = sum(interval.upper)
+    l_in = Fraction(0)
+    u_in = Fraction(0)
+    levels = []
+    for i in sigma.order:
+        l_in += interval.lower[i]
+        u_in += interval.upper[i]
+        levels.append(_envelope(l_in, u_in, total_l, total_u))
+    alpha, beta = zip(*levels)
+    blocks = tuple(1 << i for i in sigma.order)
+    return GeneralizedPBox(interval.space, blocks, alpha, beta)
 
 
 def pbox_to_interval(pb: GeneralizedPBox) -> ProbabilityInterval:
@@ -69,25 +59,6 @@ def pbox_to_interval(pb: GeneralizedPBox) -> ProbabilityInterval:
     lower = [lower_prob(pb, pb.space.singleton(i)) for i in range(n)]
     upper = [upper_prob(pb, pb.space.singleton(i)) for i in range(n)]
     return ProbabilityInterval(pb.space, lower, upper)
-
-
-def _roundtrip(interval: ProbabilityInterval, sigma: Permutation) -> ProbabilityInterval:
-    """Interval -> sigma-p-box -> interval, on cumulative bounds directly.
-
-    Works with the per-rank prefix bounds instead of a materialized
-    p-box, so coincidentally equal consecutive prefix bounds (which a
-    p-box would merge into one pre-order block) still yield the exact
-    first/last-position bounds the reconstruction relies on.
-    """
-    lower = [Fraction(0)] * interval.space.size
-    upper = [Fraction(0)] * interval.space.size
-    alpha_prev = Fraction(0)
-    beta_prev = Fraction(0)
-    for i, alpha, beta in _prefix_bounds(interval, sigma):
-        lower[i] = max(Fraction(0), alpha - beta_prev)
-        upper[i] = beta - alpha_prev
-        alpha_prev, beta_prev = alpha, beta
-    return ProbabilityInterval(interval.space, lower, upper)
 
 
 def reconstruct_interval(
@@ -107,7 +78,7 @@ def reconstruct_interval(
         raise ValidationError("at least one permutation is required")
     result = None
     for sigma in sigmas:
-        roundtrip = _roundtrip(interval, sigma)
+        roundtrip = pbox_to_interval(interval_to_sigma_pbox(interval, sigma))
         result = roundtrip if result is None else conjunction(result, roundtrip)
     return result
 

@@ -2,10 +2,12 @@
 
 A p-box is stored once, as its levels: bounds alpha_k <= P(A_k) <= beta_k
 on a nested family A_1 subset ... subset A_M = X, kept as the partition
-blocks G_k = A_k minus A_(k-1) with the bounds of their level.  Levels
-with equal bounds are merged, so the blocks are the equivalence classes
-of the pre-order; the distributions, the level sets, the possibility
-pair and the random set are all read off the blocks.
+blocks G_k = A_k minus A_(k-1) with the bounds of their level.
+``from_functions`` ties elements with equal values into one block, the
+equivalence classes of the pre-order; ``from_nested_sets`` keeps every
+non-empty level it is given, even when neighbours share their bounds.
+The distributions, the level sets, the possibility pair and the random
+set are all read off the blocks.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -31,8 +33,8 @@ class GeneralizedPBox:
     space: FiniteSpace
     #: partition blocks G_k = A_(k) minus A_(k-1), innermost first, as masks
     block_masks: tuple[int, ...]
-    #: bounds alpha_k <= P(A_(k)) <= beta_k, non-decreasing in k; no two
-    #: neighbouring levels have equal (alpha, beta)
+    #: bounds alpha_k <= P(A_(k)) <= beta_k, non-decreasing in k;
+    #: neighbouring levels may share (alpha, beta)
     level_alpha: tuple[Fraction, ...]
     level_beta: tuple[Fraction, ...]
 
@@ -70,20 +72,12 @@ def _spread(pb: GeneralizedPBox, per_level: Sequence[Fraction]) -> tuple[Fractio
     return tuple(out)
 
 
-def _merge(space: FiniteSpace, blocks: Iterable[tuple]) -> GeneralizedPBox:
+def _build(space: FiniteSpace, blocks: Iterable[tuple]) -> GeneralizedPBox:
     """The p-box of validated (block mask, alpha, beta) triples in pre-order.
 
-    Empty blocks are dropped and neighbours with equal bounds merge into
-    one block, so equal p-boxes get equal fields whichever builder made
-    them.
+    Empty blocks are dropped; every other block keeps its own level.
     """
-    merged: list[list] = []
-    for mask, lo, hi in blocks:
-        if merged and [lo, hi] == merged[-1][1:]:
-            merged[-1][0] |= mask
-        elif mask:
-            merged.append([mask, lo, hi])
-    block_masks, level_alpha, level_beta = zip(*merged)
+    block_masks, level_alpha, level_beta = zip(*(b for b in blocks if b[0]))
     if level_beta[0] == 0:
         warnings.warn(
             "first level has upper bound 0; the innermost level set is "
@@ -119,7 +113,9 @@ def from_functions(space: FiniteSpace, flow: Sequence, fupp: Sequence) -> Genera
         raise ValidationError(
             "some element must carry the value 1 in both distributions"
         )
-    return _merge(space, ((1 << i, flow[i], fupp[i]) for i in order))
+    # elements with equal values are tied in the pre-order: one block
+    ties = groupby(order, key=lambda i: (flow[i], fupp[i]))
+    return _build(space, ((sum(1 << i for i in g), lo, hi) for (lo, hi), g in ties))
 
 
 def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
@@ -127,7 +123,7 @@ def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
 
     Events must be strictly increasing; bounds must be non-decreasing
     with lo <= hi per level.  A final (X, 1, 1) level is appended when
-    absent.
+    absent.  Every non-empty level is kept as stated.
     """
     levels = []
     for event, lo, hi in nested:
@@ -137,6 +133,8 @@ def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
             raise ValidationError(
                 f"bounds must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi}]"
             )
+        if lo and not event.mask:
+            raise ValidationError(f"the empty set cannot have lower bound {lo}")
         levels.append((event, lo, hi))
     if not levels:
         raise ValidationError("at least one nested level is required")
@@ -156,7 +154,7 @@ def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
         levels.append((space.full, Fraction(1), Fraction(1)))
     # block k is A_k minus A_(k-1)
     inner = [0, *(event.mask for event, _, _ in levels)]
-    return _merge(space, ((e.mask & ~m, lo, hi) for m, (e, lo, hi) in zip(inner, levels)))
+    return _build(space, ((e.mask & ~m, lo, hi) for m, (e, lo, hi) in zip(inner, levels)))
 
 
 def to_possibility_pair(
@@ -165,11 +163,11 @@ def to_possibility_pair(
     """The pair of possibility distributions representing the p-box.
 
     The upper one reads off beta; the lower one is, per pre-order
-    block, 1 minus the lower bound of the previous distinct level
-    (1 on the innermost block).  Taking the previous level rather than
-    the largest strictly smaller value keeps the pair's intersection
-    equal to the p-box credal set even when two distinct levels share
-    a lower bound.
+    block, 1 minus the lower bound of the previous level (1 on the
+    innermost block).  Taking the previous level rather than the
+    largest strictly smaller value keeps the pair's intersection equal
+    to the p-box credal set even when neighbouring levels share a lower
+    bound.
     """
     alpha_before = (Fraction(0), *pb.level_alpha[:-1])
     return (

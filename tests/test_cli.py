@@ -65,6 +65,37 @@ def test_check_invalid_document(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_check_echoes_a_warning_as_one_line(runner, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(
+        '{"kind": "gen_pbox", "space": ["a", "b", "c"], '
+        '"F_low": ["0", "0", "1"], "F_upp": ["0", "1/2", "1"]}'
+    )
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == 0
+    assert result.stderr == (
+        "warning: first level has upper bound 0; the innermost level set "
+        "is then forced to probability 0\n"
+    )
+    assert result.stdout == (
+        "kind: gen_pbox\nspace: 3 elements\nvalid: yes\n"
+        "comonotone: yes\nlevels: 3\n"
+    )
+
+
+def test_query_keeps_equal_nested_levels(runner, tmp_path):
+    path = tmp_path / "tied.json"
+    path.write_text(
+        '{"kind": "nested_bounds", "space": ["x1", "x2", "x3"], "levels": ['
+        '{"event": "x2", "lo": "1/5", "hi": "1/2"}, '
+        '{"event": "x1,x2", "lo": "1/5", "hi": "1/2"}]}'
+    )
+    result = runner.invoke(main, ["query", str(path), "--event", "x2", "--bound", "lower"])
+    assert (result.exit_code, result.output) == (0, "1/5 = 0.2\n")
+    result = runner.invoke(main, ["check", str(path)])
+    assert "levels: 3\n" in result.output
+
+
 def test_convert_to_mass_golden(runner, expert_file):
     result = runner.invoke(main, ["convert", expert_file, "--to", "mass"])
     assert result.exit_code == 0
@@ -415,12 +446,18 @@ def test_oversized_numbers_are_validation_failures(runner, tmp_path, text, args)
             '{"kind": "possibility", "space": ["a,b", "c"], "pi": ["1", "1/2"]}',
             ["convert", "--to", "mass"],
         ),
+        (
+            '{"kind": "nested_bounds", "space": ["a", "b"], '
+            '"levels": [{"event": "", "lo": "1/5", "hi": "1/2"}]}',
+            ["check"],
+        ),
     ],
     ids=[
         "check-number-event",
         "check-list-event",
         "check-deep-nesting",
         "convert-comma-label",
+        "check-empty-event-lower-bound",
     ],
 )
 def test_malformed_documents_are_validation_failures(runner, tmp_path, text, args):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from impbox import (
     NotReachableError,
     Permutation,
     ProbabilityInterval,
+    from_nested_sets,
     interval_to_sigma_pbox,
     is_member,
     lower_envelope,
@@ -60,6 +62,22 @@ def test_sigma_pbox_requires_reachability():
     iv = ProbabilityInterval(sp, [F(1, 5), F(1, 10)], [F(1, 2), F(3, 5)])
     with pytest.raises(NotReachableError):
         interval_to_sigma_pbox(iv, Permutation.identity(2))
+
+
+def test_sigma_pbox_has_one_level_per_rank():
+    rng = random.Random(97)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a first level may have upper bound 0
+        for k in range(60):
+            sp = gen.SPACES[rng.randint(2, 6)]
+            if k == 0:  # vacuous: every proper prefix has bounds [0, 1]
+                iv = ProbabilityInterval(sp, [F(0)] * sp.size, [F(1)] * sp.size)
+            else:  # a coarse grid makes equal neighbouring prefix bounds common
+                iv = gen.rand_reachable_interval(rng, sp, denom=rng.choice([2, 4, 20]))
+            sigma = gen.rand_permutation(rng, sp)
+            pb = interval_to_sigma_pbox(iv, sigma)
+            assert pb.block_masks == tuple(1 << i for i in sigma.order)
+            assert from_nested_sets(sp, pb.levels()) == pb
 
 
 def test_pbox_to_interval_on_expert_pbox(expert_pbox):

@@ -1,8 +1,9 @@
-"""No module of impbox imports a name it never uses.
+"""No module of impbox imports a name it never uses or keeps a dead helper.
 
-No linter ships with the toolchain, so this small ``ast`` check keeps a
-refactor from leaving dead imports behind. ``__init__.py`` is skipped:
-its imports are the re-exported API.
+No linter ships with the toolchain, so these small ``ast`` checks keep a
+refactor from leaving dead imports or uncalled private helpers behind.
+``__init__.py`` is skipped by the import check: its imports are the
+re-exported API.
 """
 
 import ast
@@ -41,3 +42,49 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _uncalled_helpers(sources: list[str]) -> list[str]:
+    """Top-level ``_name`` functions and classes nothing else refers to.
+
+    A reference is a name, an attribute or an imported name anywhere in
+    the sources outside the helper's own definition.
+    """
+    statements = [stmt for source in sources for stmt in ast.parse(source).body]
+    referenced = {}
+    for stmt in statements:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            referenced.setdefault(name, set()).add(id(stmt))
+    return sorted(
+        stmt.name
+        for stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and referenced.get(stmt.name, set()) - {id(stmt)} == set()
+    )
+
+
+def test_the_check_finds_uncalled_helpers():
+    sources = [
+        "def _called(): return 1\n"
+        "def _via_attribute(): return 2\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "class _Orphan: pass\n",
+        "from .a import _called\n"
+        "from . import a\n"
+        "def public(): return _called() + a._via_attribute()\n",
+    ]
+    assert _uncalled_helpers(sources) == ["_Orphan", "_recursive"]
+
+
+def test_every_private_helper_has_a_caller():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert _uncalled_helpers(sources) == []

@@ -7,6 +7,7 @@ import pytest
 
 import gen
 from impbox import (
+    CredalPolytope,
     FiniteSpace,
     GeneralizedPBox,
     ValidationError,
@@ -17,6 +18,7 @@ from impbox import (
     is_infty_monotone,
     is_member,
     lower_envelope,
+    upper_envelope,
     validate_capacity,
 )
 from impbox.pbox import (
@@ -105,25 +107,73 @@ def test_pbox_stores_only_its_levels():
     ]
 
 
-def test_from_nested_sets_drops_an_empty_level_and_merges_equal_ones():
+def _assert_agrees_with_stated_levels(sp, pb, stated):
+    """Closed forms equal the oracle on the stated constraints themselves."""
+    poly = CredalPolytope(sp, [*stated, (sp.full, 1, 1)])
+    for event in enumerate_events(sp):
+        assert lower_prob(pb, event) == lower_envelope(poly, event).value
+        assert upper_prob(pb, event) == upper_envelope(poly, event).value
+
+
+def test_from_nested_sets_drops_an_empty_level_and_keeps_equal_ones():
     sp = FiniteSpace(["x1", "x2", "x3", "x4"])
-    pb = from_nested_sets(
-        sp,
-        [
-            (sp.empty, F(0), F(1, 4)),
-            (sp.event(["x2"]), F(1, 5), F(1, 2)),
-            (sp.event(["x1", "x2"]), F(1, 5), F(1, 2)),
-            (sp.event(["x1", "x2", "x4"]), F(1, 2), F(1, 2)),
-        ],
-    )
-    assert pb.block_masks == (0b0011, 0b1000, 0b0100)
-    assert pb.level_masks == (0b0011, 0b1011, 0b1111)
-    assert pb.level_alpha == (F(1, 5), F(1, 2), F(1))
-    assert pb.level_beta == (F(1, 2), F(1, 2), F(1))
-    assert pb == from_functions(
-        sp, [F(1, 5), F(1, 5), F(1), F(1, 2)], [F(1, 2), F(1, 2), F(1), F(1, 2)]
-    )
+    stated = [
+        (sp.empty, F(0), F(1, 4)),
+        (sp.event(["x2"]), F(1, 5), F(1, 2)),
+        (sp.event(["x1", "x2"]), F(1, 5), F(1, 2)),
+        (sp.event(["x1", "x2", "x4"]), F(1, 2), F(1, 2)),
+    ]
+    pb = from_nested_sets(sp, stated)
+    assert pb.block_masks == (0b0010, 0b0001, 0b1000, 0b0100)
+    assert pb.level_masks == (0b0010, 0b0011, 0b1011, 0b1111)
+    assert pb.level_alpha == (F(1, 5), F(1, 5), F(1, 2), F(1))
+    assert pb.level_beta == (F(1, 2), F(1, 2), F(1, 2), F(1))
+    assert lower_prob(pb, sp.event(["x2"])) == F(1, 5)
+    _assert_agrees_with_stated_levels(sp, pb, stated)
     assert to_random_set(pb) == algorithm1(pb)
+
+
+def _rand_nested_levels(rng, sp):
+    """A strictly nested family whose neighbours often share both bounds."""
+    order = list(range(sp.size))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, sp.size + 1), rng.randint(1, sp.size)))
+    bounds = sorted(gen.rand_fraction(rng, 6) for _ in range(2 * len(cuts)))
+    levels = []
+    for k, cut in enumerate(cuts):
+        event = sp.event(sp.labels[i] for i in order[:cut])
+        if levels and rng.random() < 0.5:
+            lo, hi = levels[-1][1:]
+        else:
+            lo, hi = bounds[k], bounds[len(cuts) + k]
+        levels.append((event, lo, hi))
+    if levels[-1][0].is_full:
+        levels[-1] = (sp.full, F(1), F(1))
+    return levels
+
+
+def test_from_nested_sets_keeps_every_stated_level():
+    rng = random.Random(89)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a first level may have upper bound 0
+        for _ in range(120):
+            sp = gen.SPACES[rng.randint(2, 5)]
+            stated = _rand_nested_levels(rng, sp)
+            pb = from_nested_sets(sp, stated)
+            _assert_agrees_with_stated_levels(sp, pb, stated)
+            ms = to_random_set(pb)
+            assert ms == algorithm1(pb)
+            for event in enumerate_events(sp):
+                value = lower_prob(pb, event)
+                assert value == bel(ms, event)
+                assert value == lower_prob_via_possibility(pb, event)
+
+
+def test_from_nested_sets_rejects_a_lower_bound_on_the_empty_set():
+    sp = FiniteSpace(["x1", "x2"])
+    with pytest.raises(ValidationError) as exc:
+        from_nested_sets(sp, [(sp.empty, F(1, 5), F(1, 2))])
+    assert str(exc.value) == "the empty set cannot have lower bound 1/5"
 
 
 def test_from_nested_sets_vacuous(space6):
