@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import sys
 import warnings
-from fractions import Fraction
 
 import click
 
-from . import convert as conv
-from . import credal, docio, pbox, possibility, randomset
+from . import credal, docio
 from ._exact import too_long, too_long_message
 from .errors import ImpboxError
-from .space import Permutation, enumerate_events
+from .space import enumerate_events
 
 
 def _echo(message: str, err: bool = False, nl: bool = True) -> None:
@@ -49,10 +47,6 @@ def _load(path: str) -> docio.Document:
     return doc
 
 
-def _fmt(q: Fraction) -> str:
-    return f"{q} = {float(q)!r}"
-
-
 @click.group()
 def main():
     """Exact tools for finite imprecise-probability documents."""
@@ -72,45 +66,27 @@ def check(file):
         _echo(f"{name}: {value}")
 
 
-def _convert(doc: docio.Document, target: str, sigma: str | None):
-    obj = doc.obj
-    source = docio.document_for(obj).kind
-    arrows = {
-        ("gen_pbox", "mass"): lambda: pbox.to_random_set(obj),
-        ("gen_pbox", "interval"): lambda: conv.pbox_to_interval(obj),
-        ("gen_pbox", "gen_pbox"): lambda: obj,
-        ("interval", "gen_pbox"): lambda: conv.interval_to_sigma_pbox(
-            obj,
-            Permutation.from_labels(doc.space, sigma.split(","))
-            if sigma
-            else Permutation.identity(doc.space.size),
-        ),
-        ("possibility", "mass"): lambda: possibility.to_random_set(obj),
-        ("mass", "interval"): lambda: randomset.to_interval(obj),
-    }
-    key = (source, target)
-    if key not in arrows:
-        supported = ", ".join(f"{s}->{t}" for s, t in sorted(arrows) if s != t)
-        raise click.UsageError(
-            f"unsupported conversion {source}->{target}; supported: {supported}"
-        )
-    return arrows[key]()
-
-
 @main.command()
 @click.argument("file", type=click.Path())
 @click.option("--to", "target", required=True, type=click.Choice(docio.KINDS))
 @click.option(
     "--sigma",
     default=None,
-    help="comma-separated element order for interval->gen_pbox",
+    help="comma-separated element order for conversions from interval",
 )
 def convert(file, target, sigma):
     """Convert a document to another kind; canonical output on stdout."""
     doc = _load(file)
+    arrows = docio.KINDS[doc.kind].to
+    if target not in arrows:
+        pairs = sorted((s, t) for s, k in docio.KINDS.items() for t in k.to if s != t)
+        supported = ", ".join(f"{s}->{t}" for s, t in pairs)
+        raise click.UsageError(
+            f"unsupported conversion {doc.kind}->{target}; supported: {supported}"
+        )
     try:
-        result = _convert(doc, target, sigma)
-        text = docio.serialize(docio.document_for(result))
+        result = arrows[target](doc.obj, sigma)
+        text = docio.serialize(docio.Document(target, doc.space, result))
     except ImpboxError as exc:
         _fail(str(exc))
     _echo(text, nl=False)
@@ -124,19 +100,14 @@ def query(file, event_spec, bound):
     """Print the exact lower or upper probability of an event."""
     doc = _load(file)
     try:
-        a = doc.space.event(lab for lab in event_spec.split(",") if lab)
+        a = docio._event(doc.space, event_spec, "--event")
         lower, upper = docio.KINDS[doc.kind].bounds(doc.obj, a)
     except ImpboxError as exc:
         _fail(str(exc))
     q = lower if bound == "lower" else upper
     if too_long(q.numerator) or too_long(q.denominator):
         _fail(too_long_message())
-    _echo(_fmt(q))
-
-
-def _witness(envelope: credal.Envelope) -> str:
-    labels = envelope.witness.space.labels
-    return ", ".join(f"{lab}={v}" for lab, v in zip(labels, envelope.witness.p))
+    _echo(f"{q} = {float(q)!r}")
 
 
 @main.command()
@@ -168,8 +139,10 @@ def verify(file):
                     f"oracle [{oracle_lo}, {oracle_hi}]",
                     err=True,
                 )
-                side, witness = ("lower", below) if lo != oracle_lo else ("upper", above)
-                _echo(f"oracle {side} witness: {_witness(witness)}", err=True)
+                side, envelope = ("lower", below) if lo != oracle_lo else ("upper", above)
+                values = zip(doc.space.labels, envelope.witness.p)
+                witness = ", ".join(f"{lab}={v}" for lab, v in values)
+                _echo(f"oracle {side} witness: {witness}", err=True)
                 sys.exit(3)
     except ImpboxError as exc:
         _fail(str(exc))

@@ -11,14 +11,15 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from . import capacity, credal, interval, pbox, possibility, randomset
+from . import capacity, convert, credal, interval, pbox, possibility, randomset
 from ._exact import too_long, too_long_message
-from .errors import ImpboxError
-from .space import MAX_ELEMENTS, Event, FiniteSpace, enumerate_events
+from .errors import ImpboxError, ValidationError
+from .space import MAX_ELEMENTS, Event, FiniteSpace, Permutation, enumerate_events
 
 
 class DocumentError(ImpboxError):
@@ -122,10 +123,14 @@ def _event_map(payload, field: str, space: FiniteSpace) -> dict[Event, Fraction]
     raw = payload.get(field)
     if not isinstance(raw, dict):
         raise DocumentError(f"{field} must be an object", f"$.{field}")
-    table = {}
+    table, keys = {}, {}
     for key, val in raw.items():
         path = f"$.{field}[{key!r}]"
-        table[_event(space, key, path)] = _rational(val, path)
+        event = _event(space, key, path)
+        if event.mask in keys:
+            raise DocumentError(f"same event as {keys[event.mask]!r}", path)
+        keys[event.mask] = key
+        table[event] = _rational(val, path)
     return table
 
 
@@ -151,6 +156,25 @@ def _strs(values) -> list[str]:
     return [str(v) for v in values]
 
 
+def _gen_pbox_form(pb: pbox.GeneralizedPBox) -> pbox.GeneralizedPBox:
+    """``pb``, unless two levels share bounds: ``F_low``/``F_upp`` would tie
+    them into one block.  Bounds are non-decreasing, so such levels are neighbours."""
+    levels = pb.levels()
+    for (inner, lo, hi), (outer, *bounds) in zip(levels, levels[1:]):
+        if bounds == [lo, hi]:
+            raise ValidationError(
+                f"gen_pbox cannot state levels {inner!r} and {outer!r}, which "
+                f"share bounds [{lo}, {hi}]; convert --to nested_bounds instead"
+            )
+    return pb
+
+
+def _sigma_pbox(iv: interval.ProbabilityInterval, sigma: str | None) -> pbox.GeneralizedPBox:
+    """The interval's p-box along ``sigma``'s comma-joined labels, else label order."""
+    labels = sigma.split(",") if sigma else iv.space.labels
+    return convert.interval_to_sigma_pbox(iv, Permutation.from_labels(iv.space, labels))
+
+
 @dataclass(frozen=True)
 class Kind:
     """Everything the library and the CLI need to handle one document kind.
@@ -173,6 +197,8 @@ class Kind:
     polytope: Callable[[Any], credal.CredalPolytope] | None
     #: ``facts(obj)``: the ``name: value`` lines ``check`` reports
     facts: Callable[[Any], dict[str, Any]]
+    #: ``to[target](obj, sigma)``: ``obj`` as kind ``target``; ``sigma``: ``--sigma``
+    to: dict[str, Callable[[Any, str | None], Any]] = field(default_factory=dict)
 
 
 #: the two p-box kinds differ only in their payload
@@ -181,6 +207,12 @@ _PBOX = dict(
     bounds=lambda pb, a: (pbox.lower_prob(pb, a), pbox.upper_prob(pb, a)),
     polytope=lambda pb: pbox.to_polytope(pb),
     facts=lambda pb: {"comonotone": True, "levels": len(pb.block_masks)},
+    to={
+        "mass": lambda pb, sigma: pbox.to_random_set(pb),
+        "interval": lambda pb, sigma: convert.pbox_to_interval(pb),
+        "gen_pbox": lambda pb, sigma: _gen_pbox_form(pb),
+        "nested_bounds": lambda pb, sigma: pb,
+    },
 )
 
 #: every document kind, in document-format order
@@ -220,6 +252,7 @@ KINDS: dict[str, Kind] = {
             "focal events": len(ms.focal),
             "nested": randomset.is_nested(ms),
         },
+        to={"interval": lambda ms, sigma: randomset.to_interval(ms)},
     ),
     "possibility": Kind(
         cls=possibility.PossibilityDistribution,
@@ -230,6 +263,7 @@ KINDS: dict[str, Kind] = {
         bounds=lambda d, a: (possibility.necessity(d, a), possibility.possibility(d, a)),
         polytope=lambda d: possibility.to_polytope(d),
         facts=lambda d: {"distinct levels": len(d.levels())},
+        to={"mass": lambda d, sigma: possibility.to_random_set(d)},
     ),
     "interval": Kind(
         cls=interval.ProbabilityInterval,
@@ -240,6 +274,10 @@ KINDS: dict[str, Kind] = {
         bounds=lambda iv, a: interval.event_bounds(iv, a),
         polytope=lambda iv: interval.to_polytope(iv),
         facts=lambda iv: {"non-empty": iv.non_empty, "reachable": iv.reachable},
+        to={
+            "gen_pbox": lambda iv, sigma: _gen_pbox_form(_sigma_pbox(iv, sigma)),
+            "nested_bounds": lambda iv, sigma: _sigma_pbox(iv, sigma),
+        },
     ),
     "gen_pbox": Kind(
         read=lambda payload, space: pbox.from_functions(
@@ -273,10 +311,19 @@ KINDS: dict[str, Kind] = {
 }
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object; a key stated twice is rejected (``json`` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise DocumentError(f"key {key!r} appears twice")
+    return obj
+
+
 def parse(text: str) -> Document:
     """Parse a document, building and validating its domain object."""
     try:
-        payload = json.loads(text, parse_float=_json_number)
+        payload = json.loads(text, parse_float=_json_number, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
     except RecursionError:

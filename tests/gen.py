@@ -19,6 +19,7 @@ from impbox import (
     ProbabilityInterval,
     ProbabilityVector,
     from_functions,
+    from_nested_sets,
     normalize,
     validate_capacity,
 )
@@ -111,6 +112,19 @@ def rand_pbox(rng: random.Random, space: FiniteSpace, denom: int = 8, ties: bool
         flow[i] = alpha[rank]
         fupp[i] = beta[rank]
     return from_functions(space, flow, fupp)
+
+
+def rand_nested_pbox(rng: random.Random, space: FiniteSpace, denom: int = 4):
+    """Random p-box stated as levels on the prefixes of a random order.
+
+    Built by ``from_nested_sets``, which keeps every level, so with a
+    small ``denom`` neighbouring levels often share both bounds.
+    """
+    alpha, beta = _sorted_pair(rng, space.size, denom)
+    order = rand_permutation(rng, space).order
+    labels = [space.labels[i] for i in order]
+    prefixes = [space.event(labels[: k + 1]) for k in range(space.size)]
+    return from_nested_sets(space, zip(prefixes, alpha, beta))
 
 
 def rand_permutation(rng: random.Random, space: FiniteSpace) -> Permutation:

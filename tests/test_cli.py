@@ -133,6 +133,46 @@ def test_convert_interval_with_sigma(runner, tmp_path):
     assert body["F_low"] == ["1", "3/10"]
 
 
+# Neighbouring levels that share both bounds: F_low/F_upp would tie them
+# into one block and drop the inner lower bound; nested_bounds keeps them.
+TIED_LEVELS = {
+    "interval": (
+        '{"kind": "interval", "space": ["x1", "x2", "x3"], '
+        '"l": ["1/5", "0", "0"], "u": ["1", "1/5", "4/5"]}',
+        "x1",
+        "{x1} and {x1,x2}, which share bounds [1/5, 1]",
+    ),
+    "nested_bounds": (
+        '{"kind": "nested_bounds", "space": ["x1", "x2", "x3"], "levels": ['
+        '{"event": "x2", "lo": "1/5", "hi": "1/2"}, '
+        '{"event": "x1,x2", "lo": "1/5", "hi": "1/2"}]}',
+        "x2",
+        "{x2} and {x1,x2}, which share bounds [1/5, 1/2]",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", TIED_LEVELS)
+def test_tied_levels_convert_to_nested_bounds_only(runner, tmp_path, kind):
+    text, event, levels = TIED_LEVELS[kind]
+    source = tmp_path / "tied.json"
+    source.write_text(text)
+    result = runner.invoke(main, ["convert", str(source), "--to", "gen_pbox"])
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        1,
+        "",
+        f"error: gen_pbox cannot state levels {levels}; "
+        "convert --to nested_bounds instead\n",
+    )
+    result = runner.invoke(main, ["convert", str(source), "--to", "nested_bounds"])
+    assert result.exit_code == 0
+    converted = tmp_path / "nested.json"
+    converted.write_text(result.stdout)
+    query = ["query", str(converted), "--event", event, "--bound", "lower"]
+    result = runner.invoke(main, query)
+    assert (result.exit_code, result.output) == (0, "1/5 = 0.2\n")
+
+
 def test_query_golden(runner, expert_file):
     result = runner.invoke(
         main, ["query", expert_file, "--event", "x3,x4,x5", "--bound", "lower"]
@@ -146,6 +186,14 @@ def test_query_upper(runner, expert_file):
         main, ["query", expert_file, "--event", "x3,x4,x5", "--bound", "upper"]
     )
     assert result.output == "9/10 = 0.9\n"
+
+
+def test_query_unknown_label_names_the_option(runner, expert_file):
+    result = runner.invoke(main, ["query", expert_file, "--event", "x9", "--bound", "lower"])
+    assert (result.exit_code, result.stderr) == (
+        1,
+        "error: --event: unknown element label 'x9'\n",
+    )
 
 
 def test_verify_golden(runner, expert_file):
@@ -203,6 +251,8 @@ ALL_KIND_COMMANDS = {
     "to_interval": ["convert", "--to", "interval"],
     "to_gen_pbox": ["convert", "--to", "gen_pbox"],
     "to_gen_pbox_sigma": ["convert", "--to", "gen_pbox", "--sigma", "x3,x1,x2"],
+    "to_nested_bounds": ["convert", "--to", "nested_bounds"],
+    "to_nested_bounds_sigma": ["convert", "--to", "nested_bounds", "--sigma", "x3,x1,x2"],
     "to_banana": ["convert", "--to", "banana"],
 }
 
@@ -225,13 +275,23 @@ def _unsupported(source, target):
     return _usage_error(
         "convert",
         f"unsupported conversion {source}->{target}; supported: gen_pbox->interval, "
-        "gen_pbox->mass, interval->gen_pbox, mass->interval, possibility->mass",
+        "gen_pbox->mass, gen_pbox->nested_bounds, interval->gen_pbox, "
+        "interval->nested_bounds, mass->interval, nested_bounds->gen_pbox, "
+        "nested_bounds->interval, nested_bounds->mass, possibility->mass",
     )
 
 
 def _document(kind, **payload):
     body = {"kind": kind, "space": ["x1", "x2", "x3"], **payload}
     return 0, json.dumps(body, indent=2) + "\n", ""
+
+
+def _levels(*levels):
+    """A ``nested_bounds`` document on x1, x2, x3 from (event, lo, hi) triples."""
+    return _document(
+        "nested_bounds",
+        levels=[{"event": event, "lo": lo, "hi": hi} for event, lo, hi in levels],
+    )
 
 
 def _check(kind, *facts):
@@ -260,6 +320,7 @@ ALL_KINDS_GOLDEN = {
     ("capacity", "to_mass"): _unsupported("capacity", "mass"),
     ("capacity", "to_interval"): _unsupported("capacity", "interval"),
     ("capacity", "to_gen_pbox"): _unsupported("capacity", "gen_pbox"),
+    ("capacity", "to_nested_bounds"): _unsupported("capacity", "nested_bounds"),
     ("mass", "check"): _check("mass", "focal events: 3", "nested: no"),
     ("mass", "lower"): _ok("3/4 = 0.75"),
     ("mass", "upper"): _ok("1 = 1.0"),
@@ -269,6 +330,7 @@ ALL_KINDS_GOLDEN = {
         "interval", l=["1/4", "0", "0"], u=["3/4", "3/4", "1/4"]
     ),
     ("mass", "to_gen_pbox"): _unsupported("mass", "gen_pbox"),
+    ("mass", "to_nested_bounds"): _unsupported("mass", "nested_bounds"),
     ("possibility", "check"): _check("possibility", "distinct levels: 3"),
     ("possibility", "lower"): _ok("3/4 = 0.75"),
     ("possibility", "upper"): _ok("1 = 1.0"),
@@ -278,6 +340,7 @@ ALL_KINDS_GOLDEN = {
     ),
     ("possibility", "to_interval"): _unsupported("possibility", "interval"),
     ("possibility", "to_gen_pbox"): _unsupported("possibility", "gen_pbox"),
+    ("possibility", "to_nested_bounds"): _unsupported("possibility", "nested_bounds"),
     ("interval", "check"): _check("interval", "non-empty: yes", "reachable: yes"),
     ("interval", "lower"): _ok("2/5 = 0.4"),
     ("interval", "upper"): _ok("7/10 = 0.7"),
@@ -289,6 +352,12 @@ ALL_KINDS_GOLDEN = {
     ),
     ("interval", "to_gen_pbox_sigma"): _document(
         "gen_pbox", F_low=["1/2", "1", "3/10"], F_upp=["4/5", "1", "3/5"]
+    ),
+    ("interval", "to_nested_bounds"): _levels(
+        ("x1", "1/10", "2/5"), ("x1,x2", "2/5", "7/10"), ("x1,x2,x3", "1", "1")
+    ),
+    ("interval", "to_nested_bounds_sigma"): _levels(
+        ("x3", "3/10", "3/5"), ("x1,x3", "1/2", "4/5"), ("x1,x2,x3", "1", "1")
     ),
     ("interval", "to_banana"): _usage_error(
         "convert",
@@ -308,6 +377,9 @@ ALL_KINDS_GOLDEN = {
     ("gen_pbox", "to_gen_pbox"): _document(
         "gen_pbox", F_low=["0", "1/5", "1"], F_upp=["3/10", "7/10", "1"]
     ),
+    ("gen_pbox", "to_nested_bounds"): _levels(
+        ("x1", "0", "3/10"), ("x1,x2", "1/5", "7/10"), ("x1,x2,x3", "1", "1")
+    ),
     ("nested_bounds", "check"): _check("nested_bounds", "comonotone: yes", "levels: 3"),
     ("nested_bounds", "lower"): _ok("1/2 = 0.5"),
     ("nested_bounds", "upper"): _ok("4/5 = 0.8"),
@@ -325,6 +397,9 @@ ALL_KINDS_GOLDEN = {
     ("nested_bounds", "to_gen_pbox"): _document(
         "gen_pbox", F_low=["1/10", "1/2", "1"], F_upp=["2/5", "4/5", "1"]
     ),
+    ("nested_bounds", "to_nested_bounds"): _levels(
+        ("x1", "1/10", "2/5"), ("x1,x2", "1/2", "4/5"), ("x1,x2,x3", "1", "1")
+    ),
     ("probability", "check"): _check("probability"),
     ("probability", "lower"): _ok("1/2 = 0.5"),
     ("probability", "upper"): _ok("1/2 = 0.5"),
@@ -332,6 +407,7 @@ ALL_KINDS_GOLDEN = {
     ("probability", "to_mass"): _unsupported("probability", "mass"),
     ("probability", "to_interval"): _unsupported("probability", "interval"),
     ("probability", "to_gen_pbox"): _unsupported("probability", "gen_pbox"),
+    ("probability", "to_nested_bounds"): _unsupported("probability", "nested_bounds"),
     ("mystery", "check"): (
         1,
         "",
@@ -451,6 +527,22 @@ def test_oversized_numbers_are_validation_failures(runner, tmp_path, text, args)
             '"levels": [{"event": "", "lo": "1/5", "hi": "1/2"}]}',
             ["check"],
         ),
+        # two spellings of one event, or one key twice: json and a dict
+        # would both keep the last silently
+        (
+            '{"kind": "capacity", "space": ["a", "b"], "values": {"": "0", '
+            '"a": "1/5", "b": "1/5", "b,a": "1/2", "a,b": "1"}}',
+            ["check"],
+        ),
+        (
+            '{"kind": "mass", "space": ["a", "b"], '
+            '"focal": {"a,b": "1/2", "b,a": "1/2", "a": "1/2"}}',
+            ["check"],
+        ),
+        (
+            '{"kind": "capacity", "kind": "probability", "space": ["a"], "p": ["1"]}',
+            ["check"],
+        ),
     ],
     ids=[
         "check-number-event",
@@ -458,6 +550,9 @@ def test_oversized_numbers_are_validation_failures(runner, tmp_path, text, args)
         "check-deep-nesting",
         "convert-comma-label",
         "check-empty-event-lower-bound",
+        "check-capacity-event-twice",
+        "check-mass-event-twice",
+        "check-key-twice",
     ],
 )
 def test_malformed_documents_are_validation_failures(runner, tmp_path, text, args):

@@ -1,12 +1,17 @@
 import json
+import random
 import sys
 import time
+import warnings
 from fractions import Fraction as F
 
 import pytest
 
-from impbox import GeneralizedPBox, MassAssignment, docio
-from impbox.docio import DocumentError, parse, serialize
+import gen
+from impbox import GeneralizedPBox, MassAssignment, ValidationError, docio
+from impbox.docio import Document, DocumentError, parse, serialize
+from impbox.pbox import lower_prob, upper_prob
+from impbox.space import enumerate_events
 
 
 EXPERT_DOC = json.dumps(
@@ -183,3 +188,50 @@ def test_label_with_a_comma_is_rejected():
     with pytest.raises(DocumentError) as exc:
         parse('{"kind": "possibility", "space": ["a,b", "c"], "pi": ["1", "1/2"]}')
     assert exc.value.path == "$.space"
+
+
+def _pbox_sources(rng, count):
+    """(kind, object, --sigma text) for intervals along a random order and
+    p-boxes, their levels tied (from nested sets) or not (from functions)."""
+    for _ in range(count):
+        space = gen.SPACES[rng.randint(1, 6)]
+        kind = rng.choice(["interval", "gen_pbox", "nested_bounds"])
+        if kind == "interval":
+            iv = gen.rand_reachable_interval(rng, space, denom=rng.choice([4, 20]))
+            sigma = gen.rand_permutation(rng, space).order
+            yield kind, iv, ",".join(space.labels[i] for i in sigma)
+        elif kind == "gen_pbox":
+            yield kind, gen.rand_pbox(rng, space, ties=rng.random() < 0.5), None
+        else:
+            yield kind, gen.rand_nested_pbox(rng, space), None
+
+
+def _reread(kind, pb):
+    return parse(serialize(Document(kind, pb.space, pb))).obj
+
+
+def test_pbox_conversions_write_the_pbox_or_refuse():
+    rng = random.Random(2747)
+    written = rejected = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a first level may have upper bound 0
+        for kind, obj, sigma in _pbox_sources(rng, 300):
+            arrows = docio.KINDS[kind].to
+            pb = arrows["nested_bounds"](obj, sigma)
+            again = _reread("nested_bounds", pb)
+            assert again == pb
+            for event in enumerate_events(pb.space):
+                assert lower_prob(again, event) == lower_prob(pb, event)
+                assert upper_prob(again, event) == upper_prob(pb, event)
+            # refused exactly when two levels share both bounds
+            pairs = list(zip(pb.level_alpha, pb.level_beta))
+            try:
+                functions = arrows["gen_pbox"](obj, sigma)
+            except ValidationError:
+                assert len(set(pairs)) < len(pairs)
+                rejected += 1
+            else:
+                assert len(set(pairs)) == len(pairs)
+                assert _reread("gen_pbox", functions) == pb
+                written += 1
+    assert written and rejected

@@ -1,9 +1,10 @@
-"""No module of impbox imports a name it never uses or keeps a dead helper.
+"""No module of impbox imports a name it never uses or keeps a dead helper,
+and the CLI reaches the models only through ``docio.KINDS``.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
-refactor from leaving dead imports or uncalled private helpers behind.
-``__init__.py`` is skipped by the import check: its imports are the
-re-exported API.
+refactor from leaving dead imports, uncalled private helpers or a second
+per-kind table behind.  ``__init__.py`` is skipped by the import check:
+its imports are the re-exported API.
 """
 
 import ast
@@ -88,3 +89,46 @@ def test_the_check_finds_uncalled_helpers():
 def test_every_private_helper_has_a_caller():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert _uncalled_helpers(sources) == []
+
+
+MODELS = {"capacity", "convert", "interval", "pbox", "possibility", "randomset"}
+
+
+def _kind_bypasses(source: str) -> list[str]:
+    """Model modules a front end imports, and kind lookups past ``KINDS``.
+
+    ``document_for`` and ``Kind.cls`` name a kind by the object's class,
+    the first match, where ``KINDS[doc.kind]`` keeps the kind it was read as.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [part for a in node.names for part in a.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found.update(name for name in names if name in MODELS | {"document_for", "cls"})
+    return sorted(found)
+
+
+def test_the_check_finds_kind_bypasses():
+    source = (
+        "from . import convert as conv\n"
+        "from . import credal, docio\n"
+        "from .pbox import lower_prob\n"
+        "import impbox.randomset\n"
+        "from .space import enumerate_events\n"
+        "def f(doc):\n"
+        "    kind = docio.document_for(doc.obj).kind\n"
+        "    return docio.KINDS[kind].cls, docio.KINDS[doc.kind].to\n"
+    )
+    assert _kind_bypasses(source) == [
+        "cls", "convert", "document_for", "pbox", "randomset"
+    ]
+
+
+def test_cli_reaches_kinds_only_through_the_table():
+    assert _kind_bypasses((SRC / "cli.py").read_text(encoding="utf-8")) == []
