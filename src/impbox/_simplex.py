@@ -1,11 +1,12 @@
 """Exact two-phase simplex with fraction-free integer pivots.
 
 Small dense solver used by the credal oracle: a handful of variables,
-tens of rows.  A ``Simplex`` is built once per constraint system: every
-row is scaled by the lcm of its denominators, so the tableau holds only
-integers, and phase 1 runs once.  Each ``minimize`` call then runs
-phase 2 from the last optimal basis, which is feasible whatever the
-objective.
+tens of rows, and always the probability simplex cut by ``<=`` rows, a
+bounded region.  A ``Simplex`` is built once per constraint system:
+every row is scaled by the lcm of its denominators, so the tableau
+holds only integers, and phase 1 runs once.  Each ``minimize`` call
+then runs phase 2 from the last optimal basis, which is feasible
+whatever the objective.
 
 Tableau entries are integers over one common denominator ``d > 0``, the
 absolute value of the current basis determinant (Edmonds 1967, Bareiss
@@ -28,10 +29,6 @@ class Infeasible(Exception):
     """The constraint system has no solution."""
 
 
-class Unbounded(Exception):
-    """The objective is unbounded below on the feasible region."""
-
-
 class Solution(NamedTuple):
     """An optimum with its witness and dual multipliers, over integers."""
 
@@ -39,61 +36,45 @@ class Solution(NamedTuple):
     #: the optimal point is ``x[j] / x_den``
     x: tuple[int, ...]
     x_den: int
-    #: dual multiplier of each row, the ``<=`` rows then the ``=`` rows,
-    #: is ``y[r] / y_den``; those of ``<=`` rows are ``<= 0`` at an optimum
+    #: dual multiplier of each row, the ``<=`` rows then the sum row, is
+    #: ``y[r] / y_den``; those of ``<=`` rows are ``<= 0`` at an optimum
     y: tuple[int, ...]
     y_den: int
 
 
 class Simplex:
-    """Minimize any objective over ``a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0``.
+    """Minimize any objective over ``a_ub.x <= b_ub, sum(x) = 1, x >= 0``.
 
     All right-hand sides must be non-negative (the callers guarantee
-    this), so the slacks of the <= rows form a partial starting basis
-    and only the equality rows need artificial variables.  Raises
-    ``Infeasible`` when the system has no solution.
+    this), so the slacks of the <= rows and one artificial variable for
+    the sum row form the starting basis.  Raises ``Infeasible`` when the
+    system has no solution.
     """
 
-    def __init__(self, n, a_ub, b_ub, a_eq, b_eq):
-        n_ub, n_eq = len(a_ub), len(a_eq)
-        m = n_ub + n_eq
+    def __init__(self, n, a_ub, b_ub):
+        m = len(a_ub) + 1
         self._n = n
-        # columns: x | ub slacks | eq artificials, then the rhs
-        self._art = n + n_ub
-        self._cols = n + m
-        self._scales = []
-        self._tab = []
-        for r, (a, b) in enumerate(zip(list(a_ub) + list(a_eq), list(b_ub) + list(b_eq))):
-            if b < 0:
-                raise ValueError("right-hand sides must be non-negative")
-            scale, row = over_lcd(list(a) + [b])
-            self._scales.append(scale)
-            body = row[:-1] + [0] * m
-            body[n + r] = 1
-            body.append(row[-1])
-            self._tab.append(body)
-        self._basis = [n + r for r in range(m)]
+        # columns: x | ub slacks | the sum row's artificial, then the rhs
+        self._art = art = n + m - 1
+        rows = [list(a) + [b] for a, b in zip(a_ub, b_ub)] + [[1] * n + [1]]
+        if any(row[-1] < 0 for row in rows):
+            raise ValueError("right-hand sides must be non-negative")
+        self._scales, scaled = zip(*map(over_lcd, rows))
+        self._tab = [
+            row[:-1] + [0] * r + [1] + [0] * (m - 1 - r) + row[-1:]
+            for r, row in enumerate(scaled)
+        ]
+        self._basis = list(range(n, n + m))
         self._d = 1
-        if n_eq:
-            self._phase1()
-
-    def _phase1(self) -> None:
-        art = self._art
-        z = self._objective_row([0] * art + [1] * (self._cols - art))
-        self._run(z, self._cols)
+        z = self._objective_row([0] * art + [1])
+        self._run(z, art + 1)
         if z[-1] != 0:
             raise Infeasible()
-        # drive any degenerate basic artificial out, or drop its row
-        r = 0
-        while r < len(self._tab):
-            if self._basis[r] >= art:
-                row = self._tab[r]
-                j = next((j for j in range(art) if row[j] != 0), -1)
-                if j < 0:
-                    del self._tab[r], self._basis[r]
-                    continue
-                self._pivot(None, r, j)
-            r += 1
+        # a basic artificial left at 0 leaves on a non-zero x or slack entry
+        # of its row; each <= row has its own slack, so one exists
+        if art in self._basis:
+            r = self._basis.index(art)
+            self._pivot(None, r, next(j for j in range(art) if self._tab[r][j]))
 
     def _objective_row(self, cost: list[int]) -> list[int]:
         """``d`` times the reduced costs of ``cost`` at the current basis.
@@ -109,7 +90,10 @@ class Simplex:
         return z
 
     def _run(self, z: list[int], limit: int) -> None:
-        """Pivot until no column below ``limit`` has a positive reduced cost."""
+        """Pivot until no column below ``limit`` has a positive reduced cost.
+
+        The region is bounded, so every entering column has a leaving row.
+        """
         tab, basis = self._tab, self._basis
         while True:
             enter = next((j for j in range(limit) if z[j] > 0), -1)
@@ -125,8 +109,6 @@ class Simplex:
                     lhs, rhs = row[-1] * den, num * a
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave, num, den = i, row[-1], a
-            if leave < 0:
-                raise Unbounded()
             self._pivot(z, leave, enter)
 
     def _pivot(self, z: list[int] | None, r: int, j: int) -> None:
@@ -154,7 +136,7 @@ class Simplex:
         """Minimize ``c.x`` by phase 2 from the last optimal basis."""
         n, tab, basis = self._n, self._tab, self._basis
         scale, cost = over_lcd(c)
-        z = self._objective_row(cost + [0] * (self._cols - n))
+        z = self._objective_row(cost + [0] * (self._art + 1 - n))
         self._run(z, self._art)
         d = self._d
         x = [0] * n

@@ -20,9 +20,13 @@ from .space import Event, FiniteSpace, _mask_of, _same_space, _unit_values
 def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple[Fraction, ...]:
     n_events = 1 << space.size
     if isinstance(values, Mapping):
-        table = [fill] * n_events
+        table, keys = [fill] * n_events, {}
         for key, val in values.items():
-            table[_mask_of(space, key)] = Fraction(val)
+            mask = _mask_of(space, key)
+            if mask in keys:
+                raise ValidationError(f"keys {keys[mask]!r} and {key!r} name one event")
+            keys[mask] = key
+            table[mask] = Fraction(val)
         missing = [m for m, v in enumerate(table) if v is None]
         if missing:
             raise ValidationError(

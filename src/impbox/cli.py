@@ -84,6 +84,9 @@ def convert(file, target, sigma):
         raise click.UsageError(
             f"unsupported conversion {doc.kind}->{target}; supported: {supported}"
         )
+    if sigma is not None and not docio.KINDS[doc.kind].sigma:
+        readers = ", ".join(k for k, e in docio.KINDS.items() if e.sigma)
+        raise click.UsageError(f"--sigma applies only to conversions from {readers}")
     try:
         result = arrows[target](doc.obj, sigma)
         text = docio.serialize(docio.Document(target, doc.space, result))
@@ -101,10 +104,10 @@ def query(file, event_spec, bound):
     doc = _load(file)
     try:
         a = docio._event(doc.space, event_spec, "--event")
-        lower, upper = docio.KINDS[doc.kind].bounds(doc.obj, a)
+        lower = docio.KINDS[doc.kind].lower
+        q = lower(doc.obj, a) if bound == "lower" else 1 - lower(doc.obj, a.complement())
     except ImpboxError as exc:
         _fail(str(exc))
-    q = lower if bound == "lower" else upper
     if too_long(q.numerator) or too_long(q.denominator):
         _fail(too_long_message())
     _echo(f"{q} = {float(q)!r}")
@@ -125,12 +128,13 @@ def verify(file):
     try:
         poly = kind.polytope(doc.obj)
         events = list(enumerate_events(doc.space))
-        # one LP per event: upper(A) = 1 - lower(A^c) on any credal set;
+        # one LP and one closed form per event, as upper(A) = 1 - lower(A^c);
         # in mask order, each LP warm-starts from the previous event's basis
         lowers = [credal.lower_envelope(poly, event) for event in events]
+        closed = [kind.lower(doc.obj, event) for event in events]
         full = len(events) - 1
         for event in events:
-            lo, hi = kind.bounds(doc.obj, event)
+            lo, hi = closed[event.mask], 1 - closed[full ^ event.mask]
             below, above = lowers[event.mask], lowers[full ^ event.mask]
             oracle_lo, oracle_hi = below.value, 1 - above.value
             if (lo, hi) != (oracle_lo, oracle_hi):

@@ -2,15 +2,17 @@
 
 A credal polytope is the probability simplex intersected with interval
 constraints on events.  Everything here is exact: membership is plain
-rational arithmetic, envelopes are exact linear programs.  A polytope
-builds its pruned constraint rows and an integer-pivot simplex on its
-first query, runs phase 1 once, and warm-starts every later envelope
-from the last optimal basis.  Each answer is proven before it is
-returned: the witness must satisfy every row and the dual multipliers
-must reach the same value (LP duality), checked over integers against
-the rows themselves; a failure raises ``OracleError``.  This module is
-the independent verifier the rest of the library is checked against,
-so it deliberately knows nothing about p-boxes, random sets, etc.
+rational arithmetic, lower envelopes are exact linear programs over the
+simplex cut by ``<=`` rows, and an upper envelope is the conjugate of a
+lower one, 1 - min P(A^c).  A polytope builds its pruned rows and an
+integer-pivot simplex on its first query, runs phase 1 once, and
+warm-starts every later envelope from the last optimal basis.  Each
+answer is proven before it is returned: the witness must satisfy every
+row and the dual multipliers must reach the same value (LP duality),
+checked over integers against the rows themselves; a failure raises
+``OracleError``.  This module is the independent verifier the rest of
+the library is checked against, so it deliberately knows nothing about
+p-boxes, random sets, etc.
 """
 
 from __future__ import annotations
@@ -129,13 +131,8 @@ class _Oracle:
             for (mask, b), weight in zip(rows, weights)
         ]
         try:
-            self.solver = _simplex.Simplex(
-                n,
-                [[mask >> i & 1 for i in range(n)] for mask, _ in rows],
-                [bound for _, bound in rows],
-                [[1] * n],
-                [1],
-            )
+            a_ub = [[mask >> i & 1 for i in range(n)] for mask, _ in rows]
+            self.solver = _simplex.Simplex(n, a_ub, [bound for _, bound in rows])
         except _simplex.Infeasible:
             self.solver = None
 
@@ -211,10 +208,9 @@ def lower_envelope(poly: CredalPolytope, a: Event) -> Envelope:
 
 
 def upper_envelope(poly: CredalPolytope, a: Event) -> Envelope:
-    """Exact maximum of P(a) over the polytope, with an attaining member."""
-    _same_space(poly.space, a.space, "event and polytope spaces differ")
-    value, witness = _solve(poly, [-(a.mask >> i & 1) for i in range(poly.space.size)])
-    return Envelope(-value, witness)
+    """Exact maximum of P(a), 1 - min P(a^c), with the minimizer of P(a^c)."""
+    value, witness = lower_envelope(poly, a.complement())
+    return Envelope(1 - value, witness)
 
 
 def is_empty(poly: CredalPolytope) -> bool:

@@ -172,7 +172,11 @@ def _gen_pbox_form(pb: pbox.GeneralizedPBox) -> pbox.GeneralizedPBox:
 def _sigma_pbox(iv: interval.ProbabilityInterval, sigma: str | None) -> pbox.GeneralizedPBox:
     """The interval's p-box along ``sigma``'s comma-joined labels, else label order."""
     labels = sigma.split(",") if sigma else iv.space.labels
-    return convert.interval_to_sigma_pbox(iv, Permutation.from_labels(iv.space, labels))
+    try:
+        order = Permutation.from_labels(iv.space, labels)
+    except ImpboxError as exc:
+        raise DocumentError(str(exc), "--sigma") from None
+    return convert.interval_to_sigma_pbox(iv, order)
 
 
 @dataclass(frozen=True)
@@ -191,20 +195,22 @@ class Kind:
     read: Callable[[dict, FiniteSpace], Any]
     #: ``write(obj)``: the kind-specific fields of the canonical form
     write: Callable[[Any], dict]
-    #: ``bounds(obj, event)``: closed-form (lower, upper) probability
-    bounds: Callable[[Any, Event], tuple[Fraction, Fraction]]
+    #: ``lower(obj, event)``: closed-form lower probability; upper is its conjugate
+    lower: Callable[[Any, Event], Fraction]
     #: ``polytope(obj)``: the credal set ``verify`` checks against, if any
     polytope: Callable[[Any], credal.CredalPolytope] | None
     #: ``facts(obj)``: the ``name: value`` lines ``check`` reports
     facts: Callable[[Any], dict[str, Any]]
     #: ``to[target](obj, sigma)``: ``obj`` as kind ``target``; ``sigma``: ``--sigma``
     to: dict[str, Callable[[Any, str | None], Any]] = field(default_factory=dict)
+    #: whether the ``to`` conversions read ``sigma``; if not, it is refused
+    sigma: bool = False
 
 
 #: the two p-box kinds differ only in their payload
 _PBOX = dict(
     cls=pbox.GeneralizedPBox,
-    bounds=lambda pb, a: (pbox.lower_prob(pb, a), pbox.upper_prob(pb, a)),
+    lower=lambda pb, a: pbox.lower_prob(pb, a),
     polytope=lambda pb: pbox.to_polytope(pb),
     facts=lambda pb: {"comonotone": True, "levels": len(pb.block_masks)},
     to={
@@ -228,7 +234,7 @@ KINDS: dict[str, Kind] = {
                 for event in enumerate_events(c.space)
             }
         },
-        bounds=lambda c, a: (c(a), 1 - c(a.complement())),
+        lower=lambda c, a: c(a),
         polytope=None,
         facts=lambda c: {
             "2-monotone": capacity.is_2_monotone(c),
@@ -246,7 +252,7 @@ KINDS: dict[str, Kind] = {
                 _event_key(Event(ms.space, mask)): str(m) for mask, m in ms.focal
             }
         },
-        bounds=lambda ms, a: (randomset.bel(ms, a), randomset.pl(ms, a)),
+        lower=lambda ms, a: randomset.bel(ms, a),
         polytope=lambda ms: randomset.to_polytope(ms),
         facts=lambda ms: {
             "focal events": len(ms.focal),
@@ -260,7 +266,7 @@ KINDS: dict[str, Kind] = {
             space, _vector(payload, "pi", space)
         ),
         write=lambda d: {"pi": _strs(d.pi)},
-        bounds=lambda d, a: (possibility.necessity(d, a), possibility.possibility(d, a)),
+        lower=lambda d, a: possibility.necessity(d, a),
         polytope=lambda d: possibility.to_polytope(d),
         facts=lambda d: {"distinct levels": len(d.levels())},
         to={"mass": lambda d, sigma: possibility.to_random_set(d)},
@@ -271,13 +277,14 @@ KINDS: dict[str, Kind] = {
             space, _vector(payload, "l", space), _vector(payload, "u", space)
         ),
         write=lambda iv: {"l": _strs(iv.lower), "u": _strs(iv.upper)},
-        bounds=lambda iv, a: interval.event_bounds(iv, a),
+        lower=lambda iv, a: interval.event_bounds(iv, a)[0],
         polytope=lambda iv: interval.to_polytope(iv),
         facts=lambda iv: {"non-empty": iv.non_empty, "reachable": iv.reachable},
         to={
             "gen_pbox": lambda iv, sigma: _gen_pbox_form(_sigma_pbox(iv, sigma)),
             "nested_bounds": lambda iv, sigma: _sigma_pbox(iv, sigma),
         },
+        sigma=True,
     ),
     "gen_pbox": Kind(
         read=lambda payload, space: pbox.from_functions(
@@ -302,7 +309,7 @@ KINDS: dict[str, Kind] = {
             space, _vector(payload, "p", space)
         ),
         write=lambda p: {"p": _strs(p.p)},
-        bounds=lambda p, a: (p.prob(a),) * 2,
+        lower=lambda p, a: p.prob(a),
         polytope=lambda p: credal.CredalPolytope(
             p.space, [(p.space.singleton(i), v, v) for i, v in enumerate(p.p)]
         ),

@@ -310,3 +310,17 @@ def test_set_function_keys_become_masks_by_one_rule(build):
     # an equal space built apart is the same space
     twin = FiniteSpace(["x1", "x2"])
     build(sp, {e: int(e.is_full) for e in enumerate_events(twin)})
+
+
+@pytest.mark.parametrize(
+    "build, top",
+    [(validate_capacity, F(1)), (mobius_masses, F(3, 10))],
+    ids=["validate_capacity", "mobius_masses"],
+)
+def test_a_table_keyed_twice_for_one_event_is_rejected(build, top):
+    # an Event and an int mask for {x1}: the last key used to win silently,
+    # in a table that is valid with the last value
+    sp = FiniteSpace(["x1", "x2"])
+    table = {0: 0, sp.event(["x1"]): F(1, 5), 1: F(1, 2), 2: F(1, 5), 3: top}
+    with pytest.raises(ValidationError, match=r"keys \{x1\} and 1 name one event"):
+        build(sp, table)

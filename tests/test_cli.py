@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
-from impbox import ProbabilityVector, docio, is_member, pbox
+from impbox import ProbabilityVector, docio, is_member, pbox, possibility
 from impbox.cli import main
 
 EXPERT_TEXT = json.dumps(
@@ -131,6 +131,30 @@ def test_convert_interval_with_sigma(runner, tmp_path):
     body = json.loads(result.output)
     assert body["kind"] == "gen_pbox"
     assert body["F_low"] == ["1", "3/10"]
+
+
+def test_convert_refuses_sigma_from_a_source_that_reads_no_order(runner, expert_file):
+    result = runner.invoke(main, ["convert", expert_file, "--to", "mass", "--sigma", "x9"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.endswith(
+        "Error: --sigma applies only to conversions from interval\n"
+    )
+
+
+def test_convert_sigma_label_error_names_the_option(runner, tmp_path):
+    path = tmp_path / "iv.json"
+    path.write_text(
+        '{"kind": "interval", "space": ["x1", "x2"], '
+        '"l": ["0.2", "0.3"], "u": ["0.7", "0.8"]}'
+    )
+    result = runner.invoke(
+        main, ["convert", str(path), "--to", "gen_pbox", "--sigma", "x2,x9"]
+    )
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        1,
+        "",
+        "error: --sigma: unknown element label 'x9'\n",
+    )
 
 
 # Neighbouring levels that share both bounds: F_low/F_upp would tie them
@@ -601,6 +625,36 @@ def test_verify_mismatch_exits_3_with_witness(
     assert is_member(pbox.to_polytope(doc.obj), witness)
     event = doc.space.event(["x3", "x4", "x5"])
     assert witness.prob(event) == (F(1, 5) if side == "lower" else F(9, 10))
+
+
+@pytest.mark.parametrize(
+    "module, name, text",
+    [
+        (pbox, "lower_prob", EXPERT_TEXT),
+        (
+            possibility,
+            "possibility",
+            '{"kind": "possibility", "space": ["a", "b", "c", "d"], '
+            '"pi": ["1/4", "1", "1/2", "0"]}',
+        ),
+    ],
+    ids=["gen_pbox", "possibility"],
+)
+def test_verify_makes_one_closed_form_call_per_event(
+    runner, tmp_path, monkeypatch, module, name, text
+):
+    # every upper bound is read as 1 - lower(A^c), so one call per event
+    calls = []
+    honest = getattr(module, name)
+    monkeypatch.setattr(
+        module, name, lambda obj, a: calls.append(a.mask) or honest(obj, a)
+    )
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["verify", str(path)])
+    n_events = 2 ** len(json.loads(text)["space"])
+    assert result.output == f"{n_events}/{n_events} events agree\n"
+    assert sorted(calls) == list(range(n_events))
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "30", "25", "", " 5", "4.0"])

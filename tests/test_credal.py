@@ -283,20 +283,51 @@ def _assert_optimal(a_ub, b_ub, a_eq, b_eq, c, sol):
     assert sum(b * yr for b, yr in zip(list(b_ub) + list(b_eq), y)) == sol.value
 
 
-def test_simplex_drops_a_redundant_equality_row():
-    a_ub, b_ub = [[1, 0]], [F(1, 2)]
-    a_eq, b_eq = [[1, 1], [2, 2]], [1, 2]
-    solver = _simplex.Simplex(2, a_ub, b_ub, a_eq, b_eq)
-    for c in ([1, 2], [-1, 0], [F(1, 3), F(-1, 2)], [0, 0]):
-        sol = solver.minimize(c)
-        _assert_optimal(a_ub, b_ub, a_eq, b_eq, c, sol)
-    assert solver.minimize([1, 2]).value == F(3, 2)
+def _rand_rational(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _rand_simplex_system(rng, n):
+    """``<=`` rows over the simplex: feasible around a random point, or
+    (``None`` point) made infeasible by a row that sums past every x."""
+    point = gen.rand_probability(rng, gen.SPACES[n]).p
+    a_ub, b_ub = [], []
+    for _ in range(rng.randint(0, 5)):
+        a = rng.choice([[1] * n, [_rand_rational(rng) for _ in range(n)]])
+        lhs = sum(ai * pi for ai, pi in zip(a, point))
+        a_ub.append(a)
+        b_ub.append(max(F(0), lhs + rng.choice([0, F(rng.randint(0, 4), 4)])))
+    if rng.random() < 0.25:
+        r = rng.randint(0, len(a_ub))
+        a_ub.insert(r, [F(rng.randint(4, 8), 4) for _ in range(n)])
+        b_ub.insert(r, F(rng.randint(0, 3), 4))
+        point = None
+    return a_ub, b_ub, point
+
+
+def test_simplex_solves_le_systems_over_the_probability_simplex():
+    rng = random.Random(8082747)
+    solved = infeasible = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a_ub, b_ub, point = _rand_simplex_system(rng, n)
+        if point is None:
+            with pytest.raises(_simplex.Infeasible):
+                _simplex.Simplex(n, a_ub, b_ub)
+            infeasible += 1
+            continue
+        solver = _simplex.Simplex(n, a_ub, b_ub)
+        for _ in range(3):
+            c = [_rand_rational(rng) for _ in range(n)]
+            sol = solver.minimize(c)
+            _assert_optimal(a_ub, b_ub, [[1] * n], [1], c, sol)
+            assert sol.value <= sum(ci * pi for ci, pi in zip(c, point))
+            solved += 1
+    assert solved and infeasible
 
 
 def test_simplex_rejects_negative_rhs_and_reports_infeasible():
     with pytest.raises(ValueError):
-        _simplex.Simplex(1, [[1]], [-1], [], [])
+        _simplex.Simplex(1, [[1]], [-1])
     with pytest.raises(_simplex.Infeasible):
-        _simplex.Simplex(2, [[1, 1]], [F(1, 2)], [[1, 1]], [1])
-    with pytest.raises(_simplex.Unbounded):
-        _simplex.Simplex(1, [], [], [], []).minimize([-1])
+        _simplex.Simplex(2, [[1, 1]], [F(1, 2)])

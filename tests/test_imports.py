@@ -1,5 +1,6 @@
 """No module of impbox imports a name it never uses or keeps a dead helper,
-and the CLI reaches the models only through ``docio.KINDS``.
+the CLI reaches the models only through ``docio.KINDS``, and the oracle
+imports no model or front end.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers or a second
@@ -94,6 +95,15 @@ def test_every_private_helper_has_a_caller():
 MODELS = {"capacity", "convert", "interval", "pbox", "possibility", "randomset"}
 
 
+def _import_names(node) -> list[str]:
+    """Every dotted part and imported name of an import statement, else []."""
+    if isinstance(node, ast.Import):
+        return [part for a in node.names for part in a.name.split(".")]
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".") + [a.name for a in node.names]
+    return []
+
+
 def _kind_bypasses(source: str) -> list[str]:
     """Model modules a front end imports, and kind lookups past ``KINDS``.
 
@@ -102,10 +112,8 @@ def _kind_bypasses(source: str) -> list[str]:
     """
     found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [part for a in node.names for part in a.name.split(".")]
-        elif isinstance(node, ast.ImportFrom):
-            names = (node.module or "").split(".") + [a.name for a in node.names]
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = _import_names(node)
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
         else:
@@ -132,3 +140,30 @@ def test_the_check_finds_kind_bypasses():
 
 def test_cli_reaches_kinds_only_through_the_table():
     assert _kind_bypasses((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+#: what the oracle must not import: it checks these, so it cannot lean on them
+ORACLE_BANS = MODELS | {"cli", "docio"}
+
+
+def _oracle_imports(source: str) -> list[str]:
+    """Model and front-end modules a module imports, by name."""
+    tree = ast.parse(source)
+    return sorted({n for node in ast.walk(tree) for n in _import_names(node)} & ORACLE_BANS)
+
+
+def test_the_check_finds_oracle_imports():
+    source = (
+        "from . import _simplex, pbox as p\n"
+        "from .space import Event\n"
+        "import impbox.docio\n"
+        "def f():\n"
+        "    from .randomset import bel\n"
+        "    return p.interval\n"
+    )
+    assert _oracle_imports(source) == ["docio", "pbox", "randomset"]
+
+
+@pytest.mark.parametrize("module", ["credal.py", "_simplex.py"])
+def test_the_oracle_imports_no_model_or_front_end(module):
+    assert _oracle_imports((SRC / module).read_text(encoding="utf-8")) == []
