@@ -1,7 +1,8 @@
-"""Exact integers for rationals, and the int->str digit limit.
+"""Exact integers for rationals, the int->str digit limit, and the
+per-object cache that keeps such integers.
 
-Arithmetic only: nothing here knows about spaces or models, so the
-credal oracle shares it and stays an independent check.
+Nothing here knows about spaces or models, so the credal oracle shares
+it and stays an independent check.
 """
 
 from __future__ import annotations
@@ -38,3 +39,21 @@ def too_long(n: int) -> bool:
 
 def too_long_message(what: str = "a derived numerator or denominator") -> str:
     return f"{what} exceeds {sys.get_int_max_str_digits()} digits"
+
+
+def cached(obj, name: str, build):
+    """``build(obj)``, computed on the first call for ``obj`` and kept in
+    its instance dict under ``name``, a ``_``-prefixed attribute name.
+
+    The value lives outside the dataclass fields, so ``==``, ``hash`` and
+    ``repr`` ignore it, and setting it works on a frozen instance.  A
+    ``build`` that raises caches nothing.  Two threads that both make the
+    first call may both build, and either value is kept, so ``build``
+    must give equal values for one object.
+    """
+    try:
+        return obj.__dict__[name]
+    except KeyError:
+        value = build(obj)
+        object.__setattr__(obj, name, value)
+        return value

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._exact import over_lcd, too_long_message
+from ._exact import cached, over_lcd, too_long_message
 from .errors import ValidationError
 from .space import Event, FiniteSpace, _mask_of, _same_space, _unit_values
 
@@ -42,13 +42,23 @@ def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple
     return table
 
 
-def _numerators(values: Sequence[Fraction]) -> list[int]:
-    """``over_lcd(values)``'s numerators, for a common denominator that
+def _numerators(c: Capacity) -> tuple[int, ...]:
+    """``over_lcd(c.values)``'s numerators, for a common denominator that
     prints: the table stays small and every Möbius mass prints too."""
     try:
-        return over_lcd(values, printable=True)[1]
+        return tuple(over_lcd(c.values, printable=True)[1])
     except ValueError:
         raise ValidationError(too_long_message("common denominator of the values")) from None
+
+
+def _table(c: Capacity) -> tuple[int, ...]:
+    """The capacity's integer table, built once per capacity."""
+    return cached(c, "_table", _numerators)
+
+
+def _mobius_table(c: Capacity) -> tuple[int, ...]:
+    """The integer Möbius transform of ``_table(c)``, built once per capacity."""
+    return cached(c, "_mobius_table", lambda c: tuple(_mobius(list(_table(c)))))
 
 
 def _mobius(table: list) -> list:
@@ -100,7 +110,8 @@ def validate_capacity(space: FiniteSpace, values) -> Capacity:
         raise ValidationError(
             f"capacity of the whole space must be 1, got {table[full]}"
         )
-    v = _numerators(table)
+    c = Capacity(space, table)
+    v = _table(c)
     for mask in range(full + 1):
         for i in range(space.size):
             bit = 1 << i
@@ -114,7 +125,7 @@ def validate_capacity(space: FiniteSpace, values) -> Capacity:
                     f"mu({big})={table[mask | bit]}",
                     witness=(small, big),
                 )
-    return Capacity(space, table)
+    return c
 
 
 def capacity_from_probability(space: FiniteSpace, p: Sequence) -> Capacity:
@@ -186,7 +197,7 @@ def find_2_monotone_violation(c: Capacity) -> tuple[Event, Event] | None:
     O(4^n). A failure at S returns the pair (S+i, S+j), whose union is
     S+i+j and whose intersection is S, so it breaks the global inequality.
     """
-    v = _numerators(c.values)
+    v = _table(c)
     full = len(v) - 1
     for i in range(c.space.size):
         bi = 1 << i
@@ -205,10 +216,10 @@ def find_2_monotone_violation(c: Capacity) -> tuple[Event, Event] | None:
 
 def is_infty_monotone(c: Capacity) -> bool:
     """True iff all Möbius masses are non-negative (belief function)."""
-    return min(_mobius(_numerators(c.values))) >= 0
+    return min(_mobius_table(c)) >= 0
 
 
 def is_additive(c: Capacity) -> bool:
     """True iff the Möbius masses are supported on singletons only."""
-    m = _mobius(_numerators(c.values))
+    m = _mobius_table(c)
     return all(mass == 0 for mask, mass in enumerate(m) if mask.bit_count() != 1)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import _simplex
-from ._exact import over_lcd
+from ._exact import cached, over_lcd
 from .errors import InfeasibleError, OracleError, ValidationError
 from .space import Event, FiniteSpace, _same_space, _unit_values
 
@@ -36,7 +36,8 @@ class ProbabilityVector:
 
     def __init__(self, space: FiniteSpace, p: Iterable):
         p = _unit_values(space, p, "probabilities")
-        if sum(p) != 1:
+        den, nums = over_lcd(p)
+        if sum(nums) != den:
             raise ValidationError(f"probabilities must sum to 1, got {sum(p)}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "p", p)
@@ -173,14 +174,9 @@ class _Oracle:
 
 
 def _oracle(poly: CredalPolytope) -> _Oracle:
-    # kept outside the dataclass fields, so == and hash ignore it; the
-    # solver's tableau changes on every query, so one polytope must not
-    # be queried from two threads at once
-    state = vars(poly).get("_oracle")
-    if state is None:
-        state = _Oracle(poly)
-        object.__setattr__(poly, "_oracle", state)
-    return state
+    # the solver's tableau changes on every query, so one polytope must
+    # not be queried from two threads at once
+    return cached(poly, "_oracle", _Oracle)
 
 
 def _solve(poly: CredalPolytope, objective: list[int]) -> tuple[Fraction, ProbabilityVector]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from ._exact import cached, over_lcd
 from .credal import CredalPolytope
 from .errors import InfeasibleError, NotReachableError
 from .space import Event, FiniteSpace, _same_space, _unit_values
@@ -47,10 +48,24 @@ class ProbabilityInterval:
         object.__setattr__(self, "reachable", reachable)
 
 
-def _envelope(l_in, u_in, total_l, total_u) -> tuple[Fraction, Fraction]:
+def _envelope(l_in, u_in, total_l, total_u, one=1) -> tuple[Fraction, Fraction]:
     """Coherent (lower, upper) probability of a set whose lower/upper bounds
-    sum to l_in/u_in, on a space where they sum to total_l/total_u."""
-    return max(l_in, 1 - (total_u - u_in)), min(u_in, 1 - (total_l - l_in))
+    sum to l_in/u_in, on a space where they sum to total_l/total_u.
+
+    With integer numerators over a common denominator, ``one`` is that
+    denominator and the answer is in numerators too.
+    """
+    return max(l_in, one - (total_u - u_in)), min(u_in, one - (total_l - l_in))
+
+
+def _ints(interval: ProbabilityInterval) -> tuple:
+    """``(den, elements, total_l, total_u)``: ``(bit, l, u)`` per element and
+    the two totals, as numerators over the bounds' common denominator."""
+    n = interval.space.size
+    den, nums = over_lcd(interval.lower + interval.upper)
+    lower, upper = nums[:n], nums[n:]
+    bits = [1 << i for i in range(n)]
+    return den, tuple(zip(bits, lower, upper)), sum(lower), sum(upper)
 
 
 def normalize(interval: ProbabilityInterval) -> ProbabilityInterval:
@@ -83,10 +98,15 @@ def event_bounds(interval: ProbabilityInterval, a: Event) -> tuple[Fraction, Fra
         raise NotReachableError(
             "event bounds need a reachable interval; call normalize first"
         )
-    inside = set(a.indices())
-    l_in = sum((interval.lower[i] for i in inside), Fraction(0))
-    u_in = sum((interval.upper[i] for i in inside), Fraction(0))
-    return _envelope(l_in, u_in, sum(interval.lower), sum(interval.upper))
+    den, elements, total_l, total_u = cached(interval, "_ints", _ints)
+    mask = a.mask
+    l_in = u_in = 0
+    for bit, l, u in elements:
+        if mask & bit:
+            l_in += l
+            u_in += u
+    lo, hi = _envelope(l_in, u_in, total_l, total_u, den)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def conjunction(

@@ -19,6 +19,7 @@ from itertools import accumulate, groupby
 from operator import or_
 from typing import Iterable, Sequence
 
+from ._exact import cached, over_lcd
 from .credal import CredalPolytope
 from .errors import ValidationError
 from .possibility import PossibilityDistribution
@@ -250,19 +251,42 @@ def _runs(pb: GeneralizedPBox, a: Event) -> list[tuple[int, int]]:
     return runs
 
 
+def _ints(pb: GeneralizedPBox) -> tuple:
+    """``(den, levels)``: ``(block mask, alpha_k, beta_(k-1))`` per level,
+    innermost first, the bounds as numerators over their common
+    denominator (beta_0 = 0).
+
+    A last ``(-1, 0, 0)`` entry meets every complement, so it ends the
+    last run of blocks an event contains.
+    """
+    m = len(pb.block_masks)
+    den, nums = over_lcd(pb.level_alpha + pb.level_beta)
+    levels = zip((*pb.block_masks, -1), (*nums[:m], 0), (0, *nums[m:]))
+    return den, tuple(levels)
+
+
 def lower_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
     """Exact lower probability of an event under the p-box.
 
     Projects the event onto the union of blocks it fully contains and
     sums max(0, alpha_(j) - beta_(i-1)) over the maximal consecutive
-    runs of blocks.
+    runs of blocks [i, j].
     """
     _same_space(pb.space, a.space, "event and p-box spaces differ")
-    total = Fraction(0)
-    for i, j in _runs(pb, a):
-        beta_before = pb.level_beta[i - 1] if i > 0 else Fraction(0)
-        total += max(Fraction(0), pb.level_alpha[j] - beta_before)
-    return total
+    den, levels = cached(pb, "_ints", _ints)
+    outside = ~a.mask
+    total = 0
+    start = end = None  # beta_(i-1) and alpha_(j) of the run in progress
+    for block, alpha, beta_before in levels:
+        if not block & outside:
+            if start is None:
+                start = beta_before
+            end = alpha
+        elif start is not None:  # the run ended at the level before
+            if end > start:
+                total += end - start
+            start = None
+    return Fraction(total, den)
 
 
 def upper_prob(pb: GeneralizedPBox, a: Event) -> Fraction:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
+from ._exact import cached, over_lcd
 from .credal import CredalPolytope, ProbabilityVector
 from .errors import ValidationError
 from .randomset import MassAssignment
@@ -43,9 +44,23 @@ class Measures(NamedTuple):
     sufficiency: Fraction
 
 
+def _ints(d: PossibilityDistribution) -> tuple:
+    """``(den, ranked)``: ``(bit, pi numerator)`` per element, pi decreasing,
+    over the degrees' common denominator."""
+    den, nums = over_lcd(d.pi)
+    ranked = sorted(((1 << i, v) for i, v in enumerate(nums)), key=lambda e: -e[1])
+    return den, tuple(ranked)
+
+
 def possibility(d: PossibilityDistribution, a: Event) -> Fraction:
+    """The largest degree in a: the first element of a in decreasing pi."""
     _same_space(d.space, a.space, "event and distribution spaces differ")
-    return max((d.pi[i] for i in a.indices()), default=Fraction(0))
+    den, ranked = cached(d, "_ints", _ints)
+    mask = a.mask
+    for bit, v in ranked:
+        if mask & bit:
+            return Fraction(v, den)
+    return Fraction(0)
 
 
 def necessity(d: PossibilityDistribution, a: Event) -> Fraction:
@@ -53,8 +68,14 @@ def necessity(d: PossibilityDistribution, a: Event) -> Fraction:
 
 
 def sufficiency(d: PossibilityDistribution, a: Event) -> Fraction:
+    """The smallest degree in a: the first element of a in increasing pi."""
     _same_space(d.space, a.space, "event and distribution spaces differ")
-    return min((d.pi[i] for i in a.indices()), default=Fraction(1))
+    den, ranked = cached(d, "_ints", _ints)
+    mask = a.mask
+    for bit, v in reversed(ranked):
+        if mask & bit:
+            return Fraction(v, den)
+    return Fraction(1)
 
 
 def measures(d: PossibilityDistribution, a: Event) -> Measures:

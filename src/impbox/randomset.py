@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from ._exact import cached, over_lcd
 from .credal import CredalPolytope
 from .errors import ValidationError
 from .interval import ProbabilityInterval
@@ -47,16 +48,27 @@ class MassAssignment:
         return dict(self.focal)
 
 
+def _ints(ms: MassAssignment) -> tuple:
+    """``(den, focal)``: the focal pairs with each mass as a numerator over
+    the masses' common denominator."""
+    den, nums = over_lcd([m for _, m in ms.focal])
+    return den, tuple(zip((mask for mask, _ in ms.focal), nums))
+
+
 def bel(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events contained in a."""
     _same_space(ms.space, a.space, "event and mass assignment spaces differ")
-    return sum((m for mask, m in ms.focal if mask & ~a.mask == 0), Fraction(0))
+    den, focal = cached(ms, "_ints", _ints)
+    outside = ~a.mask
+    return Fraction(sum(m for mask, m in focal if not mask & outside), den)
 
 
 def pl(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events meeting a; equals 1 - bel(complement)."""
     _same_space(ms.space, a.space, "event and mass assignment spaces differ")
-    return sum((m for mask, m in ms.focal if mask & a.mask), Fraction(0))
+    den, focal = cached(ms, "_ints", _ints)
+    inside = a.mask
+    return Fraction(sum(m for mask, m in focal if mask & inside), den)
 
 
 def contour(ms: MassAssignment) -> tuple[Fraction, ...]:

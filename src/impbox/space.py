@@ -60,11 +60,11 @@ class FiniteSpace:
 
     @property
     def empty(self) -> Event:
-        return Event(self, 0)
+        return _trusted(self, 0)
 
     @property
     def full(self) -> Event:
-        return Event(self, (1 << self.size) - 1)
+        return _trusted(self, (1 << self.size) - 1)
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,18 @@ class Event:
 
     def __or__(self, other: Event) -> Event:
         self._check_space(other)
-        return Event(self.space, self.mask | other.mask)
+        return _trusted(self.space, self.mask | other.mask)
 
     def __and__(self, other: Event) -> Event:
         self._check_space(other)
-        return Event(self.space, self.mask & other.mask)
+        return _trusted(self.space, self.mask & other.mask)
 
     def __sub__(self, other: Event) -> Event:
         self._check_space(other)
-        return Event(self.space, self.mask & ~other.mask)
+        return _trusted(self.space, self.mask & ~other.mask)
 
     def complement(self) -> Event:
-        return Event(self.space, self.mask ^ ((1 << self.space.size) - 1))
+        return _trusted(self.space, self.mask ^ ((1 << self.space.size) - 1))
 
     def issubset(self, other: Event) -> bool:
         self._check_space(other)
@@ -130,6 +130,15 @@ class Event:
         return "{" + ",".join(self.labels) + "}"
 
 
+def _trusted(space: FiniteSpace, mask: int) -> Event:
+    """``Event(space, mask)`` for a mask in range by construction: the
+    range check of ``Event.__post_init__`` is skipped."""
+    event = object.__new__(Event)
+    object.__setattr__(event, "space", space)
+    object.__setattr__(event, "mask", mask)
+    return event
+
+
 def _same_space(space: FiniteSpace, other: FiniteSpace, what: str) -> None:
     """Raise ``SpaceMismatchError`` unless ``other`` is (equal to) ``space``."""
     if other is not space and other != space:
@@ -137,12 +146,13 @@ def _same_space(space: FiniteSpace, other: FiniteSpace, what: str) -> None:
 
 
 def _unit_values(space: FiniteSpace, values: Iterable, what: str) -> tuple[Fraction, ...]:
-    """One rational in [0, 1] per element of ``space``."""
-    values = tuple(Fraction(v) for v in values)
+    """One rational in [0, 1] per element of ``space``; ``Fraction``s are
+    kept as given."""
+    values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
     if len(values) != space.size:
         raise ValidationError(f"expected {space.size} {what}, got {len(values)}")
     for v in values:
-        if not 0 <= v <= 1:
+        if not 0 <= v.numerator <= v.denominator:  # denominators are positive
             raise ValidationError(f"{what} must lie in [0, 1], got {v}")
     return values
 
@@ -163,7 +173,7 @@ def _mask_of(space: FiniteSpace, key, what: str = "event") -> int:
 def enumerate_events(space: FiniteSpace) -> Iterator[Event]:
     """Yield all 2^n events of the space exactly once, in bit-order."""
     for mask in range(1 << space.size):
-        yield Event(space, mask)
+        yield _trusted(space, mask)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from impbox import (
     MassAssignment,
     SpaceMismatchError,
     ValidationError,
+    capacity,
     capacity_from_probability,
     conjugate,
     enumerate_events,
@@ -283,6 +284,23 @@ def test_common_denominator_past_the_digit_limit_is_rejected():
     assert is_2_monotone(c)
     with pytest.raises(ValidationError, match="common denominator"):
         validate_capacity(sp, [F(0), F(1, 2**limit), F(1, 5**limit), F(1)])
+
+
+def test_check_facts_share_one_integer_table(monkeypatch):
+    calls = []
+
+    def counted(name):
+        honest = getattr(capacity, name)
+        return lambda *args, **kwargs: calls.append(name) or honest(*args, **kwargs)
+
+    for name in ("over_lcd", "_mobius"):
+        monkeypatch.setattr(capacity, name, counted(name))
+    c = bel_capacity(gen.rand_mass(random.Random(3), gen.SPACES[4]))
+    assert calls == ["over_lcd"]
+    facts = [is_2_monotone(c), is_infty_monotone(c), is_additive(c)]
+    assert calls == ["over_lcd", "_mobius"]
+    assert facts == [is_2_monotone(c), is_infty_monotone(c), is_additive(c)]
+    assert calls == ["over_lcd", "_mobius"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """No module of impbox imports a name it never uses or keeps a dead helper,
-the CLI reaches the models only through ``docio.KINDS``, and the oracle
-imports no model or front end.
+the CLI reaches the models only through ``docio.KINDS``, the oracle
+imports no model or front end, and every per-object cache is set by
+``_exact.cached``.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers or a second
@@ -167,3 +168,50 @@ def test_the_check_finds_oracle_imports():
 @pytest.mark.parametrize("module", ["credal.py", "_simplex.py"])
 def test_the_oracle_imports_no_model_or_front_end(module):
     assert _oracle_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+#: the one module that sets private attributes: ``_exact.cached``
+CACHE_HOME = "_exact.py"
+
+
+def _private_setattrs(source: str) -> list[str]:
+    """Attribute names ``object.__setattr__`` is given that are private.
+
+    A name that is not a string literal could be private, so it is
+    reported too, as its source text.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+            and len(node.args) > 1
+        ):
+            continue
+        name = node.args[1]
+        if not (isinstance(name, ast.Constant) and isinstance(name.value, str)):
+            found.append(ast.unparse(name))
+        elif name.value.startswith("_"):
+            found.append(name.value)
+    return found
+
+
+def test_the_check_finds_private_setattrs():
+    source = (
+        "object.__setattr__(self, 'space', space)\n"
+        "object.__setattr__(self, '_oracle', state)\n"
+        "def f(obj, key):\n"
+        "    object.__setattr__(obj, key, 1)\n"
+        "    object.__setattr__(obj, f'_{key}', 2)\n"
+        "    obj.__setattr__('_other', 3)\n"
+    )
+    assert _private_setattrs(source) == ["_oracle", "key", "f'_{key}'"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_cache_helper_sets_private_attributes(module):
+    found = _private_setattrs((SRC / module).read_text(encoding="utf-8"))
+    assert found == (["name"] if module == CACHE_HOME else [])

@@ -68,6 +68,17 @@ def test_event_mask_range():
         Event(sp, 0b100)
 
 
+def test_trusted_events_equal_and_hash_like_validated_ones():
+    sp = FiniteSpace(["x1", "x2", "x3"])
+    a, b = sp.event(["x1", "x3"]), sp.event(["x2", "x3"])
+    built = [*enumerate_events(sp), a.complement(), a | b, a & b, a - b, sp.full, sp.empty]
+    for event in built:
+        checked = Event(FiniteSpace(sp.labels), event.mask)
+        assert type(event) is Event
+        assert event == checked and hash(event) == hash(checked)
+        assert repr(event) == repr(checked) and vars(event) == vars(checked)
+
+
 def test_mismatched_spaces():
     a = FiniteSpace(["x1", "x2"]).event(["x1"])
     b = FiniteSpace(["y1", "y2"]).event(["y1"])
