@@ -35,6 +35,8 @@ def _load(path: str) -> docio.Document:
             text = handle.read()
     except OSError as exc:
         _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        _fail(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     # a warning is echoed as one "warning:" line, not Python's source dump
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -8,13 +8,14 @@ the interval exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import NotReachableError, SpaceMismatchError, ValidationError
-from .interval import ProbabilityInterval, _envelope, conjunction
-from .pbox import GeneralizedPBox, lower_prob, upper_prob
-from .space import FiniteSpace, Permutation
+from .interval import ProbabilityInterval, _outer, conjunction, event_bounds
+from .pbox import GeneralizedPBox, lower_prob
+from .space import Event, FiniteSpace, Permutation
 
 
 def interval_to_sigma_pbox(
@@ -33,17 +34,9 @@ def interval_to_sigma_pbox(
         raise NotReachableError(
             "sigma-p-box conversion needs a reachable interval; normalize first"
         )
-    total_l = sum(interval.lower)
-    total_u = sum(interval.upper)
-    l_in = Fraction(0)
-    u_in = Fraction(0)
-    levels = []
-    for i in sigma.order:
-        l_in += interval.lower[i]
-        u_in += interval.upper[i]
-        levels.append(_envelope(l_in, u_in, total_l, total_u))
-    alpha, beta = zip(*levels)
     blocks = tuple(1 << i for i in sigma.order)
+    prefixes = (Event(interval.space, mask) for mask in accumulate(blocks, or_))
+    alpha, beta = zip(*(event_bounds(interval, a) for a in prefixes))
     return GeneralizedPBox(interval.space, blocks, alpha, beta)
 
 
@@ -55,10 +48,7 @@ def pbox_to_interval(pb: GeneralizedPBox) -> ProbabilityInterval:
     element alone in its block (0 otherwise) and beta_(k) - alpha_(k-1)
     for the upper bound.
     """
-    n = pb.space.size
-    lower = [lower_prob(pb, pb.space.singleton(i)) for i in range(n)]
-    upper = [upper_prob(pb, pb.space.singleton(i)) for i in range(n)]
-    return ProbabilityInterval(pb.space, lower, upper)
+    return _outer(pb, lower_prob)
 
 
 def reconstruct_interval(

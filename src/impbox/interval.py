@@ -1,16 +1,16 @@
 """Probability intervals: per-element lower/upper bounds on probabilities.
 
-Non-emptiness and reachability are cached at construction.  Conjunction
-can legitimately produce an empty interval set, so emptiness is a flag
-rather than an exception; operations that need more (event bounds need
-reachability) raise explicitly.
+Non-emptiness and reachability are read off the integer view, built on
+first use.  Conjunction can legitimately produce an empty interval set,
+so emptiness is a flag rather than an exception; operations that need
+more (event bounds need reachability) raise explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ._exact import cached, over_lcd
 from .credal import CredalPolytope
@@ -25,47 +25,58 @@ class ProbabilityInterval:
     space: FiniteSpace
     lower: tuple[Fraction, ...]
     upper: tuple[Fraction, ...]
-    non_empty: bool
-    reachable: bool
 
     def __init__(self, space: FiniteSpace, lower: Iterable, upper: Iterable):
-        lower = _unit_values(space, lower, "bounds")
-        upper = _unit_values(space, upper, "bounds")
-        # l(x) > u(x) can only come out of a conjunction; it is folded
-        # into emptiness instead of rejected, so conjunction pipelines
-        # can propagate the result.
-        pointwise_ok = all(l <= u for l, u in zip(lower, upper))
-        total_l, total_u = sum(lower), sum(upper)
-        non_empty = pointwise_ok and total_l <= 1 <= total_u
-        # reachable: each element's own bounds are already tight
-        reachable = non_empty and all(
-            _envelope(l, u, total_l, total_u) == (l, u) for l, u in zip(lower, upper)
-        )
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "non_empty", non_empty)
-        object.__setattr__(self, "reachable", reachable)
+        object.__setattr__(self, "lower", _unit_values(space, lower, "bounds"))
+        object.__setattr__(self, "upper", _unit_values(space, upper, "bounds"))
+
+    @property
+    def non_empty(self) -> bool:
+        """Some p meets every bound: l <= u pointwise, sum l <= 1 <= sum u."""
+        return cached(self, "_ints", _ints)[4]
+
+    @property
+    def reachable(self) -> bool:
+        """Non-empty, and each element's own bounds are already tight."""
+        return cached(self, "_ints", _ints)[5]
 
 
-def _envelope(l_in, u_in, total_l, total_u, one=1) -> tuple[Fraction, Fraction]:
+def _envelope(l_in, u_in, total_l, total_u, den) -> tuple[int, int]:
     """Coherent (lower, upper) probability of a set whose lower/upper bounds
-    sum to l_in/u_in, on a space where they sum to total_l/total_u.
-
-    With integer numerators over a common denominator, ``one`` is that
-    denominator and the answer is in numerators too.
-    """
-    return max(l_in, one - (total_u - u_in)), min(u_in, one - (total_l - l_in))
+    sum to l_in/u_in, on a space where they sum to total_l/total_u; all
+    numerators over ``den``, and so is the answer."""
+    return max(l_in, den - (total_u - u_in)), min(u_in, den - (total_l - l_in))
 
 
 def _ints(interval: ProbabilityInterval) -> tuple:
-    """``(den, elements, total_l, total_u)``: ``(bit, l, u)`` per element and
-    the two totals, as numerators over the bounds' common denominator."""
+    """``(den, elements, total_l, total_u, non_empty, reachable)``: ``(bit,
+    l, u)`` per element and the two totals, as numerators over the bounds'
+    common denominator, and the two flags they decide."""
     n = interval.space.size
     den, nums = over_lcd(interval.lower + interval.upper)
-    lower, upper = nums[:n], nums[n:]
-    bits = [1 << i for i in range(n)]
-    return den, tuple(zip(bits, lower, upper)), sum(lower), sum(upper)
+    elements = tuple(zip([1 << i for i in range(n)], nums[:n], nums[n:]))
+    total_l, total_u = sum(nums[:n]), sum(nums[n:])
+    # l(x) > u(x) can only come out of a conjunction; it is folded into
+    # emptiness instead of rejected, so conjunction pipelines can
+    # propagate the result.
+    non_empty = all(l <= u for _, l, u in elements) and total_l <= den <= total_u
+    reachable = non_empty and all(
+        _envelope(l, u, total_l, total_u, den) == (l, u) for _, l, u in elements
+    )
+    return den, elements, total_l, total_u, non_empty, reachable
+
+
+def _outer(model, lower: Callable) -> ProbabilityInterval:
+    """Tightest probability interval outer-approximating a model whose
+    lower probability is ``lower(model, event)``: per element x,
+    l(x) = lower({x}) and u(x) = 1 - lower(X minus {x})."""
+    singletons = [model.space.singleton(i) for i in range(model.space.size)]
+    return ProbabilityInterval(
+        model.space,
+        [lower(model, a) for a in singletons],
+        [1 - lower(model, a.complement()) for a in singletons],
+    )
 
 
 def normalize(interval: ProbabilityInterval) -> ProbabilityInterval:
@@ -74,16 +85,12 @@ def normalize(interval: ProbabilityInterval) -> ProbabilityInterval:
     l'(x) = max(l(x), 1 - sum of the other uppers) and dually for u'.
     The result is reachable; idempotent on reachable inputs.
     """
-    if not interval.non_empty:
+    den, elements, total_l, total_u, non_empty, _ = cached(interval, "_ints", _ints)
+    if not non_empty:
         raise InfeasibleError("cannot normalize an empty probability interval")
-    total_l = sum(interval.lower)
-    total_u = sum(interval.upper)
-    lower, upper = zip(
-        *(
-            _envelope(l, u, total_l, total_u)
-            for l, u in zip(interval.lower, interval.upper)
-        )
-    )
+    bounds = [_envelope(l, u, total_l, total_u, den) for _, l, u in elements]
+    lower = [Fraction(lo, den) for lo, _ in bounds]
+    upper = [Fraction(hi, den) for _, hi in bounds]
     return ProbabilityInterval(interval.space, lower, upper)
 
 
@@ -94,11 +101,11 @@ def event_bounds(interval: ProbabilityInterval, a: Event) -> tuple[Fraction, Fra
     Only valid on reachable intervals.
     """
     _same_space(interval.space, a.space, "event and interval spaces differ")
-    if not interval.reachable:
+    den, elements, total_l, total_u, _, reachable = cached(interval, "_ints", _ints)
+    if not reachable:
         raise NotReachableError(
             "event bounds need a reachable interval; call normalize first"
         )
-    den, elements, total_l, total_u = cached(interval, "_ints", _ints)
     mask = a.mask
     l_in = u_in = 0
     for bit, l, u in elements:

@@ -14,7 +14,7 @@ from typing import Mapping
 from ._exact import cached, over_lcd
 from .credal import CredalPolytope
 from .errors import ValidationError
-from .interval import ProbabilityInterval
+from .interval import ProbabilityInterval, _outer
 from .space import Event, FiniteSpace, _mask_of, _same_space, enumerate_events
 
 
@@ -89,6 +89,8 @@ def simple_support(a: Event, mass_on_a) -> MassAssignment:
         raise ValidationError("a simple support set must be non-empty")
     if not 0 <= mass_on_a <= 1:
         raise ValidationError(f"mass must lie in [0, 1], got {mass_on_a}")
+    if a.is_full:  # {a: m, X: 1 - m} would be one key, keeping only 1 - m
+        return MassAssignment(a.space, {a.mask: 1})
     full = a.space.full
     return MassAssignment(
         a.space, {a.mask: mass_on_a, full.mask: 1 - mass_on_a}
@@ -101,9 +103,7 @@ def to_interval(ms: MassAssignment) -> ProbabilityInterval:
     Per element: lower = bel of the singleton, upper = pl of the
     singleton.  The result is always reachable.
     """
-    lower = [bel(ms, ms.space.singleton(i)) for i in range(ms.space.size)]
-    upper = [pl(ms, ms.space.singleton(i)) for i in range(ms.space.size)]
-    return ProbabilityInterval(ms.space, lower, upper)
+    return _outer(ms, bel)
 
 
 def to_polytope(ms: MassAssignment) -> CredalPolytope:

@@ -242,6 +242,26 @@ def test_missing_file_is_a_validation_failure(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check"],
+        ["convert", "--to", "mass"],
+        ["query", "--event", "x1", "--bound", "lower"],
+        ["verify"],
+    ],
+    ids=["check", "convert", "query", "verify"],
+)
+def test_a_file_that_is_not_utf8_is_one_error_line(runner, tmp_path, args):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"kind": "mass"}'.encode("utf-16-le"))
+    name, *options = args
+    result = runner.invoke(main, [name, str(path), *options])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {path}: not UTF-8 text (byte 0: invalid start byte)\n"
+
+
 # One small document of every kind, run through every command.  The
 # expected exit code, stdout and stderr pin the CLI byte for byte.
 

@@ -1,7 +1,8 @@
 """No module of impbox imports a name it never uses or keeps a dead helper,
 the CLI reaches the models only through ``docio.KINDS``, the oracle
-imports no model or front end, and every per-object cache is set by
-``_exact.cached``.
+imports no model or front end, every per-object cache is set by
+``_exact.cached``, and every model stores exactly what its constructor
+takes.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers or a second
@@ -10,9 +11,13 @@ its imports are the re-exported API.
 """
 
 import ast
+import inspect
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
+
+from impbox import capacity, credal, docio
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "impbox"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -215,3 +220,39 @@ def test_the_check_finds_private_setattrs():
 def test_only_the_cache_helper_sets_private_attributes(module):
     found = _private_setattrs((SRC / module).read_text(encoding="utf-8"))
     assert found == (["name"] if module == CACHE_HOME else [])
+
+
+def _stores_more_than_it_takes(cls) -> bool:
+    """Whether a dataclass keeps fields beyond its constructor's arguments,
+    such as a value derived from them that could instead be read off them."""
+    return len(fields(cls)) != len(inspect.signature(cls).parameters)
+
+
+def test_the_check_finds_derived_fields():
+    @dataclass(frozen=True)
+    class Derived:
+        values: tuple
+        total: int
+
+        def __init__(self, values):
+            object.__setattr__(self, "values", tuple(values))
+            object.__setattr__(self, "total", sum(values))
+
+    @dataclass(frozen=True)
+    class Stored:
+        values: tuple
+
+    assert _stores_more_than_it_takes(Derived)
+    assert not _stores_more_than_it_takes(Stored)
+
+
+MODEL_CLASSES = sorted(
+    {kind.cls for kind in docio.KINDS.values()}
+    | {credal.CredalPolytope, capacity.MobiusAssignment},
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", MODEL_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_model_stores_only_what_its_constructor_takes(cls):
+    assert not _stores_more_than_it_takes(cls)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,17 +9,21 @@ from impbox import (
     FiniteSpace,
     InfeasibleError,
     NotReachableError,
+    Permutation,
     ProbabilityInterval,
     conjunction,
     enumerate_events,
     event_bounds,
+    interval_to_sigma_pbox,
     is_2_monotone,
     lower_envelope,
     normalize,
     upper_envelope,
     validate_capacity,
 )
+from impbox.credal import is_empty
 from impbox.interval import to_polytope
+from impbox.pbox import GeneralizedPBox
 
 
 @pytest.fixture
@@ -149,3 +154,95 @@ def test_normalize_preserves_the_polytope():
 def test_lower_capacity_is_2_monotone(interval3):
     table = [event_bounds(interval3, e)[0] for e in enumerate_events(interval3.space)]
     assert is_2_monotone(validate_capacity(interval3.space, table))
+
+
+def test_replace_gives_an_interval_whose_flags_describe_its_new_bounds(interval3):
+    loose = replace(interval3, lower=[F(1, 10), F(1, 5), F(1, 2)])
+    assert loose.lower == (F(1, 10), F(1, 5), F(1, 2))
+    assert loose.upper == interval3.upper
+    assert loose.non_empty and not loose.reachable
+    empty = replace(interval3, upper=[F(1, 5), F(1, 5), F(3, 10)])
+    assert not empty.non_empty and not empty.reachable
+    assert interval3.non_empty and interval3.reachable
+
+
+def _random_intervals(rng, sp):
+    """A reachable interval, raw random bounds (often not reachable, or
+    empty) and their conjunction."""
+    reachable = gen.rand_reachable_interval(rng, sp)
+    denom = rng.choice([2, 4, 12])
+    raw = ProbabilityInterval(
+        sp,
+        [gen.rand_fraction(rng, denom) for _ in range(sp.size)],
+        [gen.rand_fraction(rng, denom) for _ in range(sp.size)],
+    )
+    return [reachable, raw, conjunction(reachable, raw)]
+
+
+def test_flags_match_the_oracle():
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(60):
+        sp = gen.SPACES[rng.randint(1, 5)]
+        for iv in _random_intervals(rng, sp):
+            poly = to_polytope(iv)
+            assert iv.non_empty == (not is_empty(poly))
+            if iv.non_empty:
+                singleton_envelopes = [
+                    (lower_envelope(poly, a).value, upper_envelope(poly, a).value)
+                    for a in map(sp.singleton, range(sp.size))
+                ]
+                tight = singleton_envelopes == list(zip(iv.lower, iv.upper))
+                assert iv.reachable == tight
+            else:
+                assert not iv.reachable
+            seen.add((iv.non_empty, iv.reachable))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def _reference_envelope(l_in, u_in, total_l, total_u):
+    return max(l_in, 1 - (total_u - u_in)), min(u_in, 1 - (total_l - l_in))
+
+
+def _reference_normalize(iv):
+    """Each bound tightened with ``Fraction`` sums, as a formula of its own."""
+    total_l, total_u = sum(iv.lower), sum(iv.upper)
+    lower, upper = zip(
+        *(_reference_envelope(l, u, total_l, total_u) for l, u in zip(iv.lower, iv.upper))
+    )
+    return ProbabilityInterval(iv.space, lower, upper)
+
+
+def _reference_sigma_pbox(iv, sigma):
+    """Prefix bounds along sigma with ``Fraction`` sums."""
+    total_l, total_u = sum(iv.lower), sum(iv.upper)
+    l_in = u_in = F(0)
+    levels = []
+    for i in sigma.order:
+        l_in += iv.lower[i]
+        u_in += iv.upper[i]
+        levels.append(_reference_envelope(l_in, u_in, total_l, total_u))
+    alpha, beta = zip(*levels)
+    return GeneralizedPBox(iv.space, tuple(1 << i for i in sigma.order), alpha, beta)
+
+
+def test_normalize_and_sigma_pbox_match_fraction_references():
+    rng = random.Random(13)
+    for _ in range(100):
+        sp = gen.SPACES[rng.randint(1, 5)]
+        for iv in _random_intervals(rng, sp):
+            if not iv.non_empty:
+                with pytest.raises(InfeasibleError):
+                    normalize(iv)
+                continue
+            assert normalize(iv) == _reference_normalize(iv)
+            order = list(range(sp.size))
+            rng.shuffle(order)
+            sigma = Permutation(order)
+            tight = normalize(iv)
+            assert interval_to_sigma_pbox(tight, sigma) == _reference_sigma_pbox(tight, sigma)
+            if iv.reachable:
+                assert interval_to_sigma_pbox(iv, sigma) == _reference_sigma_pbox(iv, sigma)
+            else:
+                with pytest.raises(NotReachableError):
+                    interval_to_sigma_pbox(iv, sigma)

@@ -10,6 +10,7 @@ from impbox import (
     CredalPolytope,
     FiniteSpace,
     GeneralizedPBox,
+    ProbabilityInterval,
     ValidationError,
     bel,
     enumerate_events,
@@ -105,6 +106,10 @@ def test_pbox_stores_only_its_levels():
     assert [f.name for f in fields(GeneralizedPBox)] == [
         "space", "block_masks", "level_alpha", "level_beta"
     ]
+
+
+def test_interval_stores_only_its_bounds():
+    assert [f.name for f in fields(ProbabilityInterval)] == ["space", "lower", "upper"]
 
 
 def _assert_agrees_with_stated_levels(sp, pb, stated):

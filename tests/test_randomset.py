@@ -101,6 +101,8 @@ def test_simple_support_degenerate_masses():
     a = sp.event(["x1"])
     assert simple_support(a, F(1)).focal == ((0b01, F(1)),)
     assert simple_support(a, F(0)).focal == ((0b11, F(1)),)
+    assert simple_support(sp.full, F(1, 3)).focal == ((0b11, F(1)),)
+    assert simple_support(sp.full, F(1)).focal == ((0b11, F(1)),)
     with pytest.raises(ValidationError):
         simple_support(sp.empty, F(1, 2))
 
