@@ -17,9 +17,16 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from . import capacity, convert, credal, interval, pbox, possibility, randomset
-from ._exact import too_long, too_long_message
+from ._exact import cached, too_long, too_long_message
 from .errors import ImpboxError, ValidationError
-from .space import MAX_ELEMENTS, Event, FiniteSpace, Permutation, enumerate_events
+from .space import (
+    MAX_ELEMENTS,
+    Event,
+    FiniteSpace,
+    Permutation,
+    _trusted,
+    enumerate_events,
+)
 
 
 class DocumentError(ImpboxError):
@@ -105,32 +112,56 @@ def _vector(payload, field: str, space: FiniteSpace) -> list[Fraction]:
     return [_rational(v, f"$.{field}[{i}]") for i, v in enumerate(raw)]
 
 
-def _event(space: FiniteSpace, key: str, path: str) -> Event:
+def _label_bits(space: FiniteSpace) -> dict[str, int]:
+    """Each label's bit, and 0 for the empty part of a key such as ``",x1"``."""
+    return {"": 0, **{label: 1 << i for i, label in enumerate(space.labels)}}
+
+
+def _key_mask(space: FiniteSpace, key, path: str) -> int:
+    """The bitmask of an event key, its labels joined by commas: the one
+    place ``docio`` turns labels into a mask."""
     if not isinstance(key, str):
         raise DocumentError("expected a string of comma-separated labels", path)
-    labels = [part for part in key.split(",") if part]
-    try:
-        return space.event(labels)
-    except ImpboxError as exc:
-        raise DocumentError(str(exc), path) from None
+    bits = cached(space, "_label_bits", _label_bits)
+    mask = 0
+    for part in key.split(","):
+        bit = bits.get(part)
+        if bit is None:
+            raise DocumentError(f"unknown element label {part!r}", path)
+        mask |= bit
+    return mask
+
+
+def _event(space: FiniteSpace, key, path: str) -> Event:
+    return _trusted(space, _key_mask(space, key, path))
 
 
 def _event_key(event: Event) -> str:
     return ",".join(event.labels)
 
 
-def _event_map(payload, field: str, space: FiniteSpace) -> dict[Event, Fraction]:
+def _event_map(payload, field: str, space: FiniteSpace) -> dict[int, Fraction]:
+    """The mask-keyed table of a ``values`` or ``focal`` object.
+
+    Each distinct value text is parsed once per call: the digit limit the
+    parse reads may change between calls, so nothing is kept past one.
+    """
     raw = payload.get(field)
     if not isinstance(raw, dict):
         raise DocumentError(f"{field} must be an object", f"$.{field}")
-    table, keys = {}, {}
+    table, keys, texts = {}, {}, {}
     for key, val in raw.items():
         path = f"$.{field}[{key!r}]"
-        event = _event(space, key, path)
-        if event.mask in keys:
-            raise DocumentError(f"same event as {keys[event.mask]!r}", path)
-        keys[event.mask] = key
-        table[event] = _rational(val, path)
+        mask = _key_mask(space, key, path)
+        if mask in keys:
+            raise DocumentError(f"same event as {keys[mask]!r}", path)
+        keys[mask] = key
+        if type(val) is not str:  # True == 1, so only texts share a parse
+            table[mask] = _rational(val, path)
+        elif val in texts:
+            table[mask] = texts[val]
+        else:
+            table[mask] = texts[val] = _rational(val, path)
     return table
 
 

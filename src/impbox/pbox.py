@@ -26,7 +26,7 @@ from .possibility import PossibilityDistribution
 from .possibility import necessity as _necessity
 from .possibility import possibility as _possibility
 from .randomset import MassAssignment
-from .space import Event, FiniteSpace, _same_space, _unit_values
+from .space import Event, FiniteSpace, _same_space, _trusted, _unit_values
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,12 @@ class GeneralizedPBox:
 
     def levels(self) -> tuple[tuple[Event, Fraction, Fraction], ...]:
         return tuple(
-            (Event(self.space, mask), a, b)
+            (_trusted(self.space, mask), a, b)
             for mask, a, b in zip(self.level_masks, self.level_alpha, self.level_beta)
         )
 
     def blocks(self) -> tuple[Event, ...]:
-        return tuple(Event(self.space, mask) for mask in self.block_masks)
+        return tuple(_trusted(self.space, mask) for mask in self.block_masks)
 
 
 def _spread(pb: GeneralizedPBox, per_level: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -265,16 +265,15 @@ def _ints(pb: GeneralizedPBox) -> tuple:
     return den, tuple(levels)
 
 
-def lower_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
-    """Exact lower probability of an event under the p-box.
+def _lower_num(pb: GeneralizedPBox, mask: int) -> tuple[int, int]:
+    """``(num, den)``: the lower probability of the event ``mask`` is num/den.
 
     Projects the event onto the union of blocks it fully contains and
     sums max(0, alpha_(j) - beta_(i-1)) over the maximal consecutive
     runs of blocks [i, j].
     """
-    _same_space(pb.space, a.space, "event and p-box spaces differ")
     den, levels = cached(pb, "_ints", _ints)
-    outside = ~a.mask
+    outside = ~mask
     total = 0
     start = end = None  # beta_(i-1) and alpha_(j) of the run in progress
     for block, alpha, beta_before in levels:
@@ -286,12 +285,20 @@ def lower_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
             if end > start:
                 total += end - start
             start = None
-    return Fraction(total, den)
+    return total, den
+
+
+def lower_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
+    """Exact lower probability of an event under the p-box."""
+    _same_space(pb.space, a.space, "event and p-box spaces differ")
+    return Fraction(*_lower_num(pb, a.mask))
 
 
 def upper_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
     """Conjugate upper probability: 1 - lower_prob of the complement."""
-    return 1 - lower_prob(pb, a.complement())
+    _same_space(pb.space, a.space, "event and p-box spaces differ")
+    num, den = _lower_num(pb, a.mask ^ ((1 << pb.space.size) - 1))
+    return Fraction(den - num, den)
 
 
 def lower_prob_via_possibility(pb: GeneralizedPBox, a: Event) -> Fraction:
@@ -304,8 +311,8 @@ def lower_prob_via_possibility(pb: GeneralizedPBox, a: Event) -> Fraction:
     pi_upp, pi_low = to_possibility_pair(pb)
     total = Fraction(0)
     for i, j in _runs(pb, a):
-        up_to_j = Event(pb.space, pb.level_masks[j])
-        before_i = Event(pb.space, pb.level_masks[i - 1] if i > 0 else 0)
+        up_to_j = _trusted(pb.space, pb.level_masks[j])
+        before_i = _trusted(pb.space, pb.level_masks[i - 1] if i > 0 else 0)
         term = _necessity(pi_low, up_to_j) - _possibility(pi_upp, before_i)
         total += max(Fraction(0), term)
     return total

@@ -16,7 +16,7 @@ from ._exact import cached, over_lcd
 from .credal import CredalPolytope, ProbabilityVector
 from .errors import ValidationError
 from .randomset import MassAssignment
-from .space import Event, FiniteSpace, _same_space, _unit_values
+from .space import Event, FiniteSpace, _same_space, _trusted, _unit_values
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,27 @@ def _ints(d: PossibilityDistribution) -> tuple:
     return den, tuple(ranked)
 
 
-def possibility(d: PossibilityDistribution, a: Event) -> Fraction:
-    """The largest degree in a: the first element of a in decreasing pi."""
-    _same_space(d.space, a.space, "event and distribution spaces differ")
+def _possibility_num(d: PossibilityDistribution, mask: int) -> tuple[int, int]:
+    """``(num, den)``: the largest degree in the event ``mask`` is num/den,
+    read off the first element of the event in decreasing pi."""
     den, ranked = cached(d, "_ints", _ints)
-    mask = a.mask
     for bit, v in ranked:
         if mask & bit:
-            return Fraction(v, den)
-    return Fraction(0)
+            return v, den
+    return 0, den
+
+
+def possibility(d: PossibilityDistribution, a: Event) -> Fraction:
+    """The largest degree in a."""
+    _same_space(d.space, a.space, "event and distribution spaces differ")
+    return Fraction(*_possibility_num(d, a.mask))
 
 
 def necessity(d: PossibilityDistribution, a: Event) -> Fraction:
-    return 1 - possibility(d, a.complement())
+    """Conjugate of possibility: 1 - the largest degree outside a."""
+    _same_space(d.space, a.space, "event and distribution spaces differ")
+    num, den = _possibility_num(d, a.mask ^ ((1 << d.space.size) - 1))
+    return Fraction(den - num, den)
 
 
 def sufficiency(d: PossibilityDistribution, a: Event) -> Fraction:
@@ -91,7 +99,7 @@ def alpha_cut(d: PossibilityDistribution, alpha, strong: bool = False) -> Event:
     for i, v in enumerate(d.pi):
         if v > alpha or (not strong and v == alpha):
             mask |= 1 << i
-    return Event(d.space, mask)
+    return _trusted(d.space, mask)
 
 
 def contains(d: PossibilityDistribution, p: ProbabilityVector) -> bool:

@@ -75,11 +75,7 @@ class Event:
     mask: int
 
     def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.space.size:
-            raise ValidationError(
-                f"bitmask {self.mask:#x} has positions outside the "
-                f"{self.space.size}-element space"
-            )
+        _in_range(self.space, self.mask)
 
     def _check_space(self, other: Event) -> None:
         _same_space(self.space, other.space, "events live on different spaces")
@@ -130,6 +126,15 @@ class Event:
         return "{" + ",".join(self.labels) + "}"
 
 
+def _in_range(space: FiniteSpace, mask: int) -> int:
+    """``mask``, unless it has a bit outside ``space``: ``ValidationError``."""
+    if mask < 0 or mask >> space.size:
+        raise ValidationError(
+            f"bitmask {mask:#x} has positions outside the {space.size}-element space"
+        )
+    return mask
+
+
 def _trusted(space: FiniteSpace, mask: int) -> Event:
     """``Event(space, mask)`` for a mask in range by construction: the
     range check of ``Event.__post_init__`` is skipped."""
@@ -166,8 +171,7 @@ def _mask_of(space: FiniteSpace, key, what: str = "event") -> int:
         mask = operator.index(key)
     except TypeError:
         raise ValidationError(f"{what} key {key!r} is neither an Event nor an int") from None
-    Event(space, mask)  # range check
-    return mask
+    return _in_range(space, mask)
 
 
 def enumerate_events(space: FiniteSpace) -> Iterator[Event]:

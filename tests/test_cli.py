@@ -653,7 +653,7 @@ def test_verify_mismatch_exits_3_with_witness(
         (pbox, "lower_prob", EXPERT_TEXT),
         (
             possibility,
-            "possibility",
+            "necessity",
             '{"kind": "possibility", "space": ["a", "b", "c", "d"], '
             '"pi": ["1/4", "1", "1/2", "0"]}',
         ),

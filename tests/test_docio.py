@@ -8,7 +8,14 @@ from fractions import Fraction as F
 import pytest
 
 import gen
-from impbox import GeneralizedPBox, MassAssignment, ValidationError, docio
+from impbox import (
+    FiniteSpace,
+    GeneralizedPBox,
+    MassAssignment,
+    ValidationError,
+    docio,
+    validate_capacity,
+)
 from impbox.docio import Document, DocumentError, parse, serialize
 from impbox.pbox import lower_prob, upper_prob
 from impbox.space import enumerate_events
@@ -235,3 +242,131 @@ def test_pbox_conversions_write_the_pbox_or_refuse():
                 assert _reread("gen_pbox", functions) == pb
                 written += 1
     assert written and rejected
+
+
+def _reference_read(kind, payload):
+    """What ``parse`` must give for a ``capacity`` or ``mass`` payload:
+    each key through ``space.event`` over its labels, each value through
+    ``_rational``, and the model built on the ``Event``-keyed table.
+    Returns the object, or the ``(message, path)`` of the error."""
+    space = FiniteSpace(payload["space"])
+    field = "values" if kind == "capacity" else "focal"
+    table, keys = {}, {}
+    try:
+        for key, val in payload[field].items():
+            path = f"$.{field}[{key!r}]"
+            try:
+                event = space.event(part for part in key.split(",") if part)
+            except ValidationError as exc:
+                raise DocumentError(str(exc), path) from None
+            if event.mask in keys:
+                raise DocumentError(f"same event as {keys[event.mask]!r}", path)
+            keys[event.mask] = key
+            table[event] = docio._rational(val, path)
+        build = validate_capacity if kind == "capacity" else MassAssignment
+        try:
+            return build(space, table)
+        except ValidationError as exc:
+            raise DocumentError(str(exc)) from None
+    except DocumentError as exc:
+        return str(exc), exc.path
+
+
+def _outcome(text):
+    try:
+        return parse(text).obj
+    except DocumentError as exc:
+        return str(exc), exc.path
+
+
+def _spelling(rng, space, mask):
+    """A key for ``mask``: its labels shuffled, maybe one named twice, and
+    maybe empty parts."""
+    parts = [space.labels[i] for i in range(space.size) if mask >> i & 1]
+    if parts and rng.random() < 0.2:
+        parts.append(rng.choice(parts))
+    rng.shuffle(parts)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        parts.insert(rng.randint(0, len(parts)), "")
+    return ",".join(parts)
+
+
+def _value(rng, q):
+    """``q`` as a JSON value: a string ("p/q" or decimal), an int or a float."""
+    if q.denominator == 1 and rng.random() < 0.5:
+        return q.numerator
+    if 1000 % q.denominator == 0:  # a short exact decimal
+        return rng.choice([float(q), str(float(q)), str(q)])
+    return str(q)
+
+
+def _keyed_payload(rng, kind):
+    space = gen.SPACES[rng.randint(1, 4)]
+    if kind == "capacity":
+        # few distinct values on many keys: value texts repeat
+        c = gen.rand_capacity(rng, space, denom=rng.choice([2, 4, 5]))
+        table = dict(enumerate(c.values))
+    else:
+        table = gen.rand_mass(rng, space).as_dict()
+    field = "values" if kind == "capacity" else "focal"
+    entries = [(_spelling(rng, space, m), _value(rng, q)) for m, q in table.items()]
+    rng.shuffle(entries)
+    fault = rng.choice([None, None, "label", "twice", "range", "missing", "boolean"])
+    if fault == "label":
+        i = rng.randrange(len(entries))
+        entries[i] = (entries[i][0] + ",q", entries[i][1])
+    elif fault == "twice":
+        mask = rng.choice(list(table))
+        entries.insert(rng.randint(0, len(entries)), (_spelling(rng, space, mask) + ",", "0"))
+    elif fault == "range":
+        i = rng.randrange(len(entries))
+        entries[i] = (entries[i][0], rng.choice(["3/2", -1, 2, "-0.5"]))
+    elif fault == "missing" and len(entries) > 1:
+        del entries[rng.randrange(len(entries))]
+    elif fault == "boolean":
+        i = rng.randrange(len(entries))
+        entries[i] = (entries[i][0], rng.choice([True, False]))
+    keys = [key for key, _ in entries]
+    if len(set(keys)) < len(keys):  # a JSON object states each key once
+        return None
+    return {"kind": kind, "space": list(space.labels), field: dict(entries)}
+
+
+@pytest.mark.parametrize("kind", ["capacity", "mass"])
+def test_keyed_payloads_read_as_the_reference_reads_them(kind):
+    rng = random.Random(8117)
+    read, errors = 0, set()
+    for _ in range(400):
+        payload = _keyed_payload(rng, kind)
+        if payload is None:
+            continue
+        expected = _reference_read(kind, payload)
+        assert _outcome(json.dumps(payload)) == expected
+        if isinstance(expected, tuple):
+            errors.add(expected[0].split(": ", 1)[1].split(" ")[0])
+        else:
+            read += 1
+    assert read > 100
+    # every error case was met: unknown label, second spelling, out of
+    # range or boolean value, and (for capacities) a missing event
+    assert {"unknown", "same", "value", "expected"} <= errors
+    assert ("set" in errors) == (kind == "capacity")
+
+
+def test_value_texts_are_parsed_again_on_every_read():
+    text = json.dumps(
+        {
+            "kind": "capacity",
+            "space": ["x1", "x2"],
+            "values": {"": "0", "x1": "1e-700", "x2": "1e-700", "x1,x2": "1"},
+        }
+    )
+    assert parse(text).obj.values[1] == F(1, 10**700)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(DocumentError) as exc:
+            parse(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(exc.value) == "$.values['x1']: numerator or denominator exceeds 640 digits"

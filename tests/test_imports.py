@@ -1,8 +1,8 @@
 """No module of impbox imports a name it never uses or keeps a dead helper,
 the CLI reaches the models only through ``docio.KINDS``, the oracle
 imports no model or front end, every per-object cache is set by
-``_exact.cached``, and every model stores exactly what its constructor
-takes.
+``_exact.cached``, every model stores exactly what its constructor
+takes, and ``docio`` turns event labels into masks in one key reader.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers or a second
@@ -256,3 +256,45 @@ MODEL_CLASSES = sorted(
 @pytest.mark.parametrize("cls", MODEL_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_model_stores_only_what_its_constructor_takes(cls):
     assert not _stores_more_than_it_takes(cls)
+
+
+#: the one ``docio`` function that turns event labels into a bitmask
+KEY_READER = "_key_mask"
+
+
+def _label_lookups(source: str, reader: str) -> list[str]:
+    """``.event(`` and ``.index(`` calls outside the top-level function
+    ``reader``, as their source text: each turns labels into positions."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == reader:
+            continue
+        found.extend(
+            ast.unparse(node.func)
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"event", "index"}
+        )
+    return sorted(found)
+
+
+def test_the_check_finds_label_lookups():
+    source = (
+        "def _key_mask(space, key):\n"
+        "    return space.event(key.split(','))\n"
+        "def _other(space, key):\n"
+        "    return space.index(key) | space.labels.index(key)\n"
+        "READ = lambda payload, space: space.event(payload['event'])\n"
+        "def fine(space, index):\n"
+        "    return space.events(), index(space), space.event\n"
+    )
+    assert _label_lookups(source, "_key_mask") == [
+        "space.event", "space.index", "space.labels.index"
+    ]
+
+
+def test_docio_reads_labels_only_in_its_key_reader():
+    assert callable(getattr(docio, KEY_READER))
+    source = (SRC / "docio.py").read_text(encoding="utf-8")
+    assert _label_lookups(source, KEY_READER) == []
