@@ -14,18 +14,18 @@ from typing import Mapping, Sequence
 
 from ._exact import cached, over_lcd, too_long_message
 from .errors import ValidationError
-from .space import Event, FiniteSpace, _mask_of, _same_space, _trusted, _unit_values
+from .space import Event, FiniteSpace, _mask_of, _same_space, _unit_values
 
 
 def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple[Fraction, ...]:
     n_events = 1 << space.size
     if isinstance(values, Mapping):
-        table, keys = [fill] * n_events, {}
+        table = [fill] * n_events
         for key, val in values.items():
             mask = _mask_of(space, key)
-            if mask in keys:
-                raise ValidationError(f"keys {keys[mask]!r} and {key!r} name one event")
-            keys[mask] = key
+            if table[mask] is not fill:
+                earlier = next(k for k in values if _mask_of(space, k) == mask)
+                raise ValidationError(f"keys {earlier!r} and {key!r} name one event")
             table[mask] = val if type(val) is Fraction else Fraction(val)
         missing = [m for m, v in enumerate(table) if v is None]
         if missing:
@@ -135,7 +135,7 @@ def capacity_from_probability(space: FiniteSpace, p: Sequence) -> Capacity:
         raise ValidationError("probability distribution must be non-negative and sum to 1")
     table = []
     for mask in range(1 << space.size):
-        table.append(sum((p[i] for i in _trusted(space, mask).indices()), Fraction(0)))
+        table.append(sum((p[i] for i in Event(space, mask).indices()), Fraction(0)))
     return Capacity(space, tuple(table))
 
 

@@ -134,24 +134,27 @@ def verify(file):
         # in mask order, each LP warm-starts from the previous event's basis
         lowers = [credal.lower_envelope(poly, event) for event in events]
         closed = [kind.lower(doc.obj, event) for event in events]
-        full = len(events) - 1
-        for event in events:
-            lo, hi = closed[event.mask], 1 - closed[full ^ event.mask]
-            below, above = lowers[event.mask], lowers[full ^ event.mask]
-            oracle_lo, oracle_hi = below.value, 1 - above.value
-            if (lo, hi) != (oracle_lo, oracle_hi):
-                _echo(
-                    f"mismatch on {event!r}: formula [{lo}, {hi}] vs "
-                    f"oracle [{oracle_lo}, {oracle_hi}]",
-                    err=True,
-                )
-                side, envelope = ("lower", below) if lo != oracle_lo else ("upper", above)
-                values = zip(doc.space.labels, envelope.witness.p)
-                witness = ", ".join(f"{lab}={v}" for lab, v in values)
-                _echo(f"oracle {side} witness: {witness}", err=True)
-                sys.exit(3)
     except ImpboxError as exc:
         _fail(str(exc))
+    # upper(A) = 1 - lower(A^c) on both sides, so the upper side of A is
+    # wrong exactly when the lower side of A^c is
+    wrong = [m for m, (lo, env) in enumerate(zip(closed, lowers)) if lo != env.value]
+    if wrong:
+        full = len(events) - 1
+        event = events[min(wrong[0], full ^ wrong[-1])]
+        lo, hi = closed[event.mask], 1 - closed[full ^ event.mask]
+        below, above = lowers[event.mask], lowers[full ^ event.mask]
+        oracle_lo, oracle_hi = below.value, 1 - above.value
+        _echo(
+            f"mismatch on {event!r}: formula [{lo}, {hi}] vs "
+            f"oracle [{oracle_lo}, {oracle_hi}]",
+            err=True,
+        )
+        side, envelope = ("lower", below) if lo != oracle_lo else ("upper", above)
+        values = zip(doc.space.labels, envelope.witness.p)
+        witness = ", ".join(f"{lab}={v}" for lab, v in values)
+        _echo(f"oracle {side} witness: {witness}", err=True)
+        sys.exit(3)
     _echo(f"{len(events)}/{len(events)} events agree")
 
 

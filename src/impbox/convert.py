@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .errors import NotReachableError, SpaceMismatchError, ValidationError
 from .interval import ProbabilityInterval, _outer, conjunction, event_bounds
 from .pbox import GeneralizedPBox, lower_prob
-from .space import FiniteSpace, Permutation, _trusted
+from .space import Event, FiniteSpace, Permutation
 
 
 def interval_to_sigma_pbox(
@@ -35,7 +35,7 @@ def interval_to_sigma_pbox(
             "sigma-p-box conversion needs a reachable interval; normalize first"
         )
     blocks = tuple(1 << i for i in sigma.order)
-    prefixes = (_trusted(interval.space, mask) for mask in accumulate(blocks, or_))
+    prefixes = (Event(interval.space, mask) for mask in accumulate(blocks, or_))
     alpha, beta = zip(*(event_bounds(interval, a) for a in prefixes))
     return GeneralizedPBox(interval.space, blocks, alpha, beta)
 

@@ -18,15 +18,8 @@ from typing import Any, Callable
 
 from . import capacity, convert, credal, interval, pbox, possibility, randomset
 from ._exact import cached, too_long, too_long_message
-from .errors import ImpboxError, ValidationError
-from .space import (
-    MAX_ELEMENTS,
-    Event,
-    FiniteSpace,
-    Permutation,
-    _trusted,
-    enumerate_events,
-)
+from .errors import ImpboxError, SpaceMismatchError, ValidationError
+from .space import MAX_ELEMENTS, Event, FiniteSpace, Permutation, enumerate_events
 
 
 class DocumentError(ImpboxError):
@@ -133,7 +126,7 @@ def _key_mask(space: FiniteSpace, key, path: str) -> int:
 
 
 def _event(space: FiniteSpace, key, path: str) -> Event:
-    return _trusted(space, _key_mask(space, key, path))
+    return Event(space, _key_mask(space, key, path))
 
 
 def _event_key(event: Event) -> str:
@@ -202,12 +195,11 @@ def _gen_pbox_form(pb: pbox.GeneralizedPBox) -> pbox.GeneralizedPBox:
 
 def _sigma_pbox(iv: interval.ProbabilityInterval, sigma: str | None) -> pbox.GeneralizedPBox:
     """The interval's p-box along ``sigma``'s comma-joined labels, else label order."""
-    labels = sigma.split(",") if sigma else iv.space.labels
+    labels = iv.space.labels if sigma is None else sigma.split(",")
     try:
-        order = Permutation.from_labels(iv.space, labels)
-    except ImpboxError as exc:
+        return convert.interval_to_sigma_pbox(iv, Permutation.from_labels(iv.space, labels))
+    except (ValidationError, SpaceMismatchError) as exc:  # sigma's, not the interval's
         raise DocumentError(str(exc), "--sigma") from None
-    return convert.interval_to_sigma_pbox(iv, order)
 
 
 @dataclass(frozen=True)

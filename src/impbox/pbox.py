@@ -26,7 +26,7 @@ from .possibility import PossibilityDistribution
 from .possibility import necessity as _necessity
 from .possibility import possibility as _possibility
 from .randomset import MassAssignment
-from .space import Event, FiniteSpace, _same_space, _trusted, _unit_values
+from .space import Event, FiniteSpace, _same_space, _unit_values
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,12 @@ class GeneralizedPBox:
 
     def levels(self) -> tuple[tuple[Event, Fraction, Fraction], ...]:
         return tuple(
-            (_trusted(self.space, mask), a, b)
+            (Event(self.space, mask), a, b)
             for mask, a, b in zip(self.level_masks, self.level_alpha, self.level_beta)
         )
 
     def blocks(self) -> tuple[Event, ...]:
-        return tuple(_trusted(self.space, mask) for mask in self.block_masks)
+        return tuple(Event(self.space, mask) for mask in self.block_masks)
 
 
 def _spread(pb: GeneralizedPBox, per_level: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -311,8 +311,8 @@ def lower_prob_via_possibility(pb: GeneralizedPBox, a: Event) -> Fraction:
     pi_upp, pi_low = to_possibility_pair(pb)
     total = Fraction(0)
     for i, j in _runs(pb, a):
-        up_to_j = _trusted(pb.space, pb.level_masks[j])
-        before_i = _trusted(pb.space, pb.level_masks[i - 1] if i > 0 else 0)
+        up_to_j = Event(pb.space, pb.level_masks[j])
+        before_i = Event(pb.space, pb.level_masks[i - 1] if i > 0 else 0)
         term = _necessity(pi_low, up_to_j) - _possibility(pi_upp, before_i)
         total += max(Fraction(0), term)
     return total

@@ -16,7 +16,7 @@ from ._exact import cached, over_lcd
 from .credal import CredalPolytope, ProbabilityVector
 from .errors import ValidationError
 from .randomset import MassAssignment
-from .space import Event, FiniteSpace, _same_space, _trusted, _unit_values
+from .space import Event, FiniteSpace, _same_space, _unit_values
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def alpha_cut(d: PossibilityDistribution, alpha, strong: bool = False) -> Event:
     for i, v in enumerate(d.pi):
         if v > alpha or (not strong and v == alpha):
             mask |= 1 << i
-    return _trusted(d.space, mask)
+    return Event(d.space, mask)
 
 
 def contains(d: PossibilityDistribution, p: ProbabilityVector) -> bool:

@@ -60,40 +60,45 @@ class FiniteSpace:
 
     @property
     def empty(self) -> Event:
-        return _trusted(self, 0)
+        return Event(self, 0)
 
     @property
     def full(self) -> Event:
-        return _trusted(self, (1 << self.size) - 1)
+        return Event(self, (1 << self.size) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """A subset of a finite space, stored as an n-bit mask."""
 
     space: FiniteSpace
     mask: int
 
-    def __post_init__(self):
-        _in_range(self.space, self.mask)
+    def __init__(self, space: FiniteSpace, mask: int):
+        # _in_range's test, inline: calling it for every event costs more
+        # than the rest of the constructor
+        if mask < 0 or mask >> len(space.labels):
+            _in_range(space, mask)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mask", mask)
 
     def _check_space(self, other: Event) -> None:
         _same_space(self.space, other.space, "events live on different spaces")
 
     def __or__(self, other: Event) -> Event:
         self._check_space(other)
-        return _trusted(self.space, self.mask | other.mask)
+        return Event(self.space, self.mask | other.mask)
 
     def __and__(self, other: Event) -> Event:
         self._check_space(other)
-        return _trusted(self.space, self.mask & other.mask)
+        return Event(self.space, self.mask & other.mask)
 
     def __sub__(self, other: Event) -> Event:
         self._check_space(other)
-        return _trusted(self.space, self.mask & ~other.mask)
+        return Event(self.space, self.mask & ~other.mask)
 
     def complement(self) -> Event:
-        return _trusted(self.space, self.mask ^ ((1 << self.space.size) - 1))
+        return Event(self.space, self.mask ^ ((1 << self.space.size) - 1))
 
     def issubset(self, other: Event) -> bool:
         self._check_space(other)
@@ -135,15 +140,6 @@ def _in_range(space: FiniteSpace, mask: int) -> int:
     return mask
 
 
-def _trusted(space: FiniteSpace, mask: int) -> Event:
-    """``Event(space, mask)`` for a mask in range by construction: the
-    range check of ``Event.__post_init__`` is skipped."""
-    event = object.__new__(Event)
-    object.__setattr__(event, "space", space)
-    object.__setattr__(event, "mask", mask)
-    return event
-
-
 def _same_space(space: FiniteSpace, other: FiniteSpace, what: str) -> None:
     """Raise ``SpaceMismatchError`` unless ``other`` is (equal to) ``space``."""
     if other is not space and other != space:
@@ -177,7 +173,7 @@ def _mask_of(space: FiniteSpace, key, what: str = "event") -> int:
 def enumerate_events(space: FiniteSpace) -> Iterator[Event]:
     """Yield all 2^n events of the space exactly once, in bit-order."""
     for mask in range(1 << space.size):
-        yield _trusted(space, mask)
+        yield Event(space, mask)
 
 
 @dataclass(frozen=True)

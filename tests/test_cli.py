@@ -157,6 +157,27 @@ def test_convert_sigma_label_error_names_the_option(runner, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "sigma, message",
+    [("", "unknown element label ''"), ("x1", "permutation size does not match the space")],
+    ids=["empty", "too-short"],
+)
+def test_convert_sigma_order_errors_name_the_option(runner, tmp_path, sigma, message):
+    path = tmp_path / "iv.json"
+    path.write_text(
+        '{"kind": "interval", "space": ["x1", "x2", "x3"], '
+        '"l": ["1/5", "0", "0"], "u": ["1", "1/5", "4/5"]}'
+    )
+    result = runner.invoke(
+        main, ["convert", str(path), "--to", "nested_bounds", "--sigma", sigma]
+    )
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        1,
+        "",
+        f"error: --sigma: {message}\n",
+    )
+
+
 # Neighbouring levels that share both bounds: F_low/F_upp would tie them
 # into one block and drop the inner lower bound; nested_bounds keeps them.
 TIED_LEVELS = {
@@ -614,19 +635,25 @@ def _assert_validation_failure(runner, tmp_path, text, args):
 
 
 @pytest.mark.parametrize(
-    "mask, side, formula",
-    [(0b011100, "lower", "[3/10, 9/10]"), (0b100011, "upper", "[1/5, 4/5]")],
-    ids=["lower", "upper"],
+    "masks, side, formula",
+    [
+        ((0b011100,), "lower", "[3/10, 9/10]"),
+        ((0b100011,), "upper", "[1/5, 4/5]"),
+        # the first wrong mask is {x2,x3,x4,x5}, but {x3,x4,x5} comes
+        # before it in mask order and its upper reads the later mask
+        ((0b011110, 0b100011), "upper", "[1/5, 4/5]"),
+    ],
+    ids=["lower", "upper", "upper-of-a-later-mask"],
 )
 def test_verify_mismatch_exits_3_with_witness(
-    runner, expert_file, monkeypatch, mask, side, formula
+    runner, expert_file, monkeypatch, masks, side, formula
 ):
-    # a wrong closed form for one event; upper({x3,x4,x5}) reads lower({x1,x2,x6})
+    # wrong closed forms; upper({x3,x4,x5}) reads lower({x1,x2,x6})
     honest = pbox.lower_prob
     monkeypatch.setattr(
         pbox,
         "lower_prob",
-        lambda pb, a: honest(pb, a) + (F(1, 10) if a.mask == mask else 0),
+        lambda pb, a: honest(pb, a) + (F(1, 10) if a.mask in masks else 0),
     )
     result = runner.invoke(main, ["verify", expert_file])
     assert result.exit_code == 3

@@ -2,7 +2,8 @@
 the CLI reaches the models only through ``docio.KINDS``, the oracle
 imports no model or front end, every per-object cache is set by
 ``_exact.cached``, every model stores exactly what its constructor
-takes, and ``docio`` turns event labels into masks in one key reader.
+takes, only the oracle builds an object past its constructor, and
+``docio`` turns event labels into masks in one key reader.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers or a second
@@ -220,6 +221,39 @@ def test_the_check_finds_private_setattrs():
 def test_only_the_cache_helper_sets_private_attributes(module):
     found = _private_setattrs((SRC / module).read_text(encoding="utf-8"))
     assert found == (["name"] if module == CACHE_HOME else [])
+
+
+#: the one module that builds an object past its constructor: ``credal._solve``
+#: makes the witness vector it has just proven with the duality certificate
+BYPASS_HOME = "credal.py"
+
+
+def _constructor_bypasses(source: str) -> int:
+    """How often ``object.__new__`` is named: each use can build an object
+    that its constructor never checked."""
+    return sum(
+        isinstance(node, ast.Attribute)
+        and node.attr == "__new__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_the_check_finds_constructor_bypasses():
+    source = (
+        "event = object.__new__(Event)\n"
+        "new = object.__new__\n"
+        "def f(cls):\n"
+        "    return cls.__new__(cls), super().__new__(cls), new(cls)\n"
+    )
+    assert _constructor_bypasses(source) == 2
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_oracle_builds_objects_past_their_constructor(module):
+    found = _constructor_bypasses((SRC / module).read_text(encoding="utf-8"))
+    assert found == (1 if module == BYPASS_HOME else 0)
 
 
 def _stores_more_than_it_takes(cls) -> bool:

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from impbox import (
     capacity_from_probability,
     convert,
     credal,
+    docio,
     enumerate_events,
     from_functions,
     interval,
@@ -68,15 +70,44 @@ def test_event_mask_range():
         Event(sp, 0b100)
 
 
-def test_trusted_events_equal_and_hash_like_validated_ones():
+def test_derived_events_equal_and_hash_like_fresh_ones(monkeypatch):
     sp = FiniteSpace(["x1", "x2", "x3"])
+    half = Fraction(1, 2)
     a, b = sp.event(["x1", "x3"]), sp.event(["x2", "x3"])
-    built = [*enumerate_events(sp), a.complement(), a | b, a & b, a - b, sp.full, sp.empty]
+    pb = from_functions(sp, [0, half, 1], [half, 1, 1])
+    built = [
+        *enumerate_events(sp), a.complement(), a | b, a & b, a - b, sp.full, sp.empty,
+        *(event for event, _, _ in pb.levels()), *pb.blocks(),
+        possibility.alpha_cut(PossibilityDistribution(sp, [1, half, 0]), half),
+        docio._event(sp, "x3,x1", "--event"),
+    ]
+    # events that live only inside a call: the sigma-p-box prefixes, the
+    # terms of lower_prob_via_possibility, capacity_from_probability's table
+    init = Event.__init__
+
+    def keep(event, space, mask):
+        init(event, space, mask)
+        built.append(event)
+
+    monkeypatch.setattr(Event, "__init__", keep)
+    convert.interval_to_sigma_pbox(
+        ProbabilityInterval(sp, [0, 0, 0], [half, half, 1]), Permutation([2, 0, 1])
+    )
+    prefixes = [event.mask for event in built[-3:]]
+    pbox.lower_prob_via_possibility(pb, a)
+    capacity_from_probability(sp, [half, half, 0])
+    monkeypatch.undo()
+    assert prefixes == [0b100, 0b101, 0b111]
+    assert {event.mask for event in built[-8:]} == set(range(8))
     for event in built:
-        checked = Event(FiniteSpace(sp.labels), event.mask)
+        fresh = Event(FiniteSpace(sp.labels), event.mask)
         assert type(event) is Event
-        assert event == checked and hash(event) == hash(checked)
-        assert repr(event) == repr(checked) and vars(event) == vars(checked)
+        assert event == fresh and hash(event) == hash(fresh)
+        assert repr(event) == repr(fresh)
+        assert (event.space, event.mask) == (fresh.space, fresh.mask)
+        assert not hasattr(event, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            event.mask = 0
 
 
 def test_mismatched_spaces():
