@@ -71,6 +71,18 @@ def _mobius(table: list) -> list:
     return table
 
 
+def _zeta(table: list) -> list:
+    """Sums over subsets of a table indexed by event bitmask, in place:
+    the inverse of ``_mobius``, so a table of masses becomes the belief
+    function they induce."""
+    for i in range(len(table).bit_length() - 1):
+        bit = 1 << i
+        for mask in range(len(table)):
+            if mask & bit:
+                table[mask] += table[mask ^ bit]
+    return table
+
+
 @dataclass(frozen=True)
 class Capacity:
     """A set function with mu(empty)=0, mu(X)=1, monotone under inclusion."""
@@ -133,10 +145,10 @@ def capacity_from_probability(space: FiniteSpace, p: Sequence) -> Capacity:
     p = _unit_values(space, p, "probabilities")
     if sum(p) != 1:
         raise ValidationError("probability distribution must be non-negative and sum to 1")
-    table = []
-    for mask in range(1 << space.size):
-        table.append(sum((p[i] for i in Event(space, mask).indices()), Fraction(0)))
-    return Capacity(space, tuple(table))
+    table = [Fraction(0)] * (1 << space.size)
+    for i, value in enumerate(p):
+        table[1 << i] = value
+    return Capacity(space, tuple(_zeta(table)))
 
 
 def conjugate(c: Capacity) -> Capacity:
@@ -175,13 +187,7 @@ def mobius_inverse(m: MobiusAssignment) -> Capacity:
     Raises ``ValidationError`` (with a witness pair) when the signed
     masses do not induce a monotone capacity.
     """
-    table = list(m.masses)
-    for i in range(m.space.size):
-        bit = 1 << i
-        for mask in range(len(table)):
-            if mask & bit:
-                table[mask] += table[mask ^ bit]
-    return validate_capacity(m.space, table)
+    return validate_capacity(m.space, _zeta(list(m.masses)))
 
 
 def is_2_monotone(c: Capacity) -> bool:

@@ -12,10 +12,11 @@ from fractions import Fraction
 from typing import Mapping
 
 from ._exact import cached, over_lcd
+from .capacity import _zeta
 from .credal import CredalPolytope
 from .errors import ValidationError
 from .interval import ProbabilityInterval, _outer
-from .space import Event, FiniteSpace, _mask_of, _same_space, enumerate_events
+from .space import Event, FiniteSpace, _mask_of, _same_space
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,17 @@ def to_interval(ms: MassAssignment) -> ProbabilityInterval:
 
 
 def to_polytope(ms: MassAssignment) -> CredalPolytope:
-    """Constraints bel(A) <= P(A) <= pl(A) for every event A."""
+    """Constraints bel(A) <= P(A) <= 1 - bel(A^c) for every event A other
+    than the empty set and X, in mask order, summed from the focal masses
+    by ``_zeta``: ``verify`` checks ``bel`` against them, so none reads it."""
+    den, nums = over_lcd([m for _, m in ms.focal])
+    table = [0] * (1 << ms.space.size)
+    for (mask, _), num in zip(ms.focal, nums):
+        table[mask] = num
+    below = _zeta(table)  # below[A]: the numerator of bel(A)
+    full = len(below) - 1
     constraints = [
-        (event, bel(ms, event), pl(ms, event))
-        for event in enumerate_events(ms.space)
-        if not event.is_empty and not event.is_full
+        (Event(ms.space, a), Fraction(below[a], den), Fraction(den - below[full ^ a], den))
+        for a in range(1, full)
     ]
     return CredalPolytope(ms.space, constraints)

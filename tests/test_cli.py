@@ -4,7 +4,15 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
-from impbox import ProbabilityVector, docio, is_member, pbox, possibility
+from impbox import (
+    ProbabilityVector,
+    docio,
+    interval,
+    is_member,
+    pbox,
+    possibility,
+    randomset,
+)
 from impbox.cli import main
 
 EXPERT_TEXT = json.dumps(
@@ -684,13 +692,39 @@ def test_verify_mismatch_exits_3_with_witness(
             '{"kind": "possibility", "space": ["a", "b", "c", "d"], '
             '"pi": ["1/4", "1", "1/2", "0"]}',
         ),
+        (
+            randomset,
+            "bel",
+            '{"kind": "mass", "space": ["a", "b", "c", "d"], '
+            '"focal": {"a": "1/5", "b,c": "3/10", "a,c,d": "1/10", "a,b,c,d": "2/5"}}',
+        ),
+        (
+            interval,
+            "event_bounds",
+            '{"kind": "interval", "space": ["a", "b", "c"], '
+            '"l": ["1/10", "1/5", "3/10"], "u": ["1/2", "1/2", "3/5"]}',
+        ),
+        (
+            pbox,
+            "lower_prob",
+            '{"kind": "nested_bounds", "space": ["a", "b", "c"], "levels": ['
+            '{"event": "b", "lo": "1/10", "hi": "2/5"}, '
+            '{"event": "a,b", "lo": "1/2", "hi": "4/5"}]}',
+        ),
+        (
+            ProbabilityVector,
+            "prob",
+            '{"kind": "probability", "space": ["a", "b", "c"], '
+            '"p": ["1/6", "1/3", "1/2"]}',
+        ),
     ],
-    ids=["gen_pbox", "possibility"],
+    ids=["gen_pbox", "possibility", "mass", "interval", "nested_bounds", "probability"],
 )
 def test_verify_makes_one_closed_form_call_per_event(
     runner, tmp_path, monkeypatch, module, name, text
 ):
-    # every upper bound is read as 1 - lower(A^c), so one call per event
+    # every upper bound is read as 1 - lower(A^c), so one call per event,
+    # and no polytope is built from the closed form it checks
     calls = []
     honest = getattr(module, name)
     monkeypatch.setattr(
@@ -726,3 +760,27 @@ def test_max_n_in_range_caps_the_space(runner, expert_file, monkeypatch, value, 
             f"error: $.space: space exceeds the configured maximum of {value} "
             "elements (IMPBOX_MAX_N)\n"
         )
+
+
+def test_verify_catches_a_coherent_but_wrong_belief(runner, tmp_path, monkeypatch):
+    # the pignistic probability BetP(A) = sum of m(F) |F & A| / |F| lies in
+    # the credal set, so only a polytope built apart from bel tells it from bel
+    def pignistic(ms, a):
+        return sum(
+            (m * (mask & a.mask).bit_count() / mask.bit_count() for mask, m in ms.focal),
+            F(0),
+        )
+
+    monkeypatch.setattr(randomset, "bel", pignistic)
+    path = tmp_path / "mass.json"
+    path.write_text(
+        '{"kind": "mass", "space": ["x1", "x2", "x3"], '
+        '"focal": {"x1": "1/2", "x1,x2,x3": "1/2"}}'
+    )
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        "mismatch on {x1}: formula [2/3, 2/3] vs oracle [1/2, 1]\n"
+        "oracle lower witness: x1=1/2, x2=1/2, x3=0\n"
+    )
