@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import NotReachableError, SpaceMismatchError, ValidationError
 from .interval import ProbabilityInterval, _outer, conjunction, event_bounds
@@ -92,11 +92,3 @@ def reduced_permutation_set(space: FiniteSpace) -> list[Permutation]:
         perms.append(Permutation([first, *middle, last]))
     return perms
 
-
-def covers_first_or_last(space: FiniteSpace, sigmas: Sequence[Permutation]) -> bool:
-    """True iff every element is first or last in some permutation."""
-    seen = set()
-    for sigma in sigmas:
-        seen.add(sigma.first())
-        seen.add(sigma.last())
-    return seen == set(range(space.size))

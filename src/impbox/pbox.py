@@ -23,8 +23,6 @@ from ._exact import cached, over_lcd
 from .credal import CredalPolytope
 from .errors import ValidationError
 from .possibility import PossibilityDistribution
-from .possibility import necessity as _necessity
-from .possibility import possibility as _possibility
 from .randomset import MassAssignment
 from .space import Event, FiniteSpace, _same_space, _unit_values
 
@@ -200,57 +198,6 @@ def to_random_set(pb: GeneralizedPBox) -> MassAssignment:
     return MassAssignment(pb.space, masses)
 
 
-def algorithm1(pb: GeneralizedPBox) -> MassAssignment:
-    """Sweep construction of the same random set, block by block.
-
-    Walks the merged sorted list of level bounds; reaching a lower
-    bound admits the next block, reaching an upper bound retires its
-    block, and each segment between consecutive thresholds contributes
-    its length as mass.  At a tied threshold every triggered addition
-    and removal is applied before the next segment is emitted.
-
-    Verification only: the reference route the test suite checks
-    ``to_random_set`` against.  It is not exported from ``impbox``.
-    """
-    m_levels = len(pb.block_masks)
-    additions = [(pb.level_alpha[i - 1] if i > 0 else Fraction(0), i) for i in range(m_levels)]
-    removals = [(pb.level_beta[i], i) for i in range(m_levels - 1)]
-    thresholds = sorted(
-        list(pb.level_alpha) + list(pb.level_beta[: m_levels - 1])
-    )
-    segments: list[tuple[int, Fraction]] = []
-    current = 0
-    previous = Fraction(0)
-    pending_add = sorted(additions)
-    pending_rem = sorted(removals)
-    for gamma in thresholds:
-        while pending_add and pending_add[0][0] <= previous:
-            current |= pb.block_masks[pending_add.pop(0)[1]]
-        while pending_rem and pending_rem[0][0] <= previous:
-            current &= ~pb.block_masks[pending_rem.pop(0)[1]]
-        segments.append((current, gamma - previous))
-        previous = gamma
-    masses: dict[int, Fraction] = {}
-    for mask, mass in segments:
-        if mass > 0:
-            masses[mask] = masses.get(mask, Fraction(0)) + mass
-    return MassAssignment(pb.space, masses)
-
-
-def _runs(pb: GeneralizedPBox, a: Event) -> list[tuple[int, int]]:
-    """Maximal runs [i, j] (0-based, inclusive) of consecutive blocks in a."""
-    inside = [
-        k for k, mask in enumerate(pb.block_masks) if mask & ~a.mask == 0
-    ]
-    runs = []
-    for k in inside:
-        if runs and runs[-1][1] == k - 1:
-            runs[-1] = (runs[-1][0], k)
-        else:
-            runs.append((k, k))
-    return runs
-
-
 def _ints(pb: GeneralizedPBox) -> tuple:
     """``(den, levels)``: ``(block mask, alpha_k, beta_(k-1))`` per level,
     innermost first, the bounds as numerators over their common
@@ -299,23 +246,6 @@ def upper_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
     _same_space(pb.space, a.space, "event and p-box spaces differ")
     num, den = _lower_num(pb, a.mask ^ ((1 << pb.space.size) - 1))
     return Fraction(den - num, den)
-
-
-def lower_prob_via_possibility(pb: GeneralizedPBox, a: Event) -> Fraction:
-    """Same lower probability, computed from the possibility pair.
-
-    Verification only: the reference route the test suite checks
-    ``lower_prob`` against.  It is not exported from ``impbox``.
-    """
-    _same_space(pb.space, a.space, "event and p-box spaces differ")
-    pi_upp, pi_low = to_possibility_pair(pb)
-    total = Fraction(0)
-    for i, j in _runs(pb, a):
-        up_to_j = Event(pb.space, pb.level_masks[j])
-        before_i = Event(pb.space, pb.level_masks[i - 1] if i > 0 else 0)
-        term = _necessity(pi_low, up_to_j) - _possibility(pi_upp, before_i)
-        total += max(Fraction(0), term)
-    return total
 
 
 def to_polytope(pb: GeneralizedPBox) -> CredalPolytope:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from ._exact import cached, over_lcd
 from .credal import CredalPolytope, ProbabilityVector
@@ -36,12 +36,6 @@ class PossibilityDistribution:
     def levels(self) -> tuple[Fraction, ...]:
         """The distinct values taken by pi, increasing."""
         return tuple(sorted(set(self.pi)))
-
-
-class Measures(NamedTuple):
-    possibility: Fraction
-    necessity: Fraction
-    sufficiency: Fraction
 
 
 def _ints(d: PossibilityDistribution) -> tuple:
@@ -84,10 +78,6 @@ def sufficiency(d: PossibilityDistribution, a: Event) -> Fraction:
         if mask & bit:
             return Fraction(v, den)
     return Fraction(1)
-
-
-def measures(d: PossibilityDistribution, a: Event) -> Measures:
-    return Measures(possibility(d, a), necessity(d, a), sufficiency(d, a))
 
 
 def alpha_cut(d: PossibilityDistribution, alpha, strong: bool = False) -> Event:

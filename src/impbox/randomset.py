@@ -45,9 +45,6 @@ class MassAssignment:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "focal", tuple(sorted(canonical.items())))
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.focal)
-
 
 def _ints(ms: MassAssignment) -> tuple:
     """``(den, focal)``: the focal pairs with each mass as a numerator over

@@ -202,9 +202,3 @@ class Permutation:
     @classmethod
     def from_labels(cls, space: FiniteSpace, labels: Iterable[str]) -> Permutation:
         return cls(space.index(lab) for lab in labels)
-
-    def first(self) -> int:
-        return self.order[0]
-
-    def last(self) -> int:
-        return self.order[-1]

@@ -1,0 +1,95 @@
+"""Reference routes the closed forms of ``impbox`` are checked against.
+
+These follow the paper's constructions step by step rather than the
+library's integer views: ``algorithm1`` is the sweep that builds a
+generalized p-box's random set (checked against ``pbox.to_random_set``),
+``lower_prob_via_possibility`` reads the lower probability off the pair
+of possibility distributions (checked against ``pbox.lower_prob``), and
+``covers_first_or_last`` is the condition under which
+``convert.reconstruct_interval`` recovers the interval exactly.
+Acceptance criteria 2 and 3 compare against the first two.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from impbox import FiniteSpace, GeneralizedPBox, MassAssignment, Permutation
+from impbox.pbox import to_possibility_pair
+from impbox.possibility import necessity, possibility
+from impbox.space import Event, _same_space
+
+
+def algorithm1(pb: GeneralizedPBox) -> MassAssignment:
+    """Sweep construction of the p-box's random set, block by block.
+
+    Walks the merged sorted list of level bounds; reaching a lower
+    bound admits the next block, reaching an upper bound retires its
+    block, and each segment between consecutive thresholds contributes
+    its length as mass.  At a tied threshold every triggered addition
+    and removal is applied before the next segment is emitted.
+    """
+    m_levels = len(pb.block_masks)
+    additions = [(pb.level_alpha[i - 1] if i > 0 else Fraction(0), i) for i in range(m_levels)]
+    removals = [(pb.level_beta[i], i) for i in range(m_levels - 1)]
+    thresholds = sorted(
+        list(pb.level_alpha) + list(pb.level_beta[: m_levels - 1])
+    )
+    segments: list[tuple[int, Fraction]] = []
+    current = 0
+    previous = Fraction(0)
+    pending_add = sorted(additions)
+    pending_rem = sorted(removals)
+    for gamma in thresholds:
+        while pending_add and pending_add[0][0] <= previous:
+            current |= pb.block_masks[pending_add.pop(0)[1]]
+        while pending_rem and pending_rem[0][0] <= previous:
+            current &= ~pb.block_masks[pending_rem.pop(0)[1]]
+        segments.append((current, gamma - previous))
+        previous = gamma
+    masses: dict[int, Fraction] = {}
+    for mask, mass in segments:
+        if mass > 0:
+            masses[mask] = masses.get(mask, Fraction(0)) + mass
+    return MassAssignment(pb.space, masses)
+
+
+def _runs(pb: GeneralizedPBox, a: Event) -> list[tuple[int, int]]:
+    """Maximal runs [i, j] (0-based, inclusive) of consecutive blocks in a."""
+    inside = [
+        k for k, mask in enumerate(pb.block_masks) if mask & ~a.mask == 0
+    ]
+    runs = []
+    for k in inside:
+        if runs and runs[-1][1] == k - 1:
+            runs[-1] = (runs[-1][0], k)
+        else:
+            runs.append((k, k))
+    return runs
+
+
+def lower_prob_via_possibility(pb: GeneralizedPBox, a: Event) -> Fraction:
+    """The p-box's lower probability of a, from its possibility pair.
+
+    Sums max(0, N_low(A_j) - Pi_upp(A_(i-1))) over the maximal runs of
+    consecutive blocks [i, j] that a contains.
+    """
+    _same_space(pb.space, a.space, "event and p-box spaces differ")
+    pi_upp, pi_low = to_possibility_pair(pb)
+    total = Fraction(0)
+    for i, j in _runs(pb, a):
+        up_to_j = Event(pb.space, pb.level_masks[j])
+        before_i = Event(pb.space, pb.level_masks[i - 1] if i > 0 else 0)
+        term = necessity(pi_low, up_to_j) - possibility(pi_upp, before_i)
+        total += max(Fraction(0), term)
+    return total
+
+
+def covers_first_or_last(space: FiniteSpace, sigmas: Sequence[Permutation]) -> bool:
+    """True iff every element is first or last in some permutation."""
+    seen = set()
+    for sigma in sigmas:
+        seen.add(sigma.order[0])
+        seen.add(sigma.order[-1])
+    return seen == set(range(space.size))

@@ -102,7 +102,7 @@ def test_mobius_of_additive_capacity_sits_on_singletons():
 def test_mobius_of_belief_recovers_masses(expert_mass):
     m = mobius_transform(bel_capacity(expert_mass))
     nonzero = {mask: v for mask, v in enumerate(m.masses) if v != 0}
-    assert nonzero == expert_mass.as_dict()
+    assert nonzero == dict(expert_mass.focal)
 
 
 def test_mobius_can_be_negative(two_point_six):

@@ -19,10 +19,10 @@ from impbox import (
     reconstruct_interval,
     reduced_permutation_set,
 )
-from impbox.convert import covers_first_or_last
 from impbox.interval import to_polytope as interval_polytope
 from impbox.pbox import to_polytope as pbox_polytope
 from impbox.space import enumerate_events
+from reference import covers_first_or_last
 
 
 @pytest.fixture
@@ -160,10 +160,11 @@ def test_first_and_last_position_exactness():
         iv = gen.rand_reachable_interval(rng, sp)
         sigma = gen.rand_permutation(rng, sp)
         roundtrip = reconstruct_interval(iv, [sigma])
-        assert roundtrip.lower[sigma.first()] == iv.lower[sigma.first()]
-        assert roundtrip.upper[sigma.first()] == iv.upper[sigma.first()]
-        assert roundtrip.lower[sigma.last()] == iv.lower[sigma.last()]
-        assert roundtrip.upper[sigma.last()] == iv.upper[sigma.last()]
+        first, last = sigma.order[0], sigma.order[-1]
+        assert roundtrip.lower[first] == iv.lower[first]
+        assert roundtrip.upper[first] == iv.upper[first]
+        assert roundtrip.lower[last] == iv.lower[last]
+        assert roundtrip.upper[last] == iv.upper[last]
 
 
 def test_outer_approximation_chain_via_oracle_witnesses():

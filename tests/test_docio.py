@@ -110,7 +110,7 @@ def test_mass_document():
         '"focal": {"x1": "0.25", "x1,x2": "0.75"}}'
     )
     assert isinstance(doc.obj, MassAssignment)
-    assert doc.obj.as_dict() == {0b01: F(1, 4), 0b11: F(3, 4)}
+    assert dict(doc.obj.focal) == {0b01: F(1, 4), 0b11: F(3, 4)}
 
 
 def test_space_size_cap_env(monkeypatch):
@@ -307,7 +307,7 @@ def _keyed_payload(rng, kind):
         c = gen.rand_capacity(rng, space, denom=rng.choice([2, 4, 5]))
         table = dict(enumerate(c.values))
     else:
-        table = gen.rand_mass(rng, space).as_dict()
+        table = dict(gen.rand_mass(rng, space).focal)
     field = "values" if kind == "capacity" else "focal"
     entries = [(_spelling(rng, space, m), _value(rng, q)) for m, q in table.items()]
     rng.shuffle(entries)

@@ -1,23 +1,26 @@
 """No module of impbox imports a name it never uses or keeps a dead helper,
-the CLI reaches the models only through ``docio.KINDS``, the oracle
+every public function and class is used, exported or documented, the CLI reaches the models only through ``docio.KINDS``, the oracle
 imports no model or front end, every per-object cache is set by
 ``_exact.cached``, every model stores exactly what its constructor
 takes, only the oracle builds an object past its constructor, and
 ``docio`` turns event labels into masks in one key reader.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
-refactor from leaving dead imports, uncalled private helpers or a second
-per-kind table behind.  ``__init__.py`` is skipped by the import check:
-its imports are the re-exported API.
+refactor from leaving dead imports, uncalled private helpers, public
+names only tests call or a second per-kind table behind.  ``__init__.py``
+is skipped by the import and public-name checks: its imports are the
+re-exported API, listed in ``__all__``.
 """
 
 import ast
 import inspect
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
 
+import impbox
 from impbox import capacity, credal, docio
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "impbox"
@@ -53,11 +56,11 @@ def test_no_unused_imports(module):
     assert _unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
-def _uncalled_helpers(sources: list[str]) -> list[str]:
-    """Top-level ``_name`` functions and classes nothing else refers to.
+def _unreferenced(sources: list[str]) -> list[str]:
+    """Top-level functions and classes nothing else in the sources refers to.
 
     A reference is a name, an attribute or an imported name anywhere in
-    the sources outside the helper's own definition.
+    the sources outside the definition itself.
     """
     statements = [stmt for source in sources for stmt in ast.parse(source).body]
     referenced = {}
@@ -76,9 +79,13 @@ def _uncalled_helpers(sources: list[str]) -> list[str]:
         stmt.name
         for stmt in statements
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and stmt.name.startswith("_")
         and referenced.get(stmt.name, set()) - {id(stmt)} == set()
     )
+
+
+def _uncalled_helpers(sources: list[str]) -> list[str]:
+    """Top-level ``_name`` functions and classes nothing else refers to."""
+    return [name for name in _unreferenced(sources) if name.startswith("_")]
 
 
 def test_the_check_finds_uncalled_helpers():
@@ -97,6 +104,43 @@ def test_the_check_finds_uncalled_helpers():
 def test_every_private_helper_has_a_caller():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert _uncalled_helpers(sources) == []
+
+
+def _unserved_public_names(sources: list[str], exported, readme: str) -> list[str]:
+    """Top-level public functions and classes that no other statement
+    names, that are not in ``exported`` and that the README does not name
+    in backticks, alone or after a module prefix (`` `pbox.lower_prob` ``).
+
+    Such a name serves neither the library nor its documented API: a
+    wrapper only tests call, or a test route kept in the package.
+    """
+    documented = set(re.findall(r"`(?:\w+\.)*(\w+)`", readme))
+    return [
+        name
+        for name in _unreferenced(sources)
+        if not name.startswith("_") and name not in exported and name not in documented
+    ]
+
+
+def test_the_check_finds_unserved_public_names():
+    sources = [
+        "def used(): return 1\n"
+        "def exported(): return 2\n"
+        "def documented(): return 3\n"
+        "def prefixed(): return 4\n"
+        "def orphan(): return 5\n"
+        "class Orphan: pass\n"
+        "def _private(): return 6\n",
+        "from .a import used\n",
+    ]
+    readme = "`documented`, `impbox.a.prefixed`, orphan, `orphan()` and `Orphan.x`"
+    assert _unserved_public_names(sources, {"exported"}, readme) == ["Orphan", "orphan"]
+
+
+def test_every_public_name_is_used_exported_or_documented():
+    sources = [(SRC / module).read_text(encoding="utf-8") for module in MODULES]
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _unserved_public_names(sources, impbox.__all__, readme) == []
 
 
 MODELS = {"capacity", "convert", "interval", "pbox", "possibility", "randomset"}

@@ -16,7 +16,6 @@ from impbox import (
 from impbox.possibility import (
     alpha_cut,
     contains,
-    measures,
     necessity,
     possibility,
     sufficiency,
@@ -41,21 +40,20 @@ def test_normalization_required():
 
 def test_measures_on_expert_upper(pi_upper, space6):
     a = space6.event(["x1", "x2"])
-    m = measures(pi_upper, a)
-    assert m.possibility == F(3, 10)
-    assert m.necessity == F(0)  # the complement still holds value 1 at x6
+    assert possibility(pi_upper, a) == F(3, 10)
+    assert necessity(pi_upper, a) == F(0)  # the complement still holds value 1 at x6
 
 
 def test_measures_whole_space(pi_upper, space6):
-    m = measures(pi_upper, space6.full)
-    assert m.possibility == 1 and m.necessity == 1
+    full = space6.full
+    assert possibility(pi_upper, full) == 1 and necessity(pi_upper, full) == 1
 
 
 def test_measures_direct_read():
     sp = FiniteSpace(["x1", "x2"])
     d = PossibilityDistribution(sp, [F(1), F(2, 5)])
-    m = measures(d, sp.event(["x2"]))
-    assert (m.possibility, m.necessity, m.sufficiency) == (F(2, 5), F(0), F(2, 5))
+    a = sp.event(["x2"])
+    assert (possibility(d, a), necessity(d, a), sufficiency(d, a)) == (F(2, 5), F(0), F(2, 5))
 
 
 def test_empty_event_conventions(pi_upper, space6):
@@ -96,7 +94,7 @@ def test_to_random_set_of_expert_upper(pi_upper, space6):
         space6.event(["x4", "x5", "x6"]).mask: F(1, 5),
         space6.event(["x6"]).mask: F(1, 10),
     }
-    assert ms.as_dict() == expected
+    assert dict(ms.focal) == expected
 
 
 def test_to_random_set_vacuous_and_precise():
