@@ -6,8 +6,8 @@ blocks G_k = A_k minus A_(k-1) with the bounds of their level.
 ``from_functions`` ties elements with equal values into one block, the
 equivalence classes of the pre-order; ``from_nested_sets`` keeps every
 non-empty level it is given, even when neighbours share their bounds.
-The distributions, the level sets, the possibility pair and the random
-set are all read off the blocks.
+The distributions, the level sets and the random set are all read off
+the blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 from ._exact import cached, over_lcd
 from .credal import CredalPolytope
 from .errors import ValidationError
-from .possibility import PossibilityDistribution
 from .randomset import MassAssignment
 from .space import Event, FiniteSpace, _same_space, _unit_values
 
@@ -154,25 +153,6 @@ def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
     # block k is A_k minus A_(k-1)
     inner = [0, *(event.mask for event, _, _ in levels)]
     return _build(space, ((e.mask & ~m, lo, hi) for m, (e, lo, hi) in zip(inner, levels)))
-
-
-def to_possibility_pair(
-    pb: GeneralizedPBox,
-) -> tuple[PossibilityDistribution, PossibilityDistribution]:
-    """The pair of possibility distributions representing the p-box.
-
-    The upper one reads off beta; the lower one is, per pre-order
-    block, 1 minus the lower bound of the previous level (1 on the
-    innermost block).  Taking the previous level rather than the
-    largest strictly smaller value keeps the pair's intersection equal
-    to the p-box credal set even when neighbouring levels share a lower
-    bound.
-    """
-    alpha_before = (Fraction(0), *pb.level_alpha[:-1])
-    return (
-        PossibilityDistribution(pb.space, _spread(pb, pb.level_beta)),
-        PossibilityDistribution(pb.space, _spread(pb, [1 - a for a in alpha_before])),
-    )
 
 
 def to_random_set(pb: GeneralizedPBox) -> MassAssignment:

@@ -3,7 +3,8 @@
 The possibility measure of an event is the max of the distribution over
 it, necessity is its conjugate, sufficiency the min.  Conventions on
 the empty event: possibility 0, necessity 0 on the complement side,
-sufficiency 1 (empty min).
+sufficiency 1 (empty min).  A distribution is a generalized p-box, so
+its credal polytope and nested random set are those of its p-box.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from . import pbox
 from ._exact import cached, over_lcd
 from .credal import CredalPolytope, ProbabilityVector
 from .errors import ValidationError
@@ -105,28 +107,44 @@ def contains(d: PossibilityDistribution, p: ProbabilityVector) -> bool:
     )
 
 
+def _as_pbox(d: PossibilityDistribution) -> pbox.GeneralizedPBox:
+    """The generalized p-box of pi: F_upp = pi, F_low = 1 on {pi = 1}.
+
+    One block per distinct degree, lowest first, with bounds [0, degree]
+    ([1, 1] on the last).  Built directly, as its levels need no
+    re-validation, so a zero degree draws no first-level warning.
+    """
+    levels = d.levels()
+    blocks = tuple(sum(1 << i for i, v in enumerate(d.pi) if v == b) for b in levels)
+    alpha = (Fraction(0),) * (len(levels) - 1) + (Fraction(1),)
+    return pbox.GeneralizedPBox(d.space, blocks, alpha, levels)
+
+
 def to_polytope(d: PossibilityDistribution) -> CredalPolytope:
-    """Constraints P(strong cut at alpha) >= 1 - alpha per distinct level."""
-    constraints = []
-    for alpha in d.levels():
-        cut = alpha_cut(d, alpha, strong=True)
-        if not cut.is_empty:
-            constraints.append((cut, 1 - alpha, Fraction(1)))
-    return CredalPolytope(d.space, constraints)
+    """The credal polytope of the distribution's p-box."""
+    return pbox.to_polytope(_as_pbox(d))
 
 
 def to_random_set(d: PossibilityDistribution) -> MassAssignment:
-    """The nested random set whose contour function is pi.
+    """The nested random set whose contour function is pi: its p-box's,
+    with the regular cuts at the distinct non-zero degrees as focal sets."""
+    return pbox.to_random_set(_as_pbox(d))
 
-    Focal events are the regular cuts at the distinct non-zero levels;
-    each carries the gap to the previous level as mass.
+
+def to_possibility_pair(
+    pb: pbox.GeneralizedPBox,
+) -> tuple[PossibilityDistribution, PossibilityDistribution]:
+    """The pair of possibility distributions representing the p-box.
+
+    The upper one reads off beta; the lower one is, per pre-order
+    block, 1 minus the lower bound of the previous level (1 on the
+    innermost block).  Taking the previous level rather than the
+    largest strictly smaller value keeps the pair's intersection equal
+    to the p-box credal set even when neighbouring levels share a lower
+    bound.
     """
-    masses = {}
-    previous = Fraction(0)
-    for alpha in d.levels():
-        if alpha == 0:
-            continue
-        cut = alpha_cut(d, alpha, strong=False)
-        masses[cut.mask] = alpha - previous
-        previous = alpha
-    return MassAssignment(d.space, masses)
+    alpha_before = (Fraction(0), *pb.level_alpha[:-1])
+    return (
+        PossibilityDistribution(pb.space, pb.f_upper),
+        PossibilityDistribution(pb.space, pbox._spread(pb, [1 - a for a in alpha_before])),
+    )

@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from impbox import FiniteSpace, GeneralizedPBox, MassAssignment, Permutation
-from impbox.pbox import to_possibility_pair
-from impbox.possibility import necessity, possibility
+from impbox.possibility import necessity, possibility, to_possibility_pair
 from impbox.space import Event, _same_space
 
 

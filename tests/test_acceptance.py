@@ -35,10 +35,9 @@ from impbox.interval import to_polytope as interval_polytope
 from impbox.pbox import (
     lower_prob,
     to_polytope,
-    to_possibility_pair,
     to_random_set,
 )
-from impbox.possibility import contains
+from impbox.possibility import contains, to_possibility_pair
 from impbox.randomset import to_interval
 from conftest import EXPERT_MASSES, PI_LOW, PI_UPP, SPACE6
 from reference import algorithm1, lower_prob_via_possibility

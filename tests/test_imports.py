@@ -1,6 +1,7 @@
 """No module of impbox imports a name it never uses or keeps a dead helper,
 every public function and class is used, exported or documented, the CLI reaches the models only through ``docio.KINDS``, the oracle
-imports no model or front end, every per-object cache is set by
+imports no model or front end, ``pbox`` imports nothing from
+``possibility``, every per-object cache is set by
 ``_exact.cached``, every model stores exactly what its constructor
 takes, only the oracle builds an object past its constructor, and
 ``docio`` turns event labels into masks in one key reader.
@@ -191,6 +192,40 @@ def test_the_check_finds_kind_bypasses():
 
 def test_cli_reaches_kinds_only_through_the_table():
     assert _kind_bypasses((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def _imports_of(source: str, module: str) -> list[str]:
+    """Import statements, at any depth, that name ``module`` as a dotted
+    part or an imported name, as their source text."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if module in _import_names(node)
+    ]
+
+
+def test_the_check_finds_imports_of_a_module():
+    source = (
+        "from . import credal, possibility as poss\n"
+        "from .possibility import PossibilityDistribution\n"
+        "from .space import Event\n"
+        "import impbox.possibility\n"
+        "def f():\n"
+        "    from .randomset import possibility_like\n"
+        "    from .possibility import necessity\n"
+    )
+    assert _imports_of(source, "possibility") == [
+        "from . import credal, possibility as poss",
+        "from .possibility import PossibilityDistribution",
+        "import impbox.possibility",
+        "from .possibility import necessity",
+    ]
+
+
+def test_pbox_imports_nothing_from_possibility():
+    """Possibility distributions are generalized p-boxes, so
+    ``possibility`` builds on ``pbox`` and never the reverse."""
+    assert _imports_of((SRC / "pbox.py").read_text(encoding="utf-8"), "possibility") == []
 
 
 #: what the oracle must not import: it checks these, so it cannot lean on them

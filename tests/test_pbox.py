@@ -25,11 +25,10 @@ from impbox import (
 from impbox.pbox import (
     lower_prob,
     to_polytope,
-    to_possibility_pair,
     to_random_set,
     upper_prob,
 )
-from impbox.possibility import contains
+from impbox.possibility import contains, to_possibility_pair
 from reference import algorithm1, lower_prob_via_possibility
 
 

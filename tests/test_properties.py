@@ -1,7 +1,9 @@
-"""Property tests for the document format and the CLI boundary.
+"""Property tests for the document format, the CLI boundary and the
+paper's structural claims about each kind's lower probability.
 
 Hypothesis runs derandomized with a bounded example count, so every run
-draws the same examples and the suite stays fast.
+draws the same examples and the suite stays fast; the structural claims
+run on seeded documents and the integer classifier in ``capacity``.
 """
 
 import json
@@ -16,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from impbox import FiniteSpace
+from impbox import FiniteSpace, enumerate_events, pbox, possibility, validate_capacity
 from impbox._exact import over_lcd
+from impbox.capacity import is_2_monotone, is_infty_monotone, mobius_transform
 from impbox.cli import main
-from impbox.docio import Document, DocumentError, parse, serialize
+from impbox.docio import KINDS, Document, DocumentError, parse, serialize
 
 PROPERTY = settings(derandomize=True, max_examples=120, deadline=None)
 
@@ -191,3 +194,60 @@ def test_over_lcd_puts_values_over_the_lcm_of_their_denominators(values):
 @given(values=st.lists(st.integers(), max_size=8))
 def test_over_lcd_of_ints_is_the_ints_over_one(values):
     assert over_lcd(values) == (1, values)
+
+
+#: documents per kind for the structural claims, at n = 1-6 in turn
+CLAIM_DOCS = 300
+
+#: the kinds the paper shows to be random sets: the ``KINDS`` entry that
+#: reads their lower probability, a generator, and the random set itself;
+#: the p-box generator runs with and without crossing ties
+RANDOM_SET_KINDS = {
+    "gen_pbox": ("gen_pbox", gen.rand_pbox, pbox.to_random_set),
+    "gen_pbox-ties": (
+        "gen_pbox",
+        lambda rng, space: gen.rand_pbox(rng, space, ties=True),
+        pbox.to_random_set,
+    ),
+    "possibility": ("possibility", gen.rand_possibility, possibility.to_random_set),
+    "mass": ("mass", gen.rand_mass, lambda ms: ms),
+}
+
+
+def _tables(kind, builder, seed):
+    """``(obj, table)`` for CLAIM_DOCS seeded documents: the table is the
+    kind's lower probability on every event, as a validated capacity."""
+    rng = random.Random(seed)
+    for i in range(CLAIM_DOCS):
+        space = gen.SPACES[1 + i % 6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a p-box may have a first level at 0
+            obj = builder(rng, space)
+        lower = KINDS[kind].lower
+        yield obj, validate_capacity(space, [lower(obj, e) for e in enumerate_events(space)])
+
+
+def _mobius_focal(table):
+    """The non-zero Möbius masses of a table, keyed by event mask."""
+    return {mask: m for mask, m in enumerate(mobius_transform(table).masses) if m}
+
+
+@pytest.mark.parametrize("name", list(RANDOM_SET_KINDS))
+def test_random_set_kinds_have_infinity_monotone_lower_probabilities(name):
+    kind, builder, random_set = RANDOM_SET_KINDS[name]
+    for obj, table in _tables(kind, builder, seed=17):
+        assert is_infty_monotone(table), obj
+        # the table's Möbius masses are the kind's own random set
+        assert _mobius_focal(table) == dict(random_set(obj).focal), obj
+
+
+def test_possibility_tables_have_nested_focal_sets():
+    for obj, table in _tables("possibility", gen.rand_possibility, seed=19):
+        chain = sorted(_mobius_focal(table), key=int.bit_count)
+        assert all(a & ~b == 0 for a, b in zip(chain, chain[1:])), obj
+
+
+def test_reachable_interval_tables_are_2_monotone_but_not_all_random_sets():
+    tables = [t for _, t in _tables("interval", gen.rand_reachable_interval, seed=23)]
+    assert all(is_2_monotone(t) for t in tables)
+    assert not all(is_infty_monotone(t) for t in tables)
