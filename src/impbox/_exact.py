@@ -1,5 +1,6 @@
-"""Exact integers for rationals, the int->str digit limit, and the
-per-object cache that keeps such integers.
+"""Exact integers for rationals, the int->str digit limit, the
+per-object cache that keeps such integers, and the table that turns
+them back into ``Fraction``s.
 
 Nothing here knows about spaces or models, so the credal oracle shares
 it and stays an independent check.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 
 def over_lcd(values, printable: bool = False) -> tuple[int, list[int]]:
@@ -56,4 +58,27 @@ def cached(obj, name: str, build):
     except KeyError:
         value = build(obj)
         object.__setattr__(obj, name, value)
+        return value
+
+
+class Ratios(dict):
+    """``num -> Fraction(num, den)`` for one ``den > 0``, each value built
+    on the first lookup of ``num`` and kept.
+
+    Every answer over ``den`` is then read from the table, so equal
+    answers are one shared immutable object, and the table holds one
+    entry per distinct numerator asked for.  It only grows, and only by
+    equal values: two threads that miss on one ``num`` both build it and
+    either value is kept (CPython inserts a dict entry atomically), the
+    same contract as ``cached``.
+    """
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num: int) -> Fraction:
+        value = self[num] = Fraction(num, self.den)
         return value

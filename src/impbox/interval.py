@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from ._exact import cached, over_lcd
+from ._exact import Ratios, cached, over_lcd
 from .credal import CredalPolytope
 from .errors import InfeasibleError, NotReachableError
 from .space import Event, FiniteSpace, _same_space, _unit_values
@@ -50,9 +50,10 @@ def _envelope(l_in, u_in, total_l, total_u, den) -> tuple[int, int]:
 
 
 def _ints(interval: ProbabilityInterval) -> tuple:
-    """``(den, elements, total_l, total_u, non_empty, reachable)``: ``(bit,
-    l, u)`` per element and the two totals, as numerators over the bounds'
-    common denominator, and the two flags they decide."""
+    """``(ratios, elements, total_l, total_u, non_empty, reachable)``: the
+    answers' table over the bounds' common denominator, ``(bit, l, u)``
+    per element and the two totals, as numerators over it, and the two
+    flags they decide."""
     n = interval.space.size
     den, nums = over_lcd(interval.lower + interval.upper)
     elements = tuple(zip([1 << i for i in range(n)], nums[:n], nums[n:]))
@@ -64,7 +65,7 @@ def _ints(interval: ProbabilityInterval) -> tuple:
     reachable = non_empty and all(
         _envelope(l, u, total_l, total_u, den) == (l, u) for _, l, u in elements
     )
-    return den, elements, total_l, total_u, non_empty, reachable
+    return Ratios(den), elements, total_l, total_u, non_empty, reachable
 
 
 def _outer(model, lower: Callable) -> ProbabilityInterval:
@@ -85,12 +86,12 @@ def normalize(interval: ProbabilityInterval) -> ProbabilityInterval:
     l'(x) = max(l(x), 1 - sum of the other uppers) and dually for u'.
     The result is reachable; idempotent on reachable inputs.
     """
-    den, elements, total_l, total_u, non_empty, _ = cached(interval, "_ints", _ints)
+    ratios, elements, total_l, total_u, non_empty, _ = cached(interval, "_ints", _ints)
     if not non_empty:
         raise InfeasibleError("cannot normalize an empty probability interval")
-    bounds = [_envelope(l, u, total_l, total_u, den) for _, l, u in elements]
-    lower = [Fraction(lo, den) for lo, _ in bounds]
-    upper = [Fraction(hi, den) for _, hi in bounds]
+    bounds = [_envelope(l, u, total_l, total_u, ratios.den) for _, l, u in elements]
+    lower = [ratios[lo] for lo, _ in bounds]
+    upper = [ratios[hi] for _, hi in bounds]
     return ProbabilityInterval(interval.space, lower, upper)
 
 
@@ -101,7 +102,7 @@ def event_bounds(interval: ProbabilityInterval, a: Event) -> tuple[Fraction, Fra
     Only valid on reachable intervals.
     """
     _same_space(interval.space, a.space, "event and interval spaces differ")
-    den, elements, total_l, total_u, _, reachable = cached(interval, "_ints", _ints)
+    ratios, elements, total_l, total_u, _, reachable = cached(interval, "_ints", _ints)
     if not reachable:
         raise NotReachableError(
             "event bounds need a reachable interval; call normalize first"
@@ -112,8 +113,8 @@ def event_bounds(interval: ProbabilityInterval, a: Event) -> tuple[Fraction, Fra
         if mask & bit:
             l_in += l
             u_in += u
-    lo, hi = _envelope(l_in, u_in, total_l, total_u, den)
-    return Fraction(lo, den), Fraction(hi, den)
+    lo, hi = _envelope(l_in, u_in, total_l, total_u, ratios.den)
+    return ratios[lo], ratios[hi]
 
 
 def conjunction(

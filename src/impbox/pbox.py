@@ -19,7 +19,7 @@ from itertools import accumulate, groupby
 from operator import or_
 from typing import Iterable, Sequence
 
-from ._exact import cached, over_lcd
+from ._exact import Ratios, cached, over_lcd
 from .credal import CredalPolytope
 from .errors import ValidationError
 from .randomset import MassAssignment
@@ -179,9 +179,9 @@ def to_random_set(pb: GeneralizedPBox) -> MassAssignment:
 
 
 def _ints(pb: GeneralizedPBox) -> tuple:
-    """``(den, levels)``: ``(block mask, alpha_k, beta_(k-1))`` per level,
-    innermost first, the bounds as numerators over their common
-    denominator (beta_0 = 0).
+    """``(ratios, levels)``: the answers' table over the bounds' common
+    denominator, and ``(block mask, alpha_k, beta_(k-1))`` per level,
+    innermost first, the bounds as numerators over it (beta_0 = 0).
 
     A last ``(-1, 0, 0)`` entry meets every complement, so it ends the
     last run of blocks an event contains.
@@ -189,17 +189,18 @@ def _ints(pb: GeneralizedPBox) -> tuple:
     m = len(pb.block_masks)
     den, nums = over_lcd(pb.level_alpha + pb.level_beta)
     levels = zip((*pb.block_masks, -1), (*nums[:m], 0), (0, *nums[m:]))
-    return den, tuple(levels)
+    return Ratios(den), tuple(levels)
 
 
-def _lower_num(pb: GeneralizedPBox, mask: int) -> tuple[int, int]:
-    """``(num, den)``: the lower probability of the event ``mask`` is num/den.
+def _lower_num(pb: GeneralizedPBox, mask: int) -> tuple[int, Ratios]:
+    """``(num, ratios)``: the lower probability of the event ``mask`` is
+    ``ratios[num]``, num over ``ratios.den``.
 
     Projects the event onto the union of blocks it fully contains and
     sums max(0, alpha_(j) - beta_(i-1)) over the maximal consecutive
     runs of blocks [i, j].
     """
-    den, levels = cached(pb, "_ints", _ints)
+    ratios, levels = cached(pb, "_ints", _ints)
     outside = ~mask
     total = 0
     start = end = None  # beta_(i-1) and alpha_(j) of the run in progress
@@ -212,20 +213,21 @@ def _lower_num(pb: GeneralizedPBox, mask: int) -> tuple[int, int]:
             if end > start:
                 total += end - start
             start = None
-    return total, den
+    return total, ratios
 
 
 def lower_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
     """Exact lower probability of an event under the p-box."""
     _same_space(pb.space, a.space, "event and p-box spaces differ")
-    return Fraction(*_lower_num(pb, a.mask))
+    num, ratios = _lower_num(pb, a.mask)
+    return ratios[num]
 
 
 def upper_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
     """Conjugate upper probability: 1 - lower_prob of the complement."""
     _same_space(pb.space, a.space, "event and p-box spaces differ")
-    num, den = _lower_num(pb, a.mask ^ ((1 << pb.space.size) - 1))
-    return Fraction(den - num, den)
+    num, ratios = _lower_num(pb, a.mask ^ ((1 << pb.space.size) - 1))
+    return ratios[ratios.den - num]
 
 
 def to_polytope(pb: GeneralizedPBox) -> CredalPolytope:

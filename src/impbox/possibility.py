@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import pbox
-from ._exact import cached, over_lcd
+from ._exact import Ratios, cached, over_lcd
 from .credal import CredalPolytope, ProbabilityVector
 from .errors import ValidationError
 from .randomset import MassAssignment
@@ -41,45 +41,48 @@ class PossibilityDistribution:
 
 
 def _ints(d: PossibilityDistribution) -> tuple:
-    """``(den, ranked)``: ``(bit, pi numerator)`` per element, pi decreasing,
-    over the degrees' common denominator."""
+    """``(ratios, ranked)``: the answers' table over the degrees' common
+    denominator, and ``(bit, pi numerator)`` per element over it, pi
+    decreasing."""
     den, nums = over_lcd(d.pi)
     ranked = sorted(((1 << i, v) for i, v in enumerate(nums)), key=lambda e: -e[1])
-    return den, tuple(ranked)
+    return Ratios(den), tuple(ranked)
 
 
-def _possibility_num(d: PossibilityDistribution, mask: int) -> tuple[int, int]:
-    """``(num, den)``: the largest degree in the event ``mask`` is num/den,
-    read off the first element of the event in decreasing pi."""
-    den, ranked = cached(d, "_ints", _ints)
+def _possibility_num(d: PossibilityDistribution, mask: int) -> tuple[int, Ratios]:
+    """``(num, ratios)``: the largest degree in the event ``mask`` is
+    ``ratios[num]``, read off the first element of the event in
+    decreasing pi."""
+    ratios, ranked = cached(d, "_ints", _ints)
     for bit, v in ranked:
         if mask & bit:
-            return v, den
-    return 0, den
+            return v, ratios
+    return 0, ratios
 
 
 def possibility(d: PossibilityDistribution, a: Event) -> Fraction:
     """The largest degree in a."""
     _same_space(d.space, a.space, "event and distribution spaces differ")
-    return Fraction(*_possibility_num(d, a.mask))
+    num, ratios = _possibility_num(d, a.mask)
+    return ratios[num]
 
 
 def necessity(d: PossibilityDistribution, a: Event) -> Fraction:
     """Conjugate of possibility: 1 - the largest degree outside a."""
     _same_space(d.space, a.space, "event and distribution spaces differ")
-    num, den = _possibility_num(d, a.mask ^ ((1 << d.space.size) - 1))
-    return Fraction(den - num, den)
+    num, ratios = _possibility_num(d, a.mask ^ ((1 << d.space.size) - 1))
+    return ratios[ratios.den - num]
 
 
 def sufficiency(d: PossibilityDistribution, a: Event) -> Fraction:
     """The smallest degree in a: the first element of a in increasing pi."""
     _same_space(d.space, a.space, "event and distribution spaces differ")
-    den, ranked = cached(d, "_ints", _ints)
+    ratios, ranked = cached(d, "_ints", _ints)
     mask = a.mask
     for bit, v in reversed(ranked):
         if mask & bit:
-            return Fraction(v, den)
-    return Fraction(1)
+            return ratios[v]
+    return ratios[ratios.den]
 
 
 def alpha_cut(d: PossibilityDistribution, alpha, strong: bool = False) -> Event:

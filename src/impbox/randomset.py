@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from ._exact import cached, over_lcd
+from ._exact import Ratios, cached, over_lcd
 from .capacity import _zeta
 from .credal import CredalPolytope
 from .errors import ValidationError
@@ -47,26 +47,26 @@ class MassAssignment:
 
 
 def _ints(ms: MassAssignment) -> tuple:
-    """``(den, focal)``: the focal pairs with each mass as a numerator over
-    the masses' common denominator."""
+    """``(ratios, focal)``: the answers' table over the masses' common
+    denominator, and the focal pairs with each mass as a numerator over it."""
     den, nums = over_lcd([m for _, m in ms.focal])
-    return den, tuple(zip((mask for mask, _ in ms.focal), nums))
+    return Ratios(den), tuple(zip((mask for mask, _ in ms.focal), nums))
 
 
 def bel(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events contained in a."""
     _same_space(ms.space, a.space, "event and mass assignment spaces differ")
-    den, focal = cached(ms, "_ints", _ints)
+    ratios, focal = cached(ms, "_ints", _ints)
     outside = ~a.mask
-    return Fraction(sum(m for mask, m in focal if not mask & outside), den)
+    return ratios[sum(m for mask, m in focal if not mask & outside)]
 
 
 def pl(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events meeting a; equals 1 - bel(complement)."""
     _same_space(ms.space, a.space, "event and mass assignment spaces differ")
-    den, focal = cached(ms, "_ints", _ints)
+    ratios, focal = cached(ms, "_ints", _ints)
     inside = a.mask
-    return Fraction(sum(m for mask, m in focal if mask & inside), den)
+    return ratios[sum(m for mask, m in focal if mask & inside)]
 
 
 def contour(ms: MassAssignment) -> tuple[Fraction, ...]:

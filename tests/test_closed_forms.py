@@ -1,8 +1,9 @@
 """The closed forms each model answers from its cached integer view.
 
 Every lower and upper bound must equal the oracle's envelope and come
-back as an exact ``Fraction``; a model that has answered queries keeps
-its cache outside ``==``, ``hash`` and ``repr``, and copies and pickles
+back as an exact ``Fraction``, equal answers of one model as one object
+from its view's table; a model that has answered queries keeps its
+cache outside ``==``, ``hash`` and ``repr``, and copies and pickles
 like a fresh one.
 """
 
@@ -17,6 +18,7 @@ import pytest
 
 import gen
 from impbox import capacity, credal, enumerate_events, interval, pbox, possibility, randomset
+from impbox._exact import Ratios
 
 # random p-boxes may have a first level with upper bound 0
 pytestmark = pytest.mark.filterwarnings("ignore:first level has upper bound 0")
@@ -118,8 +120,31 @@ def test_a_queried_object_equals_hashes_copies_and_pickles_like_a_fresh_one(kind
         assert ask(obj) == answers
 
 
-def test_threads_querying_one_fresh_model_agree_with_one_thread():
-    make, lower, upper, _ = MODELS["gen_pbox_ties"]
+def _table(obj) -> Ratios:
+    """The answers' table in a queried model's integer view."""
+    [table] = [entry for entry in vars(obj)["_ints"] if isinstance(entry, Ratios)]
+    return table
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_equal_answers_are_one_object_from_the_views_table(kind):
+    make, lower, upper, _ = MODELS[kind]
+    rng = random.Random(f"ratios/{kind}")
+    for n in (1, 3, 5, 6):
+        for _ in range(4):
+            obj = make(rng, gen.SPACES[n])
+            answers = [v for pair in _bounds(lower, upper)(obj) for v in pair]
+            first = {}
+            for ans in answers:
+                assert type(ans) is Fraction
+                assert ans == Fraction(ans.numerator, ans.denominator)
+                assert first.setdefault(ans, ans) is ans
+            assert len(_table(obj)) == len(first)
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_threads_querying_one_fresh_model_agree_with_one_thread(kind):
+    make, lower, upper, _ = MODELS[kind]
     serial = _bounds(lower, upper)(make(random.Random("threads"), gen.SPACES[6]))
     shared = make(random.Random("threads"), gen.SPACES[6])
     answers = []

@@ -3,8 +3,9 @@ every public function and class is used, exported or documented, the CLI reaches
 imports no model or front end, ``pbox`` imports nothing from
 ``possibility``, every per-object cache is set by
 ``_exact.cached``, every model stores exactly what its constructor
-takes, only the oracle builds an object past its constructor, and
-``docio`` turns event labels into masks in one key reader.
+takes, only the oracle builds an object past its constructor,
+``docio`` turns event labels into masks in one key reader, and no
+closed form builds its answer ``Fraction`` past its view's table.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers, public
@@ -411,3 +412,59 @@ def test_docio_reads_labels_only_in_its_key_reader():
     assert callable(getattr(docio, KEY_READER))
     source = (SRC / "docio.py").read_text(encoding="utf-8")
     assert _label_lookups(source, KEY_READER) == []
+
+
+#: the closed forms, by module: each answers from its integer view's
+#: ``_exact.Ratios`` table, which builds every ``Fraction`` once
+CLOSED_FORMS = {
+    "interval.py": {"event_bounds", "normalize"},
+    "pbox.py": {"_lower_num", "lower_prob", "upper_prob"},
+    "possibility.py": {"_possibility_num", "necessity", "possibility", "sufficiency"},
+    "randomset.py": {"bel", "pl"},
+}
+
+
+def _fraction_calls(source: str, names) -> list[str]:
+    """``Fraction(...)`` calls in the top-level functions ``names``, as
+    ``"function: call"`` source text; a name with no such function is
+    reported as ``"function: missing"``, so a rename cannot hide a call."""
+    functions = {
+        stmt.name: stmt for stmt in ast.parse(source).body if isinstance(stmt, ast.FunctionDef)
+    }
+    found = []
+    for name in sorted(names):
+        if name not in functions:
+            found.append(f"{name}: missing")
+            continue
+        found.extend(
+            f"{name}: {ast.unparse(node)}"
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call)
+            and (
+                isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction"
+            )
+        )
+    return found
+
+
+def test_the_check_finds_fraction_calls():
+    source = (
+        "def lower(view, num):\n"
+        "    return view.ratios[num], Fraction\n"
+        "def upper(num, den):\n"
+        "    return Fraction(den - num, den), fractions.Fraction(1)\n"
+        "def other(num, den):\n"
+        "    return Fraction(num, den)\n"
+    )
+    assert _fraction_calls(source, {"lower", "upper", "gone"}) == [
+        "gone: missing",
+        "upper: Fraction(den - num, den)",
+        "upper: fractions.Fraction(1)",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(CLOSED_FORMS))
+def test_closed_forms_answer_from_the_views_table(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert _fraction_calls(source, CLOSED_FORMS[module]) == []
