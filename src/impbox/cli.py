@@ -1,7 +1,8 @@
 """Command line front end: check, convert, query, verify.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 oracle
-mismatch (verify only).
+mismatch (verify only, also when the mismatch's numbers are too long to
+print).
 """
 
 from __future__ import annotations
@@ -145,12 +146,16 @@ def verify(file):
         lo, hi = closed[event.mask], 1 - closed[full ^ event.mask]
         below, above = lowers[event.mask], lowers[full ^ event.mask]
         oracle_lo, oracle_hi = below.value, 1 - above.value
+        side, envelope = ("lower", below) if lo != oracle_lo else ("upper", above)
+        numbers = (lo, hi, oracle_lo, oracle_hi, *envelope.witness.p)
+        if any(too_long(q.numerator) or too_long(q.denominator) for q in numbers):
+            _echo(f"mismatch on {event!r}: {too_long_message()}", err=True)
+            sys.exit(3)
         _echo(
             f"mismatch on {event!r}: formula [{lo}, {hi}] vs "
             f"oracle [{oracle_lo}, {oracle_hi}]",
             err=True,
         )
-        side, envelope = ("lower", below) if lo != oracle_lo else ("upper", above)
         values = zip(doc.space.labels, envelope.witness.p)
         witness = ", ".join(f"{lab}={v}" for lab, v in values)
         _echo(f"oracle {side} witness: {witness}", err=True)

@@ -7,18 +7,24 @@ simplex cut by ``<=`` rows, and an upper envelope is the conjugate of a
 lower one, 1 - min P(A^c).  A polytope builds its pruned rows and an
 integer-pivot simplex on its first query, runs phase 1 once, and
 warm-starts every later envelope from the last optimal basis.  Each
-answer is proven before it is returned: the witness must satisfy every
-row and the dual multipliers must reach the same value (LP duality),
-checked over integers against the rows themselves; a failure raises
-``OracleError``.  This module is the independent verifier the rest of
-the library is checked against, so it deliberately knows nothing about
-p-boxes, random sets, etc.
+answer is proven before it is returned, over integers and against the
+rows themselves: the witness must satisfy every row, and the dual
+multipliers must reach the same value (LP duality); a failure raises
+``OracleError``.  The row check reads nothing but the witness, so it
+runs once per distinct witness of a polytope, on its first answer,
+which also builds the witness's ``ProbabilityVector``; the value and
+dual checks run on every answer.  This module is the independent
+verifier the rest of the library is checked against, so it
+deliberately knows nothing about p-boxes, random sets, etc.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import _simplex
@@ -116,9 +122,14 @@ def _le_rows(poly: CredalPolytope) -> list[tuple[int, Fraction]]:
 
 
 class _Oracle:
-    """The pruned rows of one polytope and a warm solver over them.
+    """The pruned rows of one polytope, a warm solver over them, and the
+    table of witnesses already certified.
 
     ``solver`` is ``None`` when phase 1 finds the polytope empty.
+    ``witnesses`` maps each witness in lowest terms, ``(x, x_den)`` with
+    ``gcd(x_den, *x) == 1``, to its ``ProbabilityVector``; an entry is
+    added only once the witness has satisfied every row, so equal
+    witnesses are one immutable object.
     """
 
     def __init__(self, poly: CredalPolytope):
@@ -131,51 +142,70 @@ class _Oracle:
             ([i for i in range(n) if mask >> i & 1], b.numerator, b.denominator, weight)
             for (mask, b), weight in zip(rows, weights)
         ]
+        self.witnesses: dict[tuple[tuple[int, ...], int], ProbabilityVector] = {}
         try:
             a_ub = [[mask >> i & 1 for i in range(n)] for mask, _ in rows]
             self.solver = _simplex.Simplex(n, a_ub, [bound for _, bound in rows])
         except _simplex.Infeasible:
             self.solver = None
 
-    def certified(self, c: list[int], sol: _simplex.Solution) -> bool:
-        """Check ``sol`` exactly against the pruned rows, by LP duality.
+    def certified(self, c: list[int], sol: _simplex.Solution) -> ProbabilityVector | None:
+        """``sol``'s witness if ``sol`` is proven optimal for ``c`` against
+        the pruned rows, by LP duality; ``None`` if it is not.
 
-        The witness must satisfy every row and attain ``sol.value``; the
-        duals must be feasible for the dual LP and reach the same value.
-        Everything is compared over integers.
+        A witness not yet in ``witnesses`` must be a point of the simplex
+        that satisfies every row.  Every answer's witness must attain
+        ``sol.value``, and its duals must be feasible for the dual LP and
+        reach the same value.  Everything is compared over integers.
         """
         n = self.space.size
         x, xd, y, yd = sol.x, sol.x_den, sol.y, sol.y_den
-        vn, vd = sol.value.numerator, sol.value.denominator
-        if not (
-            len(x) == n
-            and len(y) == len(self.rows) + 1
-            and xd > 0
-            and yd > 0
-            and all(v >= 0 for v in x)
+        if not (len(x) == n and len(y) == len(self.rows) + 1 and xd > 0 and yd > 0):
+            return None
+        g = math.gcd(xd, *x)
+        if g != 1:
+            x, xd = tuple(v // g for v in x), xd // g
+        witness = self.witnesses.get((x, xd))
+        if witness is None and not (
+            all(v >= 0 for v in x)
             and sum(x) == xd
-            and vd * sum(ci * xi for ci, xi in zip(c, x)) == vn * xd
+            and all(
+                sum(map(x.__getitem__, members)) * den <= num * xd
+                for members, num, den, _ in self.rows
+            )
         ):
-            return False
+            return None
+        vn, vd = sol.value.numerator, sol.value.denominator
+        if vd * sum(map(mul, c, x)) != vn * xd:
+            return None
         y_eq = y[-1]
         dual_value = y_eq * self.lcd
         reach = [y_eq] * n  # y_eq + the duals of the rows holding i
-        for (members, num, den, weight), yr in zip(self.rows, y):
-            if sum(map(x.__getitem__, members)) * den > num * xd or yr > 0:
-                return False
-            if yr:
-                dual_value += yr * weight
-                for i in members:
-                    reach[i] += yr
-        return (
+        # only the rows with a non-zero dual add to either sum
+        for (members, _, _, weight), yr in compress(zip(self.rows, y), y):
+            if yr > 0:
+                return None
+            dual_value += yr * weight
+            for i in members:
+                reach[i] += yr
+        if not (
             all(r <= ci * yd for r, ci in zip(reach, c))
             and vn * yd * self.lcd == vd * dual_value
-        )
+        ):
+            return None
+        if witness is None:
+            # the first-answer check has covered x >= 0 and sum(x) == x_den,
+            # which is all ProbabilityVector.__init__ would check
+            witness = object.__new__(ProbabilityVector)
+            object.__setattr__(witness, "space", self.space)
+            object.__setattr__(witness, "p", tuple(Fraction(v, xd) for v in x))
+            self.witnesses[x, xd] = witness
+        return witness
 
 
 def _oracle(poly: CredalPolytope) -> _Oracle:
-    # the solver's tableau changes on every query, so one polytope must
-    # not be queried from two threads at once
+    # the solver's tableau and the witness table change on queries, so
+    # one polytope must not be queried from two threads at once
     return cached(poly, "_oracle", _Oracle)
 
 
@@ -184,16 +214,12 @@ def _solve(poly: CredalPolytope, objective: list[int]) -> tuple[Fraction, Probab
     if oracle.solver is None:
         raise InfeasibleError("the credal polytope is empty")
     sol = oracle.solver.minimize(objective)
-    if not oracle.certified(objective, sol):
+    witness = oracle.certified(objective, sol)
+    if witness is None:
         raise OracleError(
             f"the simplex answer {sol.value} for objective {objective} failed "
             "its exact duality certificate"
         )
-    # the certificate has checked x >= 0 and sum(x) == x_den, which is
-    # all ProbabilityVector.__init__ would check
-    witness = object.__new__(ProbabilityVector)
-    object.__setattr__(witness, "space", poly.space)
-    object.__setattr__(witness, "p", tuple(Fraction(v, sol.x_den) for v in sol.x))
     return sol.value, witness
 
 

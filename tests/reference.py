@@ -8,6 +8,9 @@ of possibility distributions (checked against ``pbox.lower_prob``), and
 ``covers_first_or_last`` is the condition under which
 ``convert.reconstruct_interval`` recovers the interval exactly.
 Acceptance criteria 2 and 3 compare against the first two.
+``certified`` is the oracle's certificate run in full on every answer,
+rows included, which the oracle's once-per-witness row check is
+compared against.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from impbox import FiniteSpace, GeneralizedPBox, MassAssignment, Permutation
+from impbox import FiniteSpace, GeneralizedPBox, MassAssignment, Permutation, _simplex
+from impbox.credal import _Oracle
 from impbox.possibility import necessity, possibility, to_possibility_pair
 from impbox.space import Event, _same_space
 
@@ -92,3 +96,39 @@ def covers_first_or_last(space: FiniteSpace, sigmas: Sequence[Permutation]) -> b
         seen.add(sigma.order[0])
         seen.add(sigma.order[-1])
     return seen == set(range(space.size))
+
+
+def certified(oracle: _Oracle, c: list[int], sol: _simplex.Solution) -> bool:
+    """Check ``sol`` exactly against the pruned rows, by LP duality.
+
+    The witness must satisfy every row and attain ``sol.value``; the
+    duals must be feasible for the dual LP and reach the same value.
+    Everything is compared over integers.
+    """
+    n = oracle.space.size
+    x, xd, y, yd = sol.x, sol.x_den, sol.y, sol.y_den
+    vn, vd = sol.value.numerator, sol.value.denominator
+    if not (
+        len(x) == n
+        and len(y) == len(oracle.rows) + 1
+        and xd > 0
+        and yd > 0
+        and all(v >= 0 for v in x)
+        and sum(x) == xd
+        and vd * sum(ci * xi for ci, xi in zip(c, x)) == vn * xd
+    ):
+        return False
+    y_eq = y[-1]
+    dual_value = y_eq * oracle.lcd
+    reach = [y_eq] * n  # y_eq + the duals of the rows holding i
+    for (members, num, den, weight), yr in zip(oracle.rows, y):
+        if sum(map(x.__getitem__, members)) * den > num * xd or yr > 0:
+            return False
+        if yr:
+            dual_value += yr * weight
+            for i in members:
+                reach[i] += yr
+    return (
+        all(r <= ci * yd for r, ci in zip(reach, c))
+        and vn * yd * oracle.lcd == vd * dual_value
+    )

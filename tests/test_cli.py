@@ -13,6 +13,7 @@ from impbox import (
     possibility,
     randomset,
 )
+from impbox._exact import too_long_message
 from impbox.cli import main
 
 EXPERT_TEXT = json.dumps(
@@ -504,6 +505,21 @@ def test_all_kinds_golden(runner, tmp_path, kind, command):
     ]
 
 
+#: every value prints, but bel({a, b}) = 1/P + 1/Q has a 6000-digit denominator
+BIG_BELIEF_TEXT = json.dumps(
+    {
+        "kind": "mass",
+        "space": ["a", "b", "c", "d"],
+        "focal": {
+            "a": f"1/{10**2999 + 1}",
+            "b": f"1/{10**2999 + 3}",
+            "c": str(F(1, 2) - F(1, 10**2999 + 1)),
+            "d": str(F(1, 2) - F(1, 10**2999 + 3)),
+        },
+    }
+)
+
+
 @pytest.mark.parametrize(
     "text, args",
     [
@@ -532,22 +548,7 @@ def test_all_kinds_golden(runner, tmp_path, kind, command):
             ),
             ["convert", "--to", "mass"],
         ),
-        # bel({a, b}) = 1/P + 1/Q has a 6000-digit denominator
-        (
-            json.dumps(
-                {
-                    "kind": "mass",
-                    "space": ["a", "b", "c", "d"],
-                    "focal": {
-                        "a": f"1/{10**2999 + 1}",
-                        "b": f"1/{10**2999 + 3}",
-                        "c": str(F(1, 2) - F(1, 10**2999 + 1)),
-                        "d": str(F(1, 2) - F(1, 10**2999 + 3)),
-                    },
-                }
-            ),
-            ["query", "--event", "a,b", "--bound", "lower"],
-        ),
+        (BIG_BELIEF_TEXT, ["query", "--event", "a,b", "--bound", "lower"]),
         (
             json.dumps(
                 {
@@ -630,6 +631,24 @@ def test_oversized_numbers_are_validation_failures(runner, tmp_path, text, args)
 )
 def test_malformed_documents_are_validation_failures(runner, tmp_path, text, args):
     _assert_validation_failure(runner, tmp_path, text, args)
+
+
+def test_verify_mismatch_too_long_to_print_exits_3_without_a_traceback(
+    runner, tmp_path, monkeypatch
+):
+    path = tmp_path / "doc.json"
+    path.write_text(BIG_BELIEF_TEXT)
+    result = runner.invoke(main, ["verify", str(path)])
+    assert (result.exit_code, result.output) == (0, "16/16 events agree\n")
+    honest = randomset.bel
+    monkeypatch.setattr(
+        randomset, "bel", lambda ms, a: honest(ms, a) + (F(1, 10) if a.mask == 0b0011 else 0)
+    )
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stdout == ""
+    assert result.stderr == f"mismatch on {{a,b}}: {too_long_message()}\n"
 
 
 def _assert_validation_failure(runner, tmp_path, text, args):

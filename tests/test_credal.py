@@ -1,10 +1,12 @@
 import random
 import warnings
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
 import gen
+import reference
 from impbox import (
     CredalPolytope,
     FiniteSpace,
@@ -18,7 +20,7 @@ from impbox import (
     lower_envelope,
     upper_envelope,
 )
-from impbox import _simplex, interval, possibility, randomset
+from impbox import _simplex, credal, interval, possibility, randomset
 from impbox.credal import is_empty
 from impbox.pbox import to_polytope
 
@@ -248,23 +250,183 @@ def test_empty_polytope_raises_on_every_call():
         assert is_empty(over)
 
 
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        lambda sol: sol._replace(value=sol.value + F(1, 7)),
-        lambda sol: sol._replace(y=sol.y[:-1] + (sol.y[-1] + sol.y_den,)),
-        lambda sol: sol._replace(x=(sol.x_den,) + (0,) * (len(sol.x) - 1)),
-        lambda sol: sol._replace(y=(sol.y_den,) + sol.y[1:]),
-    ],
-    ids=["value", "dual-value", "witness", "dual-sign"],
-)
-def test_tampered_solver_answer_raises(monkeypatch, expert_polytope, space6, tamper):
-    honest = _simplex.Simplex.minimize
-    monkeypatch.setattr(
-        _simplex.Simplex, "minimize", lambda self, c: tamper(honest(self, c))
+def _objective(event):
+    return [event.mask >> i & 1 for i in range(event.space.size)]
+
+
+_HONEST_MINIMIZE = _simplex.Simplex.minimize
+
+
+def _all_rows_but_the_last(oracle):
+    """A solver over the oracle's pruned rows without the last one.
+
+    Its answers come with a zero dual appended for the missing row, so
+    they pass every check of the full certificate that depends on the
+    objective, and fail it exactly when the witness breaks the last row.
+    """
+    n = oracle.space.size
+    rows = oracle.rows[:-1]
+    solver = _simplex.Simplex(
+        n,
+        [[int(i in members) for i in range(n)] for members, *_ in rows],
+        [F(num, den) for _, num, den, _ in rows],
     )
-    with pytest.raises(OracleError):
-        lower_envelope(expert_polytope, space6.event(["x3", "x4", "x5"]))
+
+    def minimize(c):
+        sol = _HONEST_MINIMIZE(solver, c)  # even while a test patches it
+        return sol._replace(y=sol.y[:-1] + (0, sol.y[-1]))
+
+    return minimize
+
+
+def _breaks_the_last_row(oracle, sol):
+    members, num, den, _ = oracle.rows[-1]
+    return sum(sol.x[i] for i in members) * den > num * sol.x_den
+
+
+#: id -> (labels of the event queried, a wrong answer made from the honest
+#: answer ``sol`` to objective ``c``); ``swept`` maps each objective of a
+#: full sweep to its honest answer, whose witness is in the table
+TAMPERS = {
+    "value": (
+        ["x3", "x4", "x5"],
+        lambda sol, c, oracle, swept: sol._replace(value=sol.value + F(1, 7)),
+    ),
+    "dual-value": (
+        ["x3", "x4", "x5"],
+        lambda sol, c, oracle, swept: sol._replace(y=sol.y[:-1] + (sol.y[-1] + sol.y_den,)),
+    ),
+    "witness": (
+        ["x3", "x4", "x5"],
+        lambda sol, c, oracle, swept: sol._replace(x=(sol.x_den,) + (0,) * (len(sol.x) - 1)),
+    ),
+    "dual-sign": (
+        ["x3", "x4", "x5"],
+        lambda sol, c, oracle, swept: sol._replace(y=(sol.y_den,) + sol.y[1:]),
+    ),
+    # the whole answer the complement got: a certified witness, with the
+    # complement's value, 1/10 where 9/10 is what it attains here
+    "table-witness": (
+        ["x3", "x4", "x5"],
+        lambda sol, c, oracle, swept: swept[tuple(1 - ci for ci in c)],
+    ),
+    # the expert polytope's last pruned row is P({x4,x5,x6}) <= 4/5; without
+    # it, min P({x1,x2,x3}) is 0, at x4 = 9/10, x6 = 1/10
+    "all-rows-but-the-last": (
+        ["x1", "x2", "x3"],
+        lambda sol, c, oracle, swept: _all_rows_but_the_last(oracle)(c),
+    ),
+}
+
+#: tampers that need a table warmed by a sweep
+WARM_ONLY = ("table-witness", "all-rows-but-the-last")
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+def test_tampered_solver_answer_raises(monkeypatch, expert_pbox, space6, tamper):
+    """Each wrong answer raises on a fresh polytope and after a full sweep
+    has filled the witness table, and leaves the table as it was."""
+    labels, wrong = TAMPERS[tamper]
+    honest = _simplex.Simplex.minimize
+    for warm in (True,) if tamper in WARM_ONLY else (False, True):
+        poly = to_polytope(expert_pbox)
+        oracle = credal._oracle(poly)
+        swept = {}
+        if warm:
+            monkeypatch.setattr(
+                _simplex.Simplex,
+                "minimize",
+                lambda self, c: swept.setdefault(tuple(c), honest(self, c)),
+            )
+            for event in enumerate_events(space6):
+                lower_envelope(poly, event)
+            assert len(oracle.witnesses) > 1
+        table = dict(oracle.witnesses)
+        monkeypatch.setattr(
+            _simplex.Simplex,
+            "minimize",
+            lambda self, c: wrong(honest(self, c), c, oracle, swept),
+        )
+        with pytest.raises(OracleError):
+            lower_envelope(poly, space6.event(labels))
+        assert oracle.witnesses == table
+
+
+def _wrong_answers(oracle, c, sol, earlier):
+    """Answers to objective ``c`` that are wrong whatever the polytope."""
+    yield sol._replace(value=sol.value + F(1, 7))
+    yield sol._replace(y=sol.y[:-1] + (sol.y[-1] + sol.y_den,))
+    yield sol._replace(x=(sol.x[0] + 1,) + sol.x[1:])  # off the simplex
+    if oracle.rows:
+        yield sol._replace(y=(sol.y_den,) + sol.y[1:])  # a positive row dual
+        # a vertex of the simplex that breaks the first row, at its value
+        i = oracle.rows[0][0][0]
+        x = tuple(int(j == i) for j in range(len(sol.x)))
+        yield sol._replace(x=x, x_den=1, value=F(c[i]))
+    # an earlier witness, which the table may hold, that misses the value
+    for other in earlier:
+        if sum(map(mul, c, other.x)) * sol.value.denominator != (
+            sol.value.numerator * other.x_den
+        ):
+            yield sol._replace(x=other.x, x_den=other.x_den)
+            break
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_the_certificate_agrees_with_the_full_reference_check(model):
+    """The once-per-witness row check accepts and rejects what checking
+    every row on every answer does, as the witness table fills up."""
+    rng = random.Random(f"certificate/{model}")
+    for n in range(1, 7):
+        for _ in range(2):
+            sp = gen.SPACES[n]
+            poly = MODELS[model](rng, sp)
+            oracle = credal._oracle(poly)
+            lacking = _all_rows_but_the_last(oracle) if oracle.rows else None
+            objectives = [
+                _objective(side)
+                for event in enumerate_events(sp)
+                for side in (event, event.complement())
+            ]
+            rng.shuffle(objectives)
+            earlier = []
+            for c in objectives:
+                sol = oracle.solver.minimize(c)
+                assert reference.certified(oracle, c, sol)
+                witness = oracle.certified(c, sol)
+                assert witness.p == tuple(F(v, sol.x_den) for v in sol.x)
+                for wrong in _wrong_answers(oracle, c, sol, earlier):
+                    assert not reference.certified(oracle, c, wrong)
+                    assert oracle.certified(c, wrong) is None
+                if lacking:
+                    other = lacking(c)
+                    valid = not _breaks_the_last_row(oracle, other)
+                    assert reference.certified(oracle, c, other) == valid
+                    assert (oracle.certified(c, other) is not None) == valid
+                earlier.append(sol)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_equal_witnesses_are_one_object_from_the_oracles_table(model):
+    rng = random.Random(f"witnesses/{model}")
+    for n in range(1, 7):
+        for _ in range(2):
+            sp = gen.SPACES[n]
+            poly = MODELS[model](rng, sp)
+            queries = [
+                (envelope, event)
+                for event in enumerate_events(sp)
+                for envelope in (lower_envelope, upper_envelope)
+            ]
+            rng.shuffle(queries)
+            by_point = {}
+            for envelope, event in queries:
+                witness = envelope(poly, event).witness
+                assert by_point.setdefault(witness.p, witness) is witness
+                assert is_member(poly, witness)
+            table = credal._oracle(poly).witnesses
+            assert len(table) == len(by_point)
+            assert {id(w) for w in table.values()} == {id(w) for w in by_point.values()}
 
 
 def _assert_optimal(a_ub, b_ub, a_eq, b_eq, c, sol):

@@ -303,8 +303,9 @@ def test_only_the_cache_helper_sets_private_attributes(module):
     assert found == (["name"] if module == CACHE_HOME else [])
 
 
-#: the one module that builds an object past its constructor: ``credal._solve``
-#: makes the witness vector it has just proven with the duality certificate
+#: the one module that builds an object past its constructor: the oracle's
+#: ``_Oracle.certified`` makes each witness vector once it has proven it
+#: against every row
 BYPASS_HOME = "credal.py"
 
 
