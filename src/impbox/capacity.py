@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from operator import add, gt, sub
+from typing import Iterator, Mapping, Sequence
 
 from ._exact import cached, over_lcd, too_long_message
 from .errors import ValidationError
@@ -22,16 +23,17 @@ def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple
     if isinstance(values, Mapping):
         table = [fill] * n_events
         for key, val in values.items():
-            mask = _mask_of(space, key)
+            # an in-range int key is its own mask; the rest take _mask_of's checks
+            mask = key if type(key) is int and 0 <= key < n_events else _mask_of(space, key)
             if table[mask] is not fill:
                 earlier = next(k for k in values if _mask_of(space, k) == mask)
                 raise ValidationError(f"keys {earlier!r} and {key!r} name one event")
             table[mask] = val if type(val) is Fraction else Fraction(val)
-        missing = [m for m, v in enumerate(table) if v is None]
-        if missing:
+        if fill is None and len(values) < n_events:  # each key set a different mask
+            missing = next(m for m, v in enumerate(table) if v is None)
             raise ValidationError(
                 f"set function must be defined on all {n_events} events, "
-                f"missing mask {missing[0]:#b}"
+                f"missing mask {missing:#b}"
             )
         return tuple(table)
     table = tuple(Fraction(v) for v in values)
@@ -61,13 +63,30 @@ def _mobius_table(c: Capacity) -> tuple[int, ...]:
     return cached(c, "_mobius_table", lambda c: tuple(_mobius(list(_table(c)))))
 
 
+def _bit_slices(size: int) -> Iterator[tuple[slice, slice]]:
+    """For each bit of a table of ``size = 2**n`` entries, lowest first,
+    slice pairs ``(lo, hi)``: ``lo`` picks masks without the bit and ``hi``
+    the same masks with it, so ``table[hi]`` and ``table[lo]`` line up.
+
+    Strided slices ``o::2*bit`` serve the low bits and blocks
+    ``[b, b + bit)`` the high ones, so no bit takes more than about
+    ``2**(n/2)`` pairs and the per-mask work runs in C-level loops.
+    """
+    for i in range(size.bit_length() - 1):
+        bit = 1 << i
+        step = bit << 1
+        if bit * bit < size:
+            for o in range(bit):
+                yield slice(o, size, step), slice(o + bit, size, step)
+        else:
+            for b in range(0, size, step):
+                yield slice(b, b + bit), slice(b + bit, b + step)
+
+
 def _mobius(table: list) -> list:
     """Möbius transform of a table indexed by event bitmask, in place."""
-    for i in range(len(table).bit_length() - 1):
-        bit = 1 << i
-        for mask in range(len(table)):
-            if mask & bit:
-                table[mask] -= table[mask ^ bit]
+    for lo, hi in _bit_slices(len(table)):
+        table[hi] = map(sub, table[hi], table[lo])
     return table
 
 
@@ -75,12 +94,20 @@ def _zeta(table: list) -> list:
     """Sums over subsets of a table indexed by event bitmask, in place:
     the inverse of ``_mobius``, so a table of masses becomes the belief
     function they induce."""
-    for i in range(len(table).bit_length() - 1):
-        bit = 1 << i
-        for mask in range(len(table)):
-            if mask & bit:
-                table[mask] += table[mask ^ bit]
+    for lo, hi in _bit_slices(len(table)):
+        table[hi] = map(add, table[hi], table[lo])
     return table
+
+
+def _first_covering_violation(v: Sequence[int]) -> tuple[int, int] | None:
+    """The first ``(mask, bit)``, in mask then bit order, with
+    ``v[mask] > v[mask | bit]``, if any."""
+    for mask in range(len(v)):
+        for i in range(len(v).bit_length() - 1):
+            bit = 1 << i
+            if not mask & bit and v[mask] > v[mask | bit]:
+                return mask, bit
+    return None
 
 
 @dataclass(frozen=True)
@@ -124,19 +151,16 @@ def validate_capacity(space: FiniteSpace, values) -> Capacity:
         )
     c = Capacity(space, table)
     v = _table(c)
-    for mask in range(full + 1):
-        for i in range(space.size):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            if v[mask] > v[mask | bit]:
-                small = Event(space, mask)
-                big = Event(space, mask | bit)
-                raise ValidationError(
-                    f"monotonicity violated: mu({small})={table[mask]} > "
-                    f"mu({big})={table[mask | bit]}",
-                    witness=(small, big),
-                )
+    if any(any(map(gt, v[lo], v[hi])) for lo, hi in _bit_slices(len(v))):
+        # the scan names the first violation, in mask order, for the message
+        mask, bit = _first_covering_violation(v)
+        small = Event(space, mask)
+        big = Event(space, mask | bit)
+        raise ValidationError(
+            f"monotonicity violated: mu({small})={table[mask]} > "
+            f"mu({big})={table[mask | bit]}",
+            witness=(small, big),
+        )
     return c
 
 
@@ -191,7 +215,11 @@ def mobius_inverse(m: MobiusAssignment) -> Capacity:
 
 
 def is_2_monotone(c: Capacity) -> bool:
-    return find_2_monotone_violation(c) is None
+    """A belief function (non-negative Möbius masses) is 2-monotone
+    (Shafer 1976): each local second difference c(S+i+j) + c(S) - c(S+i)
+    - c(S+j) is the total mass of the events within S+i+j that hold both
+    i and j. Any other capacity takes the local scan."""
+    return is_infty_monotone(c) or find_2_monotone_violation(c) is None
 
 
 def find_2_monotone_violation(c: Capacity) -> tuple[Event, Event] | None:

@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import capacity, convert, credal, interval, pbox, possibility, randomset
 from ._exact import cached, too_long, too_long_message
@@ -110,23 +110,25 @@ def _label_bits(space: FiniteSpace) -> dict[str, int]:
     return {"": 0, **{label: 1 << i for i, label in enumerate(space.labels)}}
 
 
-def _key_mask(space: FiniteSpace, key, path: str) -> int:
-    """The bitmask of an event key, its labels joined by commas: the one
-    place ``docio`` turns labels into a mask."""
-    if not isinstance(key, str):
-        raise DocumentError("expected a string of comma-separated labels", path)
-    bits = cached(space, "_label_bits", _label_bits)
-    mask = 0
-    for part in key.split(","):
-        bit = bits.get(part)
-        if bit is None:
-            raise DocumentError(f"unknown element label {part!r}", path)
-        mask |= bit
-    return mask
+def _key_masks(space: FiniteSpace, keys, path: Callable[[Any], str]) -> Iterator[int]:
+    """The bitmask of each event key, its labels joined by commas: the one
+    place ``docio`` turns labels into masks. ``path(key)`` is called only
+    to locate a key that names no event."""
+    get = cached(space, "_label_bits", _label_bits).get
+    for key in keys:
+        if not isinstance(key, str):
+            raise DocumentError("expected a string of comma-separated labels", path(key))
+        mask = 0
+        for part in key.split(","):
+            bit = get(part)
+            if bit is None:
+                raise DocumentError(f"unknown element label {part!r}", path(key))
+            mask |= bit
+        yield mask
 
 
 def _event(space: FiniteSpace, key, path: str) -> Event:
-    return Event(space, _key_mask(space, key, path))
+    return Event(space, next(_key_masks(space, (key,), lambda _: path)))
 
 
 def _event_key(event: Event) -> str:
@@ -142,19 +144,21 @@ def _event_map(payload, field: str, space: FiniteSpace) -> dict[int, Fraction]:
     raw = payload.get(field)
     if not isinstance(raw, dict):
         raise DocumentError(f"{field} must be an object", f"$.{field}")
+
+    def path(key) -> str:
+        return f"$.{field}[{key!r}]"
+
     table, keys, texts = {}, {}, {}
-    for key, val in raw.items():
-        path = f"$.{field}[{key!r}]"
-        mask = _key_mask(space, key, path)
+    for mask, (key, val) in zip(_key_masks(space, raw, path), raw.items()):
         if mask in keys:
-            raise DocumentError(f"same event as {keys[mask]!r}", path)
+            raise DocumentError(f"same event as {keys[mask]!r}", path(key))
         keys[mask] = key
         if type(val) is not str:  # True == 1, so only texts share a parse
-            table[mask] = _rational(val, path)
+            table[mask] = _rational(val, path(key))
         elif val in texts:
             table[mask] = texts[val]
         else:
-            table[mask] = texts[val] = _rational(val, path)
+            table[mask] = texts[val] = _rational(val, path(key))
     return table
 
 

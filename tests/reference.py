@@ -10,7 +10,10 @@ of possibility distributions (checked against ``pbox.lower_prob``), and
 Acceptance criteria 2 and 3 compare against the first two.
 ``certified`` is the oracle's certificate run in full on every answer,
 rows included, which the oracle's once-per-witness row check is
-compared against.
+compared against. ``mobius`` and ``zeta`` are the scalar per-mask loops
+the sliced kernels of ``capacity`` are checked against, and
+``covering_violation`` is the covering-pair scan whose message and
+witness ``validate_capacity`` must repeat.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from impbox import FiniteSpace, GeneralizedPBox, MassAssignment, Permutation, _simplex
+from impbox.capacity import Capacity, _table
 from impbox.credal import _Oracle
+from impbox.errors import ValidationError
 from impbox.possibility import necessity, possibility, to_possibility_pair
 from impbox.space import Event, _same_space
 
@@ -132,3 +137,45 @@ def certified(oracle: _Oracle, c: list[int], sol: _simplex.Solution) -> bool:
         all(r <= ci * yd for r, ci in zip(reach, c))
         and vn * yd * oracle.lcd == vd * dual_value
     )
+
+
+def mobius(table: list) -> list:
+    """Möbius transform of a table indexed by event bitmask, in place."""
+    for i in range(len(table).bit_length() - 1):
+        bit = 1 << i
+        for mask in range(len(table)):
+            if mask & bit:
+                table[mask] -= table[mask ^ bit]
+    return table
+
+
+def zeta(table: list) -> list:
+    """Sums over subsets of a table indexed by event bitmask, in place."""
+    for i in range(len(table).bit_length() - 1):
+        bit = 1 << i
+        for mask in range(len(table)):
+            if mask & bit:
+                table[mask] += table[mask ^ bit]
+    return table
+
+
+def covering_violation(space: FiniteSpace, table: Sequence[Fraction]) -> ValidationError | None:
+    """The error for the first covering pair A, A+{x} with mu(A) > mu(A+{x}),
+    scanning masks in order and each mask's missing bits from the lowest;
+    ``None`` if the table is monotone."""
+    v = _table(Capacity(space, tuple(table)))
+    full = (1 << space.size) - 1
+    for mask in range(full + 1):
+        for i in range(space.size):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            if v[mask] > v[mask | bit]:
+                small = Event(space, mask)
+                big = Event(space, mask | bit)
+                return ValidationError(
+                    f"monotonicity violated: mu({small})={table[mask]} > "
+                    f"mu({big})={table[mask | bit]}",
+                    witness=(small, big),
+                )
+    return None

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import gen
+import reference
 from impbox import (
     FiniteSpace,
     MassAssignment,
@@ -21,7 +22,9 @@ from impbox import (
     mobius_transform,
     validate_capacity,
 )
+from impbox import interval, randomset
 from impbox.capacity import find_2_monotone_violation, mobius_masses
+from impbox.space import Event
 from impbox.randomset import bel
 
 
@@ -164,6 +167,7 @@ def test_infty_implies_2_monotone():
         c = bel_capacity(ms)
         assert is_infty_monotone(c)
         assert is_2_monotone(c)
+        assert find_2_monotone_violation(c) is None
         hits += 1
     assert hits == 60
 
@@ -342,3 +346,152 @@ def test_a_table_keyed_twice_for_one_event_is_rejected(build, top):
     table = {0: 0, sp.event(["x1"]): F(1, 5), 1: F(1, 2), 2: F(1, 5), 3: top}
     with pytest.raises(ValidationError, match=r"keys \{x1\} and 1 name one event"):
         build(sp, table)
+
+
+def _space(n):
+    return gen.SPACES.get(n) or FiniteSpace([f"x{i}" for i in range(1, n + 1)])
+
+
+def test_the_pairing_helper_pairs_every_mask_with_each_bit_added():
+    for n in range(1, 11):
+        masks = list(range(1 << n))
+        lows_by_bit, pairs_by_bit = {}, {}
+        for lo, hi in capacity._bit_slices(len(masks)):
+            lows, highs = masks[lo], masks[hi]
+            assert lows and len(lows) == len(highs)
+            (bit,) = {h ^ m for m, h in zip(lows, highs)}
+            assert all(not m & bit for m in lows)
+            lows_by_bit.setdefault(bit, []).extend(lows)
+            pairs_by_bit[bit] = pairs_by_bit.get(bit, 0) + 1
+        # lowest bit first; each bit pairs every mask without it exactly once
+        assert list(lows_by_bit) == [1 << i for i in range(n)]
+        for bit, lows in lows_by_bit.items():
+            assert sorted(lows) == [m for m in masks if not m & bit]
+        # no bit takes more than about 2**(n/2) slice pairs
+        assert max(pairs_by_bit.values()) <= 1 << (n + 1) // 2
+    # at n = 9 the low bits take strided slices and the high bits blocks
+    steps = {lo.step for lo, _ in capacity._bit_slices(1 << 9)}
+    assert None in steps and len(steps) > 1
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_the_sliced_kernels_equal_the_scalar_loops(n):
+    rng = random.Random(1000 + n)
+    size = 1 << n
+    for _ in range(3):
+        ints = [rng.randint(-50, 50) for _ in range(size)]
+        fractions = [F(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(size)]
+        for table in (ints, fractions):
+            assert capacity._mobius(list(table)) == reference.mobius(list(table))
+            assert capacity._zeta(list(table)) == reference.zeta(list(table))
+            assert capacity._zeta(capacity._mobius(list(table))) == table
+    c = gen.rand_capacity(rng, _space(n))
+    assert mobius_inverse(mobius_transform(c)) == c
+
+
+def test_bel_sums_no_subsets_with_the_kernels(monkeypatch):
+    """The polytope and the closed form share no bound code: ``bel`` reads
+    the focal masses on its own, and only ``to_polytope`` runs ``_zeta``."""
+    calls = []
+
+    def counted(name, honest):
+        return lambda *args: calls.append(name) or honest(*args)
+
+    monkeypatch.setattr(capacity, "_bit_slices", counted("_bit_slices", capacity._bit_slices))
+    monkeypatch.setattr(randomset, "_zeta", counted("_zeta", randomset._zeta))
+    ms = gen.rand_mass(random.Random(23), gen.SPACES[5])
+    for event in enumerate_events(ms.space):
+        bel(ms, event)
+        randomset.pl(ms, event)
+    assert calls == []
+    randomset.to_polytope(ms)
+    assert calls == ["_zeta", "_bit_slices"]
+
+
+def _weighted_table(space, light):
+    """An additive table whose element ``light`` weighs 1 and every other 3,
+    so each covering pair rises by 1 on ``light`` and by 3 elsewhere."""
+    weights = [1 if i == light else 3 for i in range(space.size)]
+    total = sum(weights)
+    return [
+        F(sum(w for i, w in enumerate(weights) if mask >> i & 1), total)
+        for mask in range(1 << space.size)
+    ]
+
+
+def _plant(table, space, mask, light):
+    """Raise ``mask``, which lacks ``light``, by two weights: it then exceeds
+    ``mask + {light}`` and stays below every other set covering it."""
+    table[mask] += F(2, sum(1 if i == light else 3 for i in range(space.size)))
+
+
+def _same_first_violation(space, table):
+    """Assert that ``validate_capacity`` fails as the reference scan does,
+    or passes where it finds nothing; the reference's witness, if any."""
+    expected = reference.covering_violation(space, table)
+    if expected is None:
+        validate_capacity(space, table)
+        return None
+    with pytest.raises(ValidationError) as exc:
+        validate_capacity(space, table)
+    assert str(exc.value) == str(expected)
+    assert exc.value.witness == expected.witness
+    return expected.witness
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_monotonicity_error_names_the_scans_first_violation(n):
+    rng = random.Random(2000 + n)
+    sp = _space(n)
+    full = (1 << n) - 1
+    # one violation, on bit 0 and on the top bit
+    for light in sorted({0, n - 1}):
+        candidates = [m for m in range(1, full) if not m >> light & 1]
+        for _ in range(min(len(candidates), 4)):
+            table = _weighted_table(sp, light)
+            mask = rng.choice(candidates)
+            _plant(table, sp, mask, light)
+            small, big = _same_first_violation(sp, table)
+            assert (small.mask, big.mask) == (mask, mask | 1 << light)
+    # several at once, on random bits
+    for _ in range(6):
+        light = rng.randrange(n)
+        table = _weighted_table(sp, light)
+        candidates = [m for m in range(1, full) if not m >> light & 1]
+        masks = rng.sample(candidates, min(len(candidates), 3))
+        for mask in masks:
+            _plant(table, sp, mask, light)
+        first = min(masks, default=None)  # n = 1 has no set to raise
+        expected = None if first is None else (Event(sp, first), Event(sp, first | 1 << light))
+        assert _same_first_violation(sp, table) == expected
+    # unmonotonized random tables break many pairs at once
+    for _ in range(6):
+        table = [F(0)] + [gen.rand_fraction(rng) for _ in range(full - 1)] + [F(1)]
+        _same_first_violation(sp, table)
+
+
+def _reachable_interval_capacity(rng, space):
+    iv = gen.rand_reachable_interval(rng, space)
+    return validate_capacity(
+        space, [interval.event_bounds(iv, a)[0] for a in enumerate_events(space)]
+    )
+
+
+def test_is_2_monotone_agrees_with_the_scan():
+    rng = random.Random(29)
+    seen = {"belief": set(), "capacity": set(), "interval": set()}
+    for _ in range(120):
+        sp = gen.SPACES[rng.randint(1, 6)]
+        kind = rng.choice(sorted(seen))
+        if kind == "belief":
+            c = bel_capacity(gen.rand_mass(rng, sp))
+        elif kind == "capacity":
+            c = gen.rand_capacity(rng, sp, denom=rng.choice([2, 3, 12]))
+        else:
+            c = _reachable_interval_capacity(rng, sp)
+        assert is_2_monotone(c) == (find_2_monotone_violation(c) is None)
+        seen[kind].add((is_2_monotone(c), is_infty_monotone(c)))
+    assert seen["belief"] == {(True, True)}
+    assert (False, False) in seen["capacity"]
+    # reachable intervals are 2-monotone, and often not belief functions
+    assert seen["interval"] == {(True, True), (True, False)}

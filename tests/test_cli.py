@@ -803,3 +803,82 @@ def test_verify_catches_a_coherent_but_wrong_belief(runner, tmp_path, monkeypatc
         "mismatch on {x1}: formula [2/3, 2/3] vs oracle [1/2, 1]\n"
         "oracle lower witness: x1=1/2, x2=1/2, x3=0\n"
     )
+
+
+def _keyed(kind, payload):
+    field = "values" if kind == "capacity" else "focal"
+    return json.dumps({"kind": kind, "space": ["a", "b"], field: payload})
+
+
+TOO_LONG = too_long_message("numerator or denominator")
+
+#: keyed-payload documents the key reader rejects, each with its one
+#: ``error:`` line; the first bad key in document order is the one named
+KEY_READER_ERRORS = {
+    "capacity-unknown-label": (
+        _keyed("capacity", {"": "0", "a": "1/5", "b,q": "1/2", "a,b": "1"}),
+        "$.values['b,q']: unknown element label 'q'",
+    ),
+    "capacity-empty-label-part": (
+        _keyed("capacity", {"": "0", "a": "1/5", "b": "1/5", ",a": "1/5", "a,b": "1"}),
+        "$.values[',a']: same event as 'a'",
+    ),
+    "capacity-event-twice": (
+        _keyed("capacity", {"": "0", "a": "1/5", "b": "1/5", "b,a": "1/2", "a,b": "1"}),
+        "$.values['a,b']: same event as 'b,a'",
+    ),
+    "capacity-boolean": (
+        _keyed("capacity", {"": "0", "a": True, "b": "1/5", "a,b": "1"}),
+        "$.values['a']: expected a rational number, got a boolean",
+    ),
+    "capacity-bad-value-text": (
+        _keyed("capacity", {"": "0", "a": "1/5", "b": "one fifth", "a,b": "1"}),
+        "$.values['b']: cannot parse 'one fifth' as a rational",
+    ),
+    "capacity-huge-exponent": (
+        _keyed("capacity", {"": "0", "a": "1e99999", "b": "1/5", "a,b": "1"}),
+        f"$.values['a']: {TOO_LONG}",
+    ),
+    "capacity-bad-value-before-unknown-label": (
+        _keyed("capacity", {"": "0", "a": "1/5", "b": "1//5", "q": "1/2", "a,b": "1"}),
+        "$.values['b']: cannot parse '1//5' as a rational",
+    ),
+    "mass-unknown-label": (
+        _keyed("mass", {"q": "1/2", "a,b": "1/2"}),
+        "$.focal['q']: unknown element label 'q'",
+    ),
+    "mass-empty-label-part": (
+        _keyed("mass", {"a": "1/2", "a,": "1/2"}),
+        "$.focal['a,']: same event as 'a'",
+    ),
+    "mass-event-twice": (
+        _keyed("mass", {"a,b": "1/2", "b,a": "1/2"}),
+        "$.focal['b,a']: same event as 'a,b'",
+    ),
+    "mass-boolean": (
+        _keyed("mass", {"a": "1/2", "b": False}),
+        "$.focal['b']: expected a rational number, got a boolean",
+    ),
+    "mass-bad-value-text": (
+        _keyed("mass", {"a": "1/2", "b": "1//2"}),
+        "$.focal['b']: cannot parse '1//2' as a rational",
+    ),
+    "mass-huge-exponent": (
+        _keyed("mass", {"a": "1/2", "b": "5e-99999"}),
+        f"$.focal['b']: {TOO_LONG}",
+    ),
+    "mass-huge-json-exponent": (
+        '{"kind": "mass", "space": ["a", "b"], "focal": {"a": 1e99999, "b": "1/2"}}',
+        f"$.focal['a']: {TOO_LONG}",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", KEY_READER_ERRORS.values(), ids=KEY_READER_ERRORS)
+@pytest.mark.parametrize("args", [["check"], ["convert", "--to", "interval"]], ids=["check", "convert"])
+def test_key_reader_errors_name_the_first_bad_key(runner, tmp_path, text, message, args):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    name, *options = args
+    result = runner.invoke(main, [name, str(path), *options])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", f"error: {message}\n")

@@ -373,39 +373,60 @@ def test_every_model_stores_only_what_its_constructor_takes(cls):
     assert not _stores_more_than_it_takes(cls)
 
 
-#: the one ``docio`` function that turns event labels into a bitmask
-KEY_READER = "_key_mask"
+#: the one ``docio`` function that turns event labels into bitmasks
+KEY_READER = "_key_masks"
+
+
+def _reads_label_table(node) -> bool:
+    """Whether ``node`` names ``_label_bits``: the label table's builder, or
+    its ``cached`` attribute name as a string."""
+    return (
+        isinstance(node, ast.Name) and node.id == "_label_bits"
+        or isinstance(node, ast.Attribute) and node.attr == "_label_bits"
+        or isinstance(node, ast.Constant) and node.value == "_label_bits"
+    )
 
 
 def _label_lookups(source: str, reader: str) -> list[str]:
-    """``.event(`` and ``.index(`` calls outside the top-level function
-    ``reader``, as their source text: each turns labels into positions."""
+    """``.event(`` and ``.index(`` calls and reads of ``_label_bits`` outside
+    the top-level function ``reader``, as their source text: each turns
+    labels into positions."""
     found = []
     for stmt in ast.parse(source).body:
         if isinstance(stmt, ast.FunctionDef) and stmt.name == reader:
             continue
-        found.extend(
-            ast.unparse(node.func)
-            for node in ast.walk(stmt)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in {"event", "index"}
-        )
+        for node in ast.walk(stmt):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in {"event", "index"}
+            ):
+                found.append(ast.unparse(node.func))
+            elif _reads_label_table(node):
+                found.append(ast.unparse(node))
     return sorted(found)
 
 
 def test_the_check_finds_label_lookups():
     source = (
-        "def _key_mask(space, key):\n"
-        "    return space.event(key.split(','))\n"
+        "def _key_masks(space, keys):\n"
+        "    bits = cached(space, '_label_bits', _label_bits)\n"
+        "    return space.event(keys[0].split(','))\n"
+        "def _label_bits(space):\n"
+        "    return {'': 0}\n"
         "def _other(space, key):\n"
         "    return space.index(key) | space.labels.index(key)\n"
+        "def _inline(space, key):\n"
+        "    return _label_bits(space)[key] | space._label_bits[key]\n"
+        "def _cached(space, key):\n"
+        "    return space.__dict__['_label_bits'][key]\n"
         "READ = lambda payload, space: space.event(payload['event'])\n"
         "def fine(space, index):\n"
-        "    return space.events(), index(space), space.event\n"
+        "    return space.events(), index(space), space.event, 'label_bits'\n"
     )
-    assert _label_lookups(source, "_key_mask") == [
-        "space.event", "space.index", "space.labels.index"
+    assert _label_lookups(source, "_key_masks") == [
+        "'_label_bits'", "_label_bits", "space._label_bits",
+        "space.event", "space.index", "space.labels.index",
     ]
 
 
