@@ -17,7 +17,6 @@ from .capacity import (
     is_infty_monotone,
     mobius_inverse,
     mobius_transform,
-    validate_capacity,
 )
 from .convert import (
     interval_to_sigma_pbox,
@@ -99,5 +98,4 @@ __all__ = [
     "reconstruct_interval",
     "reduced_permutation_set",
     "upper_envelope",
-    "validate_capacity",
 ]

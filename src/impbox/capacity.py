@@ -38,9 +38,7 @@ def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple
         return tuple(table)
     table = tuple(Fraction(v) for v in values)
     if len(table) != n_events:
-        raise ValidationError(
-            f"expected {n_events} values (one per event), got {len(table)}"
-        )
+        raise ValidationError(f"expected {n_events} values (one per event), got {len(table)}")
     return table
 
 
@@ -99,23 +97,35 @@ def _zeta(table: list) -> list:
     return table
 
 
-def _first_covering_violation(v: Sequence[int]) -> tuple[int, int] | None:
-    """The first ``(mask, bit)``, in mask then bit order, with
-    ``v[mask] > v[mask | bit]``, if any."""
-    for mask in range(len(v)):
-        for i in range(len(v).bit_length() - 1):
-            bit = 1 << i
-            if not mask & bit and v[mask] > v[mask | bit]:
-                return mask, bit
-    return None
-
-
 @dataclass(frozen=True)
 class Capacity:
-    """A set function with mu(empty)=0, mu(X)=1, monotone under inclusion."""
+    """A set function with mu(empty)=0, mu(X)=1, monotone under inclusion,
+    given as a full mapping keyed by ``Event`` or mask, or as one value per
+    mask.  Monotonicity is checked on all covering pairs A and A+{x} (which
+    covers all inclusions) over the integer table the classifications reuse."""
 
     space: FiniteSpace
     values: tuple[Fraction, ...]
+
+    def __init__(self, space: FiniteSpace, values):
+        table = _as_table(space, values)
+        if table[0] != 0:
+            raise ValidationError(f"capacity of the empty set must be 0, got {table[0]}")
+        if table[-1] != 1:
+            raise ValidationError(f"capacity of the whole space must be 1, got {table[-1]}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", table)
+        v = _table(self)
+        if any(any(map(gt, v[lo], v[hi])) for lo, hi in _bit_slices(len(v))):
+            # the message names the first violation, in mask then bit order
+            bits = [1 << i for i in range(space.size)]
+            mask, bit = next((m, b) for m in range(len(v)) for b in bits if v[m] > v[m | b])
+            small, big = Event(space, mask), Event(space, mask | bit)
+            raise ValidationError(
+                f"monotonicity violated: mu({small})={table[mask]} > "
+                f"mu({big})={table[mask | bit]}",
+                witness=(small, big),
+            )
 
     def __call__(self, event: Event) -> Fraction:
         _same_space(self.space, event.space, "event and capacity spaces differ")
@@ -124,44 +134,26 @@ class Capacity:
 
 @dataclass(frozen=True)
 class MobiusAssignment:
-    """A signed mass function on events summing to one, with m(empty)=0."""
+    """A signed mass function on events summing to one, with m(empty)=0,
+    given as a mapping keyed by ``Event`` or mask (events not in it carry
+    mass 0) or as one mass per mask."""
 
     space: FiniteSpace
     masses: tuple[Fraction, ...]
 
+    def __init__(self, space: FiniteSpace, masses):
+        table = _as_table(space, masses, fill=Fraction(0))
+        if table[0] != 0:
+            raise ValidationError(f"mass of the empty set must be 0, got {table[0]}")
+        total = sum(table)
+        if total != 1:
+            raise ValidationError(f"masses must sum to 1, got {total}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "masses", table)
+
     def __call__(self, event: Event) -> Fraction:
         _same_space(self.space, event.space, "event and Möbius assignment spaces differ")
         return self.masses[event.mask]
-
-
-def validate_capacity(space: FiniteSpace, values) -> Capacity:
-    """Build a capacity, checking boundary values and monotonicity.
-
-    Monotonicity is checked on all covering pairs A and A+{x}, which is
-    equivalent to checking all inclusions. The values' common denominator
-    must print within the int->str digit limit.
-    """
-    table = _as_table(space, values)
-    if table[0] != 0:
-        raise ValidationError(f"capacity of the empty set must be 0, got {table[0]}")
-    full = (1 << space.size) - 1
-    if table[full] != 1:
-        raise ValidationError(
-            f"capacity of the whole space must be 1, got {table[full]}"
-        )
-    c = Capacity(space, table)
-    v = _table(c)
-    if any(any(map(gt, v[lo], v[hi])) for lo, hi in _bit_slices(len(v))):
-        # the scan names the first violation, in mask order, for the message
-        mask, bit = _first_covering_violation(v)
-        small = Event(space, mask)
-        big = Event(space, mask | bit)
-        raise ValidationError(
-            f"monotonicity violated: mu({small})={table[mask]} > "
-            f"mu({big})={table[mask | bit]}",
-            witness=(small, big),
-        )
-    return c
 
 
 def capacity_from_probability(space: FiniteSpace, p: Sequence) -> Capacity:
@@ -177,9 +169,8 @@ def capacity_from_probability(space: FiniteSpace, p: Sequence) -> Capacity:
 
 def conjugate(c: Capacity) -> Capacity:
     """The conjugate capacity: result(E) = 1 - c(complement of E)."""
-    full = (1 << c.space.size) - 1
-    table = tuple(1 - c.values[full ^ mask] for mask in range(full + 1))
-    return Capacity(c.space, table)
+    # the complement of mask m is mask 2**n - 1 - m: the table reversed
+    return Capacity(c.space, [1 - v for v in reversed(c.values)])
 
 
 def mobius_transform(c: Capacity) -> MobiusAssignment:
@@ -191,27 +182,13 @@ def mobius_transform(c: Capacity) -> MobiusAssignment:
     return MobiusAssignment(c.space, tuple(_mobius(list(c.values))))
 
 
-def mobius_masses(space: FiniteSpace, masses) -> MobiusAssignment:
-    """Build a Möbius assignment, checking m(empty)=0 and unit total.
-
-    Mappings may be sparse; events not mentioned carry mass 0.
-    """
-    table = _as_table(space, masses, fill=Fraction(0))
-    if table[0] != 0:
-        raise ValidationError(f"mass of the empty set must be 0, got {table[0]}")
-    total = sum(table)
-    if total != 1:
-        raise ValidationError(f"masses must sum to 1, got {total}")
-    return MobiusAssignment(space, table)
-
-
 def mobius_inverse(m: MobiusAssignment) -> Capacity:
     """Rebuild the set function with value sum of m(E) over subsets E.
 
     Raises ``ValidationError`` (with a witness pair) when the signed
     masses do not induce a monotone capacity.
     """
-    return validate_capacity(m.space, _zeta(list(m.masses)))
+    return Capacity(m.space, _zeta(list(m.masses)))
 
 
 def is_2_monotone(c: Capacity) -> bool:

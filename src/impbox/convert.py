@@ -26,7 +26,7 @@ def interval_to_sigma_pbox(
     One level per rank of sigma, even where neighbours share bounds: the
     interval's lower and upper probability of the prefix set ending
     there.  For a reachable interval these are non-decreasing, with
-    alpha <= beta, and end at (1, 1), so they need no re-validation.
+    alpha <= beta, and end at (1, 1), as the constructor checks.
     """
     if sigma.size != interval.space.size:
         raise SpaceMismatchError("permutation size does not match the space")

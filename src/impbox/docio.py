@@ -252,7 +252,7 @@ _PBOX = dict(
 KINDS: dict[str, Kind] = {
     "capacity": Kind(
         cls=capacity.Capacity,
-        read=lambda payload, space: capacity.validate_capacity(
+        read=lambda payload, space: capacity.Capacity(
             space, _event_map(payload, "values", space)
         ),
         write=lambda c: {

@@ -2,12 +2,13 @@
 
 A p-box is stored once, as its levels: bounds alpha_k <= P(A_k) <= beta_k
 on a nested family A_1 subset ... subset A_M = X, kept as the partition
-blocks G_k = A_k minus A_(k-1) with the bounds of their level.
-``from_functions`` ties elements with equal values into one block, the
-equivalence classes of the pre-order; ``from_nested_sets`` keeps every
-non-empty level it is given, even when neighbours share their bounds.
-The distributions, the level sets and the random set are all read off
-the blocks.
+blocks G_k = A_k minus A_(k-1) with the bounds of their level.  The
+constructor checks them in O(M + n), comparing the bounds as numerators
+of the integer view the closed forms read.  ``from_nested_sets`` keeps
+every non-empty level it is given, even when neighbours share their
+bounds; ``from_functions`` ties elements with equal values into one
+level, the equivalence classes of the pre-order.  The distributions,
+the level sets and the random set are all read off the blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
-from operator import or_
+from operator import gt, or_
 from typing import Iterable, Sequence
 
 from ._exact import Ratios, cached, over_lcd
@@ -31,10 +32,38 @@ class GeneralizedPBox:
     space: FiniteSpace
     #: partition blocks G_k = A_(k) minus A_(k-1), innermost first, as masks
     block_masks: tuple[int, ...]
-    #: bounds alpha_k <= P(A_(k)) <= beta_k, non-decreasing in k;
-    #: neighbouring levels may share (alpha, beta)
+    #: bounds 0 <= alpha_k <= P(A_(k)) <= beta_k <= 1, non-decreasing in k
+    #: and [1, 1] on A_(M) = X; neighbouring levels may share (alpha, beta)
     level_alpha: tuple[Fraction, ...]
     level_beta: tuple[Fraction, ...]
+
+    def __init__(self, space: FiniteSpace, block_masks, level_alpha, level_beta):
+        block_masks = tuple(block_masks)
+        level_alpha = tuple(v if type(v) is Fraction else Fraction(v) for v in level_alpha)
+        level_beta = tuple(v if type(v) is Fraction else Fraction(v) for v in level_beta)
+        if not len(block_masks) == len(level_alpha) == len(level_beta):
+            raise ValidationError(f"expected {len(block_masks)} alphas and betas, one per block")
+        covered, full = 0, (1 << space.size) - 1
+        for mask in block_masks:
+            if not mask or mask & covered:
+                raise ValidationError(f"block {mask:#b} is empty or meets an earlier block")
+            covered |= mask
+        if covered != full:
+            raise ValidationError(f"blocks cover {covered:#b}, not the space {full:#b}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "block_masks", block_masks)
+        object.__setattr__(self, "level_alpha", level_alpha)
+        object.__setattr__(self, "level_beta", level_beta)
+        ratios, levels = cached(self, "_ints", _ints)
+        alpha = [a for _, a, _ in levels[:-1]]
+        beta = [b for _, _, b in levels[1:]]
+        for lo, hi, a, b in zip(level_alpha, level_beta, alpha, beta):
+            if not 0 <= a <= b <= ratios.den:
+                raise _bounds_error(lo, hi)
+        if any(map(gt, alpha, alpha[1:])) or any(map(gt, beta, beta[1:])):
+            raise ValidationError("level bounds must be non-decreasing outward")
+        if alpha[-1] != ratios.den or beta[-1] != ratios.den:
+            raise ValidationError("the whole space must carry bounds [1, 1]")
 
     @property
     def level_masks(self) -> tuple[int, ...]:
@@ -70,19 +99,20 @@ def _spread(pb: GeneralizedPBox, per_level: Sequence[Fraction]) -> tuple[Fractio
     return tuple(out)
 
 
-def _build(space: FiniteSpace, blocks: Iterable[tuple]) -> GeneralizedPBox:
-    """The p-box of validated (block mask, alpha, beta) triples in pre-order.
+def _bounds_error(lo: Fraction, hi: Fraction) -> ValidationError:
+    return ValidationError(f"bounds must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
 
-    Empty blocks are dropped; every other block keeps its own level.
-    """
-    block_masks, level_alpha, level_beta = zip(*(b for b in blocks if b[0]))
-    if level_beta[0] == 0:
+
+def _build(space: FiniteSpace, blocks, alpha, beta) -> GeneralizedPBox:
+    """The p-box of these levels; both builders warn if its beta_1 is 0."""
+    pb = GeneralizedPBox(space, blocks, alpha, beta)
+    if pb.level_beta[0] == 0:
         warnings.warn(
             "first level has upper bound 0; the innermost level set is "
             "then forced to probability 0",
             stacklevel=3,
         )
-    return GeneralizedPBox(space, block_masks, level_alpha, level_beta)
+    return pb
 
 
 def from_functions(space: FiniteSpace, flow: Sequence, fupp: Sequence) -> GeneralizedPBox:
@@ -113,46 +143,40 @@ def from_functions(space: FiniteSpace, flow: Sequence, fupp: Sequence) -> Genera
         )
     # elements with equal values are tied in the pre-order: one block
     ties = groupby(order, key=lambda i: (flow[i], fupp[i]))
-    return _build(space, ((sum(1 << i for i in g), lo, hi) for (lo, hi), g in ties))
+    return _build(space, *zip(*((sum(1 << i for i in g), lo, hi) for (lo, hi), g in ties)))
 
 
 def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
-    """Build a p-box from probability bounds on a nested family of sets.
+    """Build a p-box from probability bounds on strictly increasing sets.
 
-    Events must be strictly increasing; bounds must be non-decreasing
-    with lo <= hi per level.  A final (X, 1, 1) level is appended when
-    absent.  Every non-empty level is kept as stated.
+    A final (X, 1, 1) level is appended when absent.  An empty first level
+    may state only [0, hi], hi at most the next level's, and is dropped;
+    the constructor checks the bounds of every other level, kept as stated.
     """
     levels = []
     for event, lo, hi in nested:
         _same_space(space, event.space, "nested event on a different space")
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not 0 <= lo <= hi <= 1:
-            raise ValidationError(
-                f"bounds must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi}]"
-            )
-        if lo and not event.mask:
-            raise ValidationError(f"the empty set cannot have lower bound {lo}")
-        levels.append((event, lo, hi))
+        levels.append((event, Fraction(lo), Fraction(hi)))
     if not levels:
         raise ValidationError("at least one nested level is required")
-    for (e1, l1, h1), (e2, l2, h2) in zip(levels, levels[1:]):
+    for (e1, _, _), (e2, _, _) in zip(levels, levels[1:]):
         if not (e1.mask & ~e2.mask == 0 and e1.mask != e2.mask):
             raise ValidationError(
-                f"level sets must be strictly nested: {e1} is not a strict "
-                f"subset of {e2}"
+                f"level sets must be strictly nested: {e1} is not a strict subset of {e2}"
             )
-        if l2 < l1 or h2 < h1:
-            raise ValidationError("level bounds must be non-decreasing outward")
-    last_event, last_lo, last_hi = levels[-1]
-    if last_event.is_full:
-        if last_lo != 1 or last_hi != 1:
-            raise ValidationError("the whole space must carry bounds [1, 1]")
-    else:
+    if not levels[-1][0].is_full:
         levels.append((space.full, Fraction(1), Fraction(1)))
+    if levels[0][0].is_empty:
+        _, lo, hi = levels.pop(0)
+        if not 0 <= lo <= hi <= 1:
+            raise _bounds_error(lo, hi)
+        if lo:
+            raise ValidationError(f"the empty set cannot have lower bound {lo}")
+        if hi > levels[0][2]:
+            raise ValidationError("level bounds must be non-decreasing outward")
     # block k is A_k minus A_(k-1)
     inner = [0, *(event.mask for event, _, _ in levels)]
-    return _build(space, ((e.mask & ~m, lo, hi) for m, (e, lo, hi) in zip(inner, levels)))
+    return _build(space, *zip(*((e.mask & ~m, lo, hi) for m, (e, lo, hi) in zip(inner, levels))))
 
 
 def to_random_set(pb: GeneralizedPBox) -> MassAssignment:

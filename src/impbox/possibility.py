@@ -114,8 +114,8 @@ def _as_pbox(d: PossibilityDistribution) -> pbox.GeneralizedPBox:
     """The generalized p-box of pi: F_upp = pi, F_low = 1 on {pi = 1}.
 
     One block per distinct degree, lowest first, with bounds [0, degree]
-    ([1, 1] on the last).  Built directly, as its levels need no
-    re-validation, so a zero degree draws no first-level warning.
+    ([1, 1] on the last).  Built by the constructor, not a builder, so a
+    zero degree draws no first-level warning.
     """
     levels = d.levels()
     blocks = tuple(sum(1 << i for i, v in enumerate(d.pi) if v == b) for b in levels)

@@ -21,7 +21,6 @@ from impbox import (
     from_functions,
     from_nested_sets,
     normalize,
-    validate_capacity,
 )
 
 SPACES = {n: FiniteSpace([f"x{i}" for i in range(1, n + 1)]) for n in range(1, 9)}
@@ -50,7 +49,7 @@ def rand_capacity(rng: random.Random, space: FiniteSpace, denom: int = 12) -> Ca
             bit = 1 << i
             if mask & bit:
                 table[mask] = max(table[mask], table[mask ^ bit])
-    return validate_capacity(space, table)
+    return Capacity(space, table)
 
 
 def rand_mass(rng: random.Random, space: FiniteSpace, k: int | None = None) -> MassAssignment:

@@ -13,7 +13,7 @@ rows included, which the oracle's once-per-witness row check is
 compared against. ``mobius`` and ``zeta`` are the scalar per-mask loops
 the sliced kernels of ``capacity`` are checked against, and
 ``covering_violation`` is the covering-pair scan whose message and
-witness ``validate_capacity`` must repeat.
+witness the ``Capacity`` constructor must repeat.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from impbox import FiniteSpace, GeneralizedPBox, MassAssignment, Permutation, _simplex
-from impbox.capacity import Capacity, _table
+from impbox._exact import over_lcd
 from impbox.credal import _Oracle
 from impbox.errors import ValidationError
 from impbox.possibility import necessity, possibility, to_possibility_pair
@@ -163,7 +163,7 @@ def covering_violation(space: FiniteSpace, table: Sequence[Fraction]) -> Validat
     """The error for the first covering pair A, A+{x} with mu(A) > mu(A+{x}),
     scanning masks in order and each mask's missing bits from the lowest;
     ``None`` if the table is monotone."""
-    v = _table(Capacity(space, tuple(table)))
+    v = over_lcd(table)[1]
     full = (1 << space.size) - 1
     for mask in range(full + 1):
         for i in range(space.size):

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import gen
 from impbox import (
+    Capacity,
     Permutation,
     bel,
     enumerate_events,
@@ -26,7 +27,6 @@ from impbox import (
     reconstruct_interval,
     reduced_permutation_set,
     upper_envelope,
-    validate_capacity,
 )
 from impbox.cli import main as cli_main
 from impbox.convert import interval_to_sigma_pbox
@@ -118,7 +118,7 @@ def test_criterion_05_interval_event_bounds_vs_oracle():
             assert lo == lower_envelope(poly, event).value
             assert hi == upper_envelope(poly, event).value
             table.append(lo)
-        assert is_2_monotone(validate_capacity(sp, table))
+        assert is_2_monotone(Capacity(sp, table))
     _passed(5, "interval event bounds match the oracle and are 2-monotone")
 
 

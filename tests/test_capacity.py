@@ -7,8 +7,10 @@ import pytest
 import gen
 import reference
 from impbox import (
+    Capacity,
     FiniteSpace,
     MassAssignment,
+    MobiusAssignment,
     SpaceMismatchError,
     ValidationError,
     capacity,
@@ -20,26 +22,23 @@ from impbox import (
     is_infty_monotone,
     mobius_inverse,
     mobius_transform,
-    validate_capacity,
 )
 from impbox import interval, randomset
-from impbox.capacity import find_2_monotone_violation, mobius_masses
+from impbox.capacity import find_2_monotone_violation
 from impbox.space import Event
 from impbox.randomset import bel
 
 
 def bel_capacity(ms):
     """The belief function of a mass assignment as a full capacity table."""
-    return validate_capacity(
-        ms.space, [bel(ms, e) for e in enumerate_events(ms.space)]
-    )
+    return Capacity(ms.space, [bel(ms, e) for e in enumerate_events(ms.space)])
 
 
 @pytest.fixture
 def two_point_six():
     """mu({x1}) = mu({x2}) = 0.6 on two elements: monotone, not 2-monotone."""
     sp = FiniteSpace(["x1", "x2"])
-    return validate_capacity(sp, [F(0), F(3, 5), F(3, 5), F(1)])
+    return Capacity(sp, [F(0), F(3, 5), F(3, 5), F(1)])
 
 
 def test_additive_capacity_is_valid():
@@ -51,9 +50,9 @@ def test_additive_capacity_is_valid():
 def test_boundary_violation():
     sp = FiniteSpace(["x1"])
     with pytest.raises(ValidationError):
-        validate_capacity(sp, [F(1, 10), F(1)])
+        Capacity(sp, [F(1, 10), F(1)])
     with pytest.raises(ValidationError):
-        validate_capacity(sp, [F(0), F(9, 10)])
+        Capacity(sp, [F(0), F(9, 10)])
 
 
 def test_monotonicity_violation_reports_witness():
@@ -69,7 +68,7 @@ def test_monotonicity_violation_reports_witness():
         0b111: F(1),
     }
     with pytest.raises(ValidationError) as exc:
-        validate_capacity(sp, values)
+        Capacity(sp, values)
     assert exc.value.witness is not None
 
 
@@ -115,13 +114,13 @@ def test_mobius_can_be_negative(two_point_six):
 
 def test_mobius_inverse_of_vacuous_mass():
     sp = FiniteSpace(["x1", "x2"])
-    m = mobius_masses(sp, {0b11: F(1)})
+    m = MobiusAssignment(sp, {0b11: F(1)})
     c = mobius_inverse(m)
     assert c.values == (F(0), F(0), F(0), F(1))
 
 
 def test_mobius_inverse_of_expert_masses(expert_mass, space6):
-    m = mobius_masses(space6, dict(expert_mass.focal))
+    m = MobiusAssignment(space6, dict(expert_mass.focal))
     c = mobius_inverse(m)
     assert c(space6.event(["x1", "x2", "x3"])) == F(1, 5)
 
@@ -136,9 +135,9 @@ def test_mobius_roundtrip_random():
 def test_mobius_masses_validation():
     sp = FiniteSpace(["x1"])
     with pytest.raises(ValidationError):
-        mobius_masses(sp, [F(1, 2), F(1, 2)])  # empty set carries mass
+        MobiusAssignment(sp, [F(1, 2), F(1, 2)])  # empty set carries mass
     with pytest.raises(ValidationError):
-        mobius_masses(sp, [F(0), F(1, 2)])  # does not sum to 1
+        MobiusAssignment(sp, [F(0), F(1, 2)])  # does not sum to 1
 
 
 def test_probability_measure_is_2_monotone():
@@ -175,7 +174,7 @@ def test_infty_implies_2_monotone():
 def test_is_additive():
     sp = FiniteSpace(["x1", "x2"])
     assert is_additive(capacity_from_probability(sp, [F(3, 10), F(7, 10)]))
-    vacuous = validate_capacity(sp, [F(0), F(0), F(0), F(1)])
+    vacuous = Capacity(sp, [F(0), F(0), F(0), F(1)])
     assert not is_additive(vacuous)
 
 
@@ -194,7 +193,7 @@ def _mixed_capacity(rng, space):
         for i in range(space.size):
             if mask & 1 << i:
                 table[mask] = max(table[mask], table[mask ^ 1 << i])
-    return validate_capacity(space, table)
+    return Capacity(space, table)
 
 
 def _violates(c, pair):
@@ -232,7 +231,7 @@ def test_violation_planted_at_the_top_of_the_lattice_is_found(n):
     for _ in range(10):
         values = [F(mask.bit_count(), n) for mask in range(full + 1)]
         values[full ^ 1 << rng.randrange(n)] += F(1, 2 * n)
-        c = validate_capacity(sp, values)
+        c = Capacity(sp, values)
         pair = find_2_monotone_violation(c)
         assert pair is not None
         assert _violates(c, pair)
@@ -242,11 +241,11 @@ def test_violation_planted_at_the_top_of_the_lattice_is_found(n):
 
 def test_2_monotone_on_one_and_two_elements(two_point_six):
     one = FiniteSpace(["x1"])
-    assert is_2_monotone(validate_capacity(one, [F(0), F(1)]))
+    assert is_2_monotone(Capacity(one, [F(0), F(1)]))
     two = FiniteSpace(["x1", "x2"])
-    assert is_2_monotone(validate_capacity(two, [F(0), F(1, 5), F(2, 7), F(1)]))
-    assert is_2_monotone(validate_capacity(two, [F(0), F(2, 5), F(3, 5), F(1)]))
-    assert not is_2_monotone(validate_capacity(two, [F(0), F(1, 2), F(4, 7), F(1)]))
+    assert is_2_monotone(Capacity(two, [F(0), F(1, 5), F(2, 7), F(1)]))
+    assert is_2_monotone(Capacity(two, [F(0), F(2, 5), F(3, 5), F(1)]))
+    assert not is_2_monotone(Capacity(two, [F(0), F(1, 2), F(4, 7), F(1)]))
     assert find_2_monotone_violation(two_point_six) == (
         two.event(["x1"]),
         two.event(["x2"]),
@@ -279,15 +278,15 @@ def test_common_denominator_past_the_digit_limit_is_rejected():
     big = 10**2200
     sp = FiniteSpace(["x1", "x2"])
     with pytest.raises(ValidationError, match="common denominator"):
-        validate_capacity(sp, [F(0), F(1, big + 1), F(1, big + 3), F(1)])
-    c = validate_capacity(sp, [F(0), F(1, big), F(1, 2 * big), F(1)])
+        Capacity(sp, [F(0), F(1, big + 1), F(1, big + 3), F(1)])
+    c = Capacity(sp, [F(0), F(1, big), F(1, 2 * big), F(1)])
     assert is_2_monotone(c)
     # at the edge: an lcm of 10**limit - 1 has exactly limit digits, 10**limit one more
     limit = sys.get_int_max_str_digits()
-    c = validate_capacity(sp, [F(0), F(1, 3), F(1, 10**limit - 1), F(1)])
+    c = Capacity(sp, [F(0), F(1, 3), F(1, 10**limit - 1), F(1)])
     assert is_2_monotone(c)
     with pytest.raises(ValidationError, match="common denominator"):
-        validate_capacity(sp, [F(0), F(1, 2**limit), F(1, 5**limit), F(1)])
+        Capacity(sp, [F(0), F(1, 2**limit), F(1, 5**limit), F(1)])
 
 
 def test_check_facts_share_one_integer_table(monkeypatch):
@@ -310,11 +309,11 @@ def test_check_facts_share_one_integer_table(monkeypatch):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda sp, table: validate_capacity(sp, table),
-        lambda sp, table: mobius_masses(sp, table),
+        lambda sp, table: Capacity(sp, table),
+        lambda sp, table: MobiusAssignment(sp, table),
         lambda sp, table: MassAssignment(sp, table),
     ],
-    ids=["validate_capacity", "mobius_masses", "MassAssignment"],
+    ids=["Capacity", "MobiusAssignment", "MassAssignment"],
 )
 def test_set_function_keys_become_masks_by_one_rule(build):
     sp = FiniteSpace(["x1", "x2"])
@@ -336,8 +335,8 @@ def test_set_function_keys_become_masks_by_one_rule(build):
 
 @pytest.mark.parametrize(
     "build, top",
-    [(validate_capacity, F(1)), (mobius_masses, F(3, 10))],
-    ids=["validate_capacity", "mobius_masses"],
+    [(Capacity, F(1)), (MobiusAssignment, F(3, 10))],
+    ids=["Capacity", "MobiusAssignment"],
 )
 def test_a_table_keyed_twice_for_one_event_is_rejected(build, top):
     # an Event and an int mask for {x1}: the last key used to win silently,
@@ -426,14 +425,14 @@ def _plant(table, space, mask, light):
 
 
 def _same_first_violation(space, table):
-    """Assert that ``validate_capacity`` fails as the reference scan does,
+    """Assert that ``Capacity`` fails as the reference scan does,
     or passes where it finds nothing; the reference's witness, if any."""
     expected = reference.covering_violation(space, table)
     if expected is None:
-        validate_capacity(space, table)
+        Capacity(space, table)
         return None
     with pytest.raises(ValidationError) as exc:
-        validate_capacity(space, table)
+        Capacity(space, table)
     assert str(exc.value) == str(expected)
     assert exc.value.witness == expected.witness
     return expected.witness
@@ -472,7 +471,7 @@ def test_a_monotonicity_error_names_the_scans_first_violation(n):
 
 def _reachable_interval_capacity(rng, space):
     iv = gen.rand_reachable_interval(rng, space)
-    return validate_capacity(
+    return Capacity(
         space, [interval.event_bounds(iv, a)[0] for a in enumerate_events(space)]
     )
 

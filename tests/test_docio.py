@@ -9,12 +9,12 @@ import pytest
 
 import gen
 from impbox import (
+    Capacity,
     FiniteSpace,
     GeneralizedPBox,
     MassAssignment,
     ValidationError,
     docio,
-    validate_capacity,
 )
 from impbox.docio import Document, DocumentError, parse, serialize
 from impbox.pbox import lower_prob, upper_prob
@@ -263,7 +263,7 @@ def _reference_read(kind, payload):
                 raise DocumentError(f"same event as {keys[event.mask]!r}", path)
             keys[event.mask] = key
             table[event] = docio._rational(val, path)
-        build = validate_capacity if kind == "capacity" else MassAssignment
+        build = Capacity if kind == "capacity" else MassAssignment
         try:
             return build(space, table)
         except ValidationError as exc:

@@ -3,7 +3,9 @@ every public function and class is used, exported or documented, the CLI reaches
 imports no model or front end, ``pbox`` imports nothing from
 ``possibility``, every per-object cache is set by
 ``_exact.cached``, every model stores exactly what its constructor
-takes, only the oracle builds an object past its constructor,
+takes, every model has a constructor of its own (so its input is
+checked there, not in a builder beside an unchecked dataclass
+constructor), only the oracle builds an object past its constructor,
 ``docio`` turns event labels into masks in one key reader, and no
 closed form builds its answer ``Fraction`` past its view's table.
 
@@ -371,6 +373,45 @@ MODEL_CLASSES = sorted(
 @pytest.mark.parametrize("cls", MODEL_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_model_stores_only_what_its_constructor_takes(cls):
     assert not _stores_more_than_it_takes(cls)
+
+
+def _has_own_constructor(cls, home: Path) -> bool:
+    """Whether ``cls`` defines its own ``__init__`` in a file under ``home``:
+    a ``dataclass``-generated one is compiled from a string, and one that
+    is inherited is not in the class's own namespace."""
+    init = vars(cls).get("__init__")
+    return (
+        inspect.isfunction(init)
+        and init.__qualname__ == f"{cls.__qualname__}.__init__"
+        and Path(init.__code__.co_filename).resolve().is_relative_to(home)
+    )
+
+
+def test_the_check_finds_generated_constructors():
+    @dataclass(frozen=True)
+    class Generated:
+        values: tuple
+
+    @dataclass(frozen=True)
+    class Checked:
+        values: tuple
+
+        def __init__(self, values):
+            object.__setattr__(self, "values", tuple(values))
+
+    class Inherited(Checked):
+        pass
+
+    here = Path(__file__).resolve().parent
+    assert _has_own_constructor(Checked, here)
+    assert not _has_own_constructor(Checked, SRC)
+    assert not _has_own_constructor(Generated, here)
+    assert not _has_own_constructor(Inherited, here)
+
+
+@pytest.mark.parametrize("cls", MODEL_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_model_checks_its_input_in_its_own_constructor(cls):
+    assert _has_own_constructor(cls, SRC)
 
 
 #: the one ``docio`` function that turns event labels into bitmasks

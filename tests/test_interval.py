@@ -6,6 +6,7 @@ import pytest
 
 import gen
 from impbox import (
+    Capacity,
     FiniteSpace,
     InfeasibleError,
     NotReachableError,
@@ -19,7 +20,6 @@ from impbox import (
     lower_envelope,
     normalize,
     upper_envelope,
-    validate_capacity,
 )
 from impbox.credal import is_empty
 from impbox.interval import to_polytope
@@ -153,7 +153,7 @@ def test_normalize_preserves_the_polytope():
 
 def test_lower_capacity_is_2_monotone(interval3):
     table = [event_bounds(interval3, e)[0] for e in enumerate_events(interval3.space)]
-    assert is_2_monotone(validate_capacity(interval3.space, table))
+    assert is_2_monotone(Capacity(interval3.space, table))
 
 
 def test_replace_gives_an_interval_whose_flags_describe_its_new_bounds(interval3):

@@ -7,6 +7,7 @@ import pytest
 
 import gen
 from impbox import (
+    Capacity,
     CredalPolytope,
     FiniteSpace,
     GeneralizedPBox,
@@ -20,7 +21,6 @@ from impbox import (
     is_member,
     lower_envelope,
     upper_envelope,
-    validate_capacity,
 )
 from impbox.pbox import (
     lower_prob,
@@ -179,6 +179,75 @@ def test_from_nested_sets_rejects_a_lower_bound_on_the_empty_set():
     assert str(exc.value) == "the empty set cannot have lower bound 1/5"
 
 
+def test_from_nested_sets_checks_an_empty_first_level_against_the_next():
+    # the empty level is dropped before the constructor sees the levels,
+    # so from_nested_sets checks its bounds itself, as it always has
+    sp = FiniteSpace(["a", "b"])
+    a = sp.event(["a"])
+    with pytest.raises(ValidationError) as exc:
+        from_nested_sets(sp, [(sp.empty, 0, F(1, 2)), (a, 0, F(1, 4))])
+    assert str(exc.value) == "level bounds must be non-decreasing outward"
+    with pytest.raises(ValidationError) as exc:
+        from_nested_sets(sp, [(sp.empty, F(1, 2), F(1, 4)), (a, 0, F(1, 4))])
+    assert str(exc.value) == "bounds must satisfy 0 <= lo <= hi <= 1, got [1/2, 1/4]"
+    pb = from_nested_sets(sp, [(sp.empty, 0, F(1, 4)), (a, 0, F(1, 4))])
+    assert pb == from_nested_sets(sp, [(a, 0, F(1, 4))])
+
+
+_AB = FiniteSpace(["a", "b"])
+
+#: fields that break one rule each, and the message that names it
+BROKEN_FIELDS = {
+    "a bound too few": (
+        ((1, 2), (F(1, 2),), (F(1),)),
+        "expected 2 alphas and betas, one per block",
+    ),
+    "an empty block": (((1, 0, 2), (0, 0, 1), (0, 0, 1)), "block 0b0 is empty or meets an earlier block"),
+    "overlapping blocks": (((1, 3), (0, 1), (1, 1)), "block 0b11 is empty or meets an earlier block"),
+    "an uncovered element": (((1,), (1,), (1,)), "blocks cover 0b1, not the space 0b11"),
+    "a block off the space": (((1, 6), (0, 1), (1, 1)), "blocks cover 0b111, not the space 0b11"),
+    "alpha above beta": (
+        ((1, 2), (F(1, 2), 1), (F(1, 4), 1)),
+        "bounds must satisfy 0 <= lo <= hi <= 1, got [1/2, 1/4]",
+    ),
+    "beta above 1": (
+        ((1, 2), (0, 1), (F(3, 2), 1)),
+        "bounds must satisfy 0 <= lo <= hi <= 1, got [0, 3/2]",
+    ),
+    "alpha below 0": (
+        ((1, 2), (F(-1, 2), 1), (0, 1)),
+        "bounds must satisfy 0 <= lo <= hi <= 1, got [-1/2, 0]",
+    ),
+    "alpha falling": (
+        ((1, 2), (F(1, 2), F(1, 4)), (F(1, 2), 1)),
+        "level bounds must be non-decreasing outward",
+    ),
+    "beta falling": (
+        ((1, 2), (0, F(1, 2)), (1, F(3, 4))),
+        "level bounds must be non-decreasing outward",
+    ),
+    "a last level below 1": (
+        ((1, 2), (0, F(1, 2)), (F(1, 2), 1)),
+        "the whole space must carry bounds [1, 1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_FIELDS)
+def test_the_constructor_names_the_rule_its_fields_break(name):
+    fields, message = BROKEN_FIELDS[name]
+    with pytest.raises(ValidationError) as exc:
+        GeneralizedPBox(_AB, *fields)
+    assert str(exc.value) == message
+
+
+def test_neighbouring_levels_may_share_their_bounds():
+    sp = FiniteSpace(["a", "b", "c"])
+    pb = GeneralizedPBox(sp, (1, 2, 4), (0, 0, 1), (F(1, 2), F(1, 2), 1))
+    assert pb.levels()[:2] == ((sp.event(["a"]), 0, F(1, 2)), (sp.event(["a", "b"]), 0, F(1, 2)))
+    assert lower_prob(pb, sp.event(["a", "b"])) == 0
+
+
 def test_from_nested_sets_vacuous(space6):
     pb = from_nested_sets(space6, [(space6.full, F(1), F(1))])
     assert pb.f_lower == (F(1),) * 6
@@ -310,7 +379,7 @@ def test_lower_prob_capacity_is_infty_monotone():
             sp = gen.SPACES[rng.randint(2, 4)]
             pb = gen.rand_pbox(rng, sp)
             table = [lower_prob(pb, e) for e in enumerate_events(sp)]
-            assert is_infty_monotone(validate_capacity(sp, table))
+            assert is_infty_monotone(Capacity(sp, table))
 
 
 def test_possibility_embedding():

@@ -1,5 +1,6 @@
-"""Property tests for the document format, the CLI boundary and the
-paper's structural claims about each kind's lower probability.
+"""Property tests for the document format, the CLI boundary, the checked
+constructors and the paper's structural claims about each kind's lower
+probability.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same examples and the suite stays fast; the structural claims
@@ -18,7 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from impbox import FiniteSpace, enumerate_events, pbox, possibility, validate_capacity
+from impbox import (
+    Capacity,
+    FiniteSpace,
+    GeneralizedPBox,
+    MobiusAssignment,
+    ValidationError,
+    credal,
+    enumerate_events,
+    mobius_inverse,
+    pbox,
+    possibility,
+)
 from impbox._exact import over_lcd
 from impbox.capacity import is_2_monotone, is_infty_monotone, mobius_transform
 from impbox.cli import main
@@ -224,7 +236,7 @@ def _tables(kind, builder, seed):
             warnings.simplefilter("ignore")  # a p-box may have a first level at 0
             obj = builder(rng, space)
         lower = KINDS[kind].lower
-        yield obj, validate_capacity(space, [lower(obj, e) for e in enumerate_events(space)])
+        yield obj, Capacity(space, [lower(obj, e) for e in enumerate_events(space)])
 
 
 def _mobius_focal(table):
@@ -251,3 +263,137 @@ def test_reachable_interval_tables_are_2_monotone_but_not_all_random_sets():
     tables = [t for _, t in _tables("interval", gen.rand_reachable_interval, seed=23)]
     assert all(is_2_monotone(t) for t in tables)
     assert not all(is_infty_monotone(t) for t in tables)
+
+
+#: rationals in [0, 1] with small denominators, so draws often tie
+BOUND = st.fractions(0, 1, max_denominator=6)
+
+
+def _fault(draw, odds: int) -> bool:
+    """True once in ``odds`` draws; Hypothesis shrinks it to False."""
+    return draw(st.integers(1, odds)) == odds
+
+
+@st.composite
+def pbox_fields(draw):
+    """Raw ``GeneralizedPBox`` fields at n <= 5: an ordered partition into
+    blocks with one (alpha, beta) each, non-decreasing with alpha <= beta
+    and a last level [1, 1], each rule broken now and then."""
+    n = draw(st.integers(1, 5))
+    if _fault(draw, 5):
+        blocks = draw(st.lists(st.integers(-1, 1 << n), max_size=n + 1))
+    else:
+        order = draw(st.permutations(range(n)))
+        cuts = sorted({0, n, *(c for c in draw(st.sets(st.integers(1, 4))) if c < n)})
+        blocks = [sum(1 << i for i in order[a:b]) for a, b in zip(cuts, cuts[1:])]
+    m = max(0, len(blocks) + draw(st.sampled_from([1, -1])) * _fault(draw, 8))
+    alpha, beta = (draw(st.lists(BOUND, min_size=m, max_size=m)) for _ in "ab")
+    if not _fault(draw, 4):
+        alpha.sort()
+    if not _fault(draw, 4):
+        beta.sort()
+    if not _fault(draw, 4):
+        beta = [max(a, b) for a, b in zip(alpha, beta)]
+    if m and not _fault(draw, 4):
+        alpha[-1] = beta[-1] = Fraction(1)
+    if m and _fault(draw, 6):
+        bounds = draw(st.sampled_from([alpha, beta]))
+        bounds[draw(st.integers(0, m - 1))] = draw(st.sampled_from([Fraction(-1, 2), Fraction(3, 2)]))
+    return gen.SPACES[n], blocks, alpha, beta
+
+
+@PROPERTY
+@given(fields=pbox_fields())
+def test_a_pbox_the_constructor_accepts_matches_the_oracle(fields):
+    try:
+        pb = GeneralizedPBox(*fields)
+    except ValidationError:
+        return
+    poly = pbox.to_polytope(pb)
+    for event in enumerate_events(pb.space):
+        assert pbox.lower_prob(pb, event) == credal.lower_envelope(poly, event).value
+
+
+@st.composite
+def capacity_fields(draw):
+    """Raw ``Capacity`` values at n <= 5, monotonized by a cumulative max
+    over the lattice half of the time, with c(empty) = 0 and c(X) = 1
+    most of the time."""
+    n = draw(st.integers(1, 5))
+    table = draw(st.lists(BOUND, min_size=1 << n, max_size=1 << n))
+    if not _fault(draw, 2):
+        for mask in range(1, 1 << n):
+            for i in range(n):
+                if mask >> i & 1:
+                    table[mask] = max(table[mask], table[mask ^ 1 << i])
+    if not _fault(draw, 5):
+        table[0], table[-1] = Fraction(0), Fraction(1)
+    return gen.SPACES[n], table
+
+
+@PROPERTY
+@given(fields=capacity_fields())
+def test_a_capacity_the_constructor_accepts_is_monotone_and_normalized(fields):
+    # checked against its definition, as the oracle takes no capacity yet
+    try:
+        c = Capacity(*fields)
+    except ValidationError:
+        return
+    v = c.values
+    assert v[0] == 0 and v[-1] == 1
+    assert all(v[a] <= v[b] for a in range(len(v)) for b in range(len(v)) if a & ~b == 0)
+
+
+@st.composite
+def mobius_fields(draw):
+    """Raw ``MobiusAssignment`` masses at n <= 5: a sparse mapping of
+    signed masses, scaled to sum to 1 and off the empty set most of the
+    time."""
+    n = draw(st.integers(1, 5))
+    masses = draw(
+        st.dictionaries(
+            st.integers(1 - _fault(draw, 5), (1 << n) - 1),
+            st.fractions(-1, 1, max_denominator=6),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    total = sum(masses.values())
+    if total and not _fault(draw, 5):
+        masses = {mask: m / total for mask, m in masses.items()}
+    return gen.SPACES[n], masses
+
+
+@PROPERTY
+@given(fields=mobius_fields())
+def test_a_mobius_assignment_the_constructor_accepts_has_unit_total(fields):
+    try:
+        m = MobiusAssignment(*fields)
+    except ValidationError:
+        return
+    assert m.masses[0] == 0 and sum(m.masses) == 1
+    try:
+        c = mobius_inverse(m)
+    except ValidationError:
+        return
+    assert mobius_transform(c) == m
+
+
+_TWO = FiniteSpace(["x1", "x2"])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # overlapping blocks, one level for two blocks, beta = 2
+        lambda: GeneralizedPBox(_TWO, (1, 1), (Fraction(1, 2),), (Fraction(2),)),
+        # c(X) = 1/2, and c({x1}) = 1 exceeds it
+        lambda: Capacity(_TWO, (0, 1, 0, Fraction(1, 2))),
+        # masses summing to 3
+        lambda: MobiusAssignment(_TWO, (0, 3, 0, 0)),
+    ],
+    ids=["GeneralizedPBox", "Capacity", "MobiusAssignment"],
+)
+def test_the_constructors_reject_the_bad_fields_the_readme_names(build):
+    with pytest.raises(ValidationError):
+        build()

@@ -5,10 +5,12 @@ import pytest
 
 import reference
 from impbox import (
+    Capacity,
     CredalPolytope,
     Event,
     FiniteSpace,
     MassAssignment,
+    MobiusAssignment,
     Permutation,
     PossibilityDistribution,
     ProbabilityInterval,
@@ -26,9 +28,7 @@ from impbox import (
     pbox,
     possibility,
     randomset,
-    validate_capacity,
 )
-from impbox.capacity import mobius_masses
 
 
 def test_labels_must_be_distinct_and_nonempty():
@@ -148,7 +148,7 @@ _IV = ProbabilityInterval(SP, [0, 0, 0], [HALF, HALF, 1])
 _PB = from_functions(SP, [0, HALF, 1], [HALF, 1, 1])
 _MS = MassAssignment(SP, {SP.full: 1})
 _C = capacity_from_probability(SP, [HALF, HALF, 0])
-_M = mobius_masses(SP, {SP.full: 1})
+_M = MobiusAssignment(SP, {SP.full: 1})
 _P = ProbabilityVector(SP, [HALF, HALF, 0])
 _POLY = CredalPolytope(SP, [(SP.full, 1, 1)])
 
@@ -175,8 +175,8 @@ def _entry_points(other):
         "randomset.pl": lambda: randomset.pl(_MS, a),
         "capacity.Capacity.__call__": lambda: _C(a),
         "capacity.MobiusAssignment.__call__": lambda: _M(a),
-        "capacity.mobius_masses": lambda: mobius_masses(SP, {other.full: 1}),
-        "capacity.validate_capacity": lambda: validate_capacity(
+        "capacity.MobiusAssignment": lambda: MobiusAssignment(SP, {other.full: 1}),
+        "capacity.Capacity": lambda: Capacity(
             SP, {e: int(e.is_full) for e in enumerate_events(other)}
         ),
         "credal.ProbabilityVector.prob": lambda: _P.prob(a),
