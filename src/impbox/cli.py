@@ -8,7 +8,6 @@ print).
 from __future__ import annotations
 
 import sys
-import warnings
 
 import click
 
@@ -38,15 +37,12 @@ def _load(path: str) -> docio.Document:
         _fail(str(exc))
     except UnicodeDecodeError as exc:
         _fail(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
-    # a warning is echoed as one "warning:" line, not Python's source dump
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            doc = docio.parse(text)
-        except ImpboxError as exc:
-            _fail(str(exc))
-    for warning in caught:
-        _echo(f"warning: {warning.message}", err=True)
+    try:
+        doc = docio.parse(text)
+    except ImpboxError as exc:
+        _fail(str(exc))
+    for message in docio.KINDS[doc.kind].warnings(doc.obj):
+        _echo(f"warning: {message}", err=True)
     return doc
 
 

@@ -232,6 +232,8 @@ class Kind:
     to: dict[str, Callable[[Any, str | None], Any]] = field(default_factory=dict)
     #: whether the ``to`` conversions read ``sigma``; if not, it is refused
     sigma: bool = False
+    #: ``warnings(obj)``: the ``warning:`` lines the CLI prints for a valid document
+    warnings: Callable[[Any], tuple[str, ...]] = lambda obj: ()
 
 
 #: the two p-box kinds differ only in their payload
@@ -246,6 +248,10 @@ _PBOX = dict(
         "gen_pbox": lambda pb, sigma: _gen_pbox_form(pb),
         "nested_bounds": lambda pb, sigma: pb,
     },
+    warnings=lambda pb: () if pb.level_beta[0] else (
+        "first level has upper bound 0; the innermost level set is then "
+        "forced to probability 0",
+    ),
 )
 
 #: every document kind, in document-format order

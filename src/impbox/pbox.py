@@ -13,7 +13,6 @@ the level sets and the random set are all read off the blocks.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
@@ -86,9 +85,6 @@ class GeneralizedPBox:
             for mask, a, b in zip(self.level_masks, self.level_alpha, self.level_beta)
         )
 
-    def blocks(self) -> tuple[Event, ...]:
-        return tuple(Event(self.space, mask) for mask in self.block_masks)
-
 
 def _spread(pb: GeneralizedPBox, per_level: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Per-level values in label order: each element takes its block's."""
@@ -101,18 +97,6 @@ def _spread(pb: GeneralizedPBox, per_level: Sequence[Fraction]) -> tuple[Fractio
 
 def _bounds_error(lo: Fraction, hi: Fraction) -> ValidationError:
     return ValidationError(f"bounds must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
-
-
-def _build(space: FiniteSpace, blocks, alpha, beta) -> GeneralizedPBox:
-    """The p-box of these levels; both builders warn if its beta_1 is 0."""
-    pb = GeneralizedPBox(space, blocks, alpha, beta)
-    if pb.level_beta[0] == 0:
-        warnings.warn(
-            "first level has upper bound 0; the innermost level set is "
-            "then forced to probability 0",
-            stacklevel=3,
-        )
-    return pb
 
 
 def from_functions(space: FiniteSpace, flow: Sequence, fupp: Sequence) -> GeneralizedPBox:
@@ -143,7 +127,8 @@ def from_functions(space: FiniteSpace, flow: Sequence, fupp: Sequence) -> Genera
         )
     # elements with equal values are tied in the pre-order: one block
     ties = groupby(order, key=lambda i: (flow[i], fupp[i]))
-    return _build(space, *zip(*((sum(1 << i for i in g), lo, hi) for (lo, hi), g in ties)))
+    blocks, alpha, beta = zip(*((sum(1 << i for i in g), lo, hi) for (lo, hi), g in ties))
+    return GeneralizedPBox(space, blocks, alpha, beta)
 
 
 def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
@@ -174,9 +159,10 @@ def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
             raise ValidationError(f"the empty set cannot have lower bound {lo}")
         if hi > levels[0][2]:
             raise ValidationError("level bounds must be non-decreasing outward")
+    events, alpha, beta = zip(*levels)
     # block k is A_k minus A_(k-1)
-    inner = [0, *(event.mask for event, _, _ in levels)]
-    return _build(space, *zip(*((e.mask & ~m, lo, hi) for m, (e, lo, hi) in zip(inner, levels))))
+    inner = (0, *(event.mask for event in events))
+    return GeneralizedPBox(space, [e.mask & ~m for m, e in zip(inner, events)], alpha, beta)
 
 
 def to_random_set(pb: GeneralizedPBox) -> MassAssignment:

@@ -112,10 +112,6 @@ class Event:
     def is_full(self) -> bool:
         return self.mask == (1 << self.space.size) - 1
 
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
     def indices(self) -> Iterator[int]:
         mask = self.mask
         while mask:

@@ -7,7 +7,6 @@ instances are seeded, so every run checks the same instances.
 
 import itertools
 import random
-import warnings
 
 from click.testing import CliRunner
 
@@ -49,12 +48,10 @@ def _passed(n, message):
 
 def _random_pboxes(seed, count, max_n):
     rng = random.Random(seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(count):
-            yield gen.rand_pbox(
-                rng, gen.SPACES[rng.randint(2, max_n)], ties=rng.random() < 0.5
-            )
+    for _ in range(count):
+        yield gen.rand_pbox(
+            rng, gen.SPACES[rng.randint(2, max_n)], ties=rng.random() < 0.5
+        )
 
 
 def test_criterion_01_possibility_pair_decomposition(expert_pbox):

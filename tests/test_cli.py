@@ -90,6 +90,29 @@ def test_check_echoes_a_warning_as_one_line(runner, tmp_path):
         "kind: gen_pbox\nspace: 3 elements\nvalid: yes\n"
         "comonotone: yes\nlevels: 3\n"
     )
+    path.write_text(
+        '{"kind": "nested_bounds", "space": ["a", "b", "c"], "levels": ['
+        '{"event": "a", "lo": "0", "hi": "0"}, {"event": "a,b", "lo": "0", "hi": "1/2"}]}'
+    )
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == 0
+    assert result.stderr == (
+        "warning: first level has upper bound 0; the innermost level set "
+        "is then forced to probability 0\n"
+    )
+    assert result.stdout == (
+        "kind: nested_bounds\nspace: 3 elements\nvalid: yes\n"
+        "comonotone: yes\nlevels: 3\n"
+    )
+    # a possibility distribution with a zero degree has the same p-box, silently
+    path.write_text(
+        '{"kind": "possibility", "space": ["a", "b", "c"], "pi": ["0", "1/2", "1"]}'
+    )
+    result = runner.invoke(main, ["check", str(path)])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout == (
+        "kind: possibility\nspace: 3 elements\nvalid: yes\ndistinct levels: 3\n"
+    )
 
 
 def test_query_keeps_equal_nested_levels(runner, tmp_path):

@@ -20,9 +20,6 @@ import gen
 from impbox import capacity, credal, enumerate_events, interval, pbox, possibility, randomset
 from impbox._exact import Ratios
 
-# random p-boxes may have a first level with upper bound 0
-pytestmark = pytest.mark.filterwarnings("ignore:first level has upper bound 0")
-
 #: kind -> (generator, lower bound, upper bound, credal set)
 MODELS = {
     "gen_pbox": (gen.rand_pbox, pbox.lower_prob, pbox.upper_prob, pbox.to_polytope),

@@ -1,5 +1,4 @@
 import random
-import warnings
 from fractions import Fraction as F
 from operator import mul
 
@@ -135,6 +134,14 @@ def test_incoherent_constraint_is_reported():
     assert (sp.full.mask, "lower") in events_with_slack
 
 
+def test_an_unattained_upper_bound_is_reported_on_its_side():
+    sp = FiniteSpace(["x1", "x2"])
+    x1 = sp.event(["x1"])
+    # P(x2) >= 1/2 caps P(x1) at 1/2, below the stated 1; P(x1) = 0 is attained
+    poly = CredalPolytope(sp, [(x1, F(0), F(1)), (sp.event(["x2"]), F(1, 2), F(1))])
+    assert is_coherent(poly) == (False, ((x1, "upper", F(1), F(1, 2)),))
+
+
 def test_trivial_constraint_is_coherent():
     sp = FiniteSpace(["x1", "x2"])
     poly = CredalPolytope(sp, [(sp.event(["x1"]), F(0), F(1))])
@@ -158,9 +165,7 @@ def test_conjugacy_and_witnesses_random():
 
 
 def _pbox_polytope(rng, sp):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degenerate first levels are fine here
-        return to_polytope(gen.rand_pbox(rng, sp, ties=rng.random() < 0.5))
+    return to_polytope(gen.rand_pbox(rng, sp, ties=rng.random() < 0.5))
 
 
 MODELS = {
@@ -295,6 +300,10 @@ TAMPERS = {
     "dual-value": (
         ["x3", "x4", "x5"],
         lambda sol, c, oracle, swept: sol._replace(y=sol.y[:-1] + (sol.y[-1] + sol.y_den,)),
+    ),
+    "wrong-length": (
+        ["x3", "x4", "x5"],
+        lambda sol, c, oracle, swept: sol._replace(x=sol.x[:-1]),
     ),
     "witness": (
         ["x3", "x4", "x5"],

@@ -2,7 +2,6 @@ import json
 import random
 import sys
 import time
-import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -220,27 +219,25 @@ def _reread(kind, pb):
 def test_pbox_conversions_write_the_pbox_or_refuse():
     rng = random.Random(2747)
     written = rejected = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a first level may have upper bound 0
-        for kind, obj, sigma in _pbox_sources(rng, 300):
-            arrows = docio.KINDS[kind].to
-            pb = arrows["nested_bounds"](obj, sigma)
-            again = _reread("nested_bounds", pb)
-            assert again == pb
-            for event in enumerate_events(pb.space):
-                assert lower_prob(again, event) == lower_prob(pb, event)
-                assert upper_prob(again, event) == upper_prob(pb, event)
-            # refused exactly when two levels share both bounds
-            pairs = list(zip(pb.level_alpha, pb.level_beta))
-            try:
-                functions = arrows["gen_pbox"](obj, sigma)
-            except ValidationError:
-                assert len(set(pairs)) < len(pairs)
-                rejected += 1
-            else:
-                assert len(set(pairs)) == len(pairs)
-                assert _reread("gen_pbox", functions) == pb
-                written += 1
+    for kind, obj, sigma in _pbox_sources(rng, 300):
+        arrows = docio.KINDS[kind].to
+        pb = arrows["nested_bounds"](obj, sigma)
+        again = _reread("nested_bounds", pb)
+        assert again == pb
+        for event in enumerate_events(pb.space):
+            assert lower_prob(again, event) == lower_prob(pb, event)
+            assert upper_prob(again, event) == upper_prob(pb, event)
+        # refused exactly when two levels share both bounds
+        pairs = list(zip(pb.level_alpha, pb.level_beta))
+        try:
+            functions = arrows["gen_pbox"](obj, sigma)
+        except ValidationError:
+            assert len(set(pairs)) < len(pairs)
+            rejected += 1
+        else:
+            assert len(set(pairs)) == len(pairs)
+            assert _reread("gen_pbox", functions) == pb
+            written += 1
     assert written and rejected
 
 

@@ -13,7 +13,6 @@ monotone, ...).  Each document then goes through ``check``, ``verify``,
 
 import json
 import random
-import warnings
 
 from click.testing import CliRunner
 
@@ -146,15 +145,13 @@ def _corpus(rng):
     """``DOCUMENTS`` pairs of a document text, one in seven left valid and
     the rest mutated, and the labels of the space it was built on."""
     texts = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a p-box may have a first level at 0
-        for _ in range(DOCUMENTS):
-            kind = rng.choice(sorted(BUILDERS))
-            space = gen.SPACES[rng.randint(1, 4)]
-            text = serialize(Document(kind, space, BUILDERS[kind](rng, space)))
-            if rng.random() >= 1 / 7:
-                text = rng.choice(MUTATIONS)(rng, json.loads(text))
-            texts.append((text, list(space.labels)))
+    for _ in range(DOCUMENTS):
+        kind = rng.choice(sorted(BUILDERS))
+        space = gen.SPACES[rng.randint(1, 4)]
+        text = serialize(Document(kind, space, BUILDERS[kind](rng, space)))
+        if rng.random() >= 1 / 7:
+            text = rng.choice(MUTATIONS)(rng, json.loads(text))
+        texts.append((text, list(space.labels)))
     return texts
 
 

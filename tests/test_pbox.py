@@ -9,11 +9,16 @@ import gen
 from impbox import (
     Capacity,
     CredalPolytope,
+    Event,
     FiniteSpace,
     GeneralizedPBox,
+    MassAssignment,
+    PossibilityDistribution,
     ProbabilityInterval,
+    ProbabilityVector,
     ValidationError,
     bel,
+    docio,
     enumerate_events,
     from_functions,
     from_nested_sets,
@@ -33,7 +38,7 @@ from reference import algorithm1, lower_prob_via_possibility
 
 
 def test_expert_pbox_blocks(expert_pbox, space6):
-    assert [b.labels for b in expert_pbox.blocks()] == [
+    assert [Event(space6, mask).labels for mask in expert_pbox.block_masks] == [
         ("x1", "x2"),
         ("x3",),
         ("x4", "x5"),
@@ -69,10 +74,35 @@ def test_top_element_must_reach_one():
         from_functions(sp, [F(0), F(1, 2)], [F(1, 2), F(9, 10)])
 
 
-def test_zero_upper_bound_on_first_level_warns():
+def test_zero_upper_bound_on_first_level_is_a_pbox_kind_warning():
+    """beta_1 = 0 is legal: both builders return it without a Python
+    warning, and only the two p-box kinds name it for the CLI."""
     sp = FiniteSpace(["x1", "x2"])
-    with pytest.warns(UserWarning):
-        from_functions(sp, [F(0), F(1)], [F(0), F(1)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pb = from_functions(sp, [F(0), F(1)], [F(0), F(1)])
+        assert from_nested_sets(sp, [(sp.event(["x1"]), F(0), F(0))]) == pb
+    assert caught == []
+    assert pb.level_beta[0] == 0
+    notice = (
+        "first level has upper bound 0; the innermost level set is then "
+        "forced to probability 0",
+    )
+    assert docio.KINDS["gen_pbox"].warnings(pb) == notice
+    assert docio.KINDS["nested_bounds"].warnings(pb) == notice
+    positive = from_functions(sp, [F(0), F(1)], [F(1, 2), F(1)])
+    assert docio.KINDS["gen_pbox"].warnings(positive) == ()
+    # each other kind, with a zero in it
+    others = {
+        "capacity": Capacity(sp, (0, 0, 0, 1)),
+        "mass": MassAssignment(sp, {0b10: 1}),
+        "possibility": PossibilityDistribution(sp, [0, 1]),
+        "interval": ProbabilityInterval(sp, [0, 0], [0, 1]),
+        "probability": ProbabilityVector(sp, [0, 1]),
+    }
+    assert set(others) == set(docio.KINDS) - {"gen_pbox", "nested_bounds"}
+    for kind, obj in others.items():
+        assert docio.KINDS[kind].warnings(obj) == ()
 
 
 def test_from_nested_sets_reproduces_expert_pbox(expert_pbox, space6):
@@ -90,14 +120,12 @@ def test_from_nested_sets_reproduces_expert_pbox(expert_pbox, space6):
 @pytest.mark.parametrize("ties", [False, True])
 def test_both_builders_store_the_same_levels(ties):
     rng = random.Random(71 + ties)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(150):
-            sp = gen.SPACES[rng.randint(1, 6)]
-            pb = gen.rand_pbox(rng, sp, ties=ties)
-            assert from_functions(sp, pb.f_lower, pb.f_upper) == pb
-            assert from_nested_sets(sp, pb.levels()) == pb
-            assert to_random_set(pb) == algorithm1(pb)
+    for _ in range(150):
+        sp = gen.SPACES[rng.randint(1, 6)]
+        pb = gen.rand_pbox(rng, sp, ties=ties)
+        assert from_functions(sp, pb.f_lower, pb.f_upper) == pb
+        assert from_nested_sets(sp, pb.levels()) == pb
+        assert to_random_set(pb) == algorithm1(pb)
 
 
 def test_pbox_stores_only_its_levels():
@@ -157,19 +185,17 @@ def _rand_nested_levels(rng, sp):
 
 def test_from_nested_sets_keeps_every_stated_level():
     rng = random.Random(89)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a first level may have upper bound 0
-        for _ in range(120):
-            sp = gen.SPACES[rng.randint(2, 5)]
-            stated = _rand_nested_levels(rng, sp)
-            pb = from_nested_sets(sp, stated)
-            _assert_agrees_with_stated_levels(sp, pb, stated)
-            ms = to_random_set(pb)
-            assert ms == algorithm1(pb)
-            for event in enumerate_events(sp):
-                value = lower_prob(pb, event)
-                assert value == bel(ms, event)
-                assert value == lower_prob_via_possibility(pb, event)
+    for _ in range(120):
+        sp = gen.SPACES[rng.randint(2, 5)]
+        stated = _rand_nested_levels(rng, sp)
+        pb = from_nested_sets(sp, stated)
+        _assert_agrees_with_stated_levels(sp, pb, stated)
+        ms = to_random_set(pb)
+        assert ms == algorithm1(pb)
+        for event in enumerate_events(sp):
+            value = lower_prob(pb, event)
+            assert value == bel(ms, event)
+            assert value == lower_prob_via_possibility(pb, event)
 
 
 def test_from_nested_sets_rejects_a_lower_bound_on_the_empty_set():
@@ -310,11 +336,9 @@ def test_sweep_matches_threshold_form_on_expert_pbox(expert_pbox, expert_mass):
 
 def test_sweep_matches_threshold_form_with_ties():
     rng = random.Random(53)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(60):
-            pb = gen.rand_pbox(rng, gen.SPACES[rng.randint(1, 6)], ties=True)
-            assert algorithm1(pb) == to_random_set(pb)
+    for _ in range(60):
+        pb = gen.rand_pbox(rng, gen.SPACES[rng.randint(1, 6)], ties=True)
+        assert algorithm1(pb) == to_random_set(pb)
 
 
 def test_sweep_single_element():
@@ -357,29 +381,25 @@ def test_polytope_has_one_constraint_per_level(expert_pbox):
 
 def test_three_way_equality_random_small():
     rng = random.Random(59)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(10):
-            sp = gen.SPACES[rng.randint(2, 4)]
-            pb = gen.rand_pbox(rng, sp)
-            ms = to_random_set(pb)
-            poly = to_polytope(pb)
-            for event in enumerate_events(sp):
-                value = lower_prob(pb, event)
-                assert value == bel(ms, event)
-                assert value == lower_prob_via_possibility(pb, event)
-                assert value == lower_envelope(poly, event).value
+    for _ in range(10):
+        sp = gen.SPACES[rng.randint(2, 4)]
+        pb = gen.rand_pbox(rng, sp)
+        ms = to_random_set(pb)
+        poly = to_polytope(pb)
+        for event in enumerate_events(sp):
+            value = lower_prob(pb, event)
+            assert value == bel(ms, event)
+            assert value == lower_prob_via_possibility(pb, event)
+            assert value == lower_envelope(poly, event).value
 
 
 def test_lower_prob_capacity_is_infty_monotone():
     rng = random.Random(61)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(10):
-            sp = gen.SPACES[rng.randint(2, 4)]
-            pb = gen.rand_pbox(rng, sp)
-            table = [lower_prob(pb, e) for e in enumerate_events(sp)]
-            assert is_infty_monotone(Capacity(sp, table))
+    for _ in range(10):
+        sp = gen.SPACES[rng.randint(2, 4)]
+        pb = gen.rand_pbox(rng, sp)
+        table = [lower_prob(pb, e) for e in enumerate_events(sp)]
+        assert is_infty_monotone(Capacity(sp, table))
 
 
 def test_possibility_embedding():
@@ -389,9 +409,7 @@ def test_possibility_embedding():
     for _ in range(10):
         pi_sorted = sorted(gen.rand_possibility(rng, sp).pi)
         flow = [F(0)] * 3 + [F(1)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pb = from_functions(sp, flow, pi_sorted)
+        pb = from_functions(sp, flow, pi_sorted)
         d = to_possibility_pair(pb)[0]
         assert tuple(d.pi) == tuple(pi_sorted)
         poly = to_polytope(pb)

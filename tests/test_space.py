@@ -78,7 +78,7 @@ def test_derived_events_equal_and_hash_like_fresh_ones(monkeypatch):
     pb = from_functions(sp, [0, half, 1], [half, 1, 1])
     built = [
         *enumerate_events(sp), a.complement(), a | b, a & b, a - b, sp.full, sp.empty,
-        *(event for event, _, _ in pb.levels()), *pb.blocks(),
+        *(event for event, _, _ in pb.levels()), *(Event(sp, m) for m in pb.block_masks),
         possibility.alpha_cut(PossibilityDistribution(sp, [1, half, 0]), half),
         docio._event(sp, "x3,x1", "--event"),
     ]
