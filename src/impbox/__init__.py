@@ -30,6 +30,7 @@ from .credal import (
     is_coherent,
     is_member,
     lower_envelope,
+    lower_envelopes,
     upper_envelope,
 )
 from .errors import (
@@ -87,6 +88,7 @@ __all__ = [
     "is_infty_monotone",
     "is_member",
     "lower_envelope",
+    "lower_envelopes",
     "mobius_inverse",
     "mobius_transform",
     "normalize",

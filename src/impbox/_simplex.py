@@ -20,6 +20,7 @@ cycling.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple
 
 from ._exact import over_lcd
@@ -52,6 +53,9 @@ class Simplex:
     """
 
     def __init__(self, n, a_ub, b_ub):
+        #: ``minimize`` calls so far, and the phase-2 pivots they made
+        self.lps = 0
+        self.pivots = 0
         m = len(a_ub) + 1
         self._n = n
         # columns: x | ub slacks | the sum row's artificial, then the rhs
@@ -89,16 +93,17 @@ class Simplex:
                 z = [zk + cb * v for zk, v in zip(z, row)]
         return z
 
-    def _run(self, z: list[int], limit: int) -> None:
-        """Pivot until no column below ``limit`` has a positive reduced cost.
+    def _run(self, z: list[int], limit: int) -> int:
+        """Pivot until no column below ``limit`` has a positive reduced
+        cost; return the number of pivots.
 
         The region is bounded, so every entering column has a leaving row.
         """
         tab, basis = self._tab, self._basis
-        while True:
+        for pivots in count():
             enter = next((j for j in range(limit) if z[j] > 0), -1)
             if enter < 0:
-                return
+                return pivots
             leave = -1
             for i, row in enumerate(tab):
                 a = row[enter]
@@ -137,7 +142,8 @@ class Simplex:
         n, tab, basis = self._n, self._tab, self._basis
         scale, cost = over_lcd(c)
         z = self._objective_row(cost + [0] * (self._art + 1 - n))
-        self._run(z, self._art)
+        self.lps += 1
+        self.pivots += self._run(z, self._art)
         d = self._d
         x = [0] * n
         for row, j in zip(tab, basis):

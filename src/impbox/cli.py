@@ -127,9 +127,10 @@ def verify(file):
     try:
         poly = kind.polytope(doc.obj)
         events = list(enumerate_events(doc.space))
-        # one LP and one closed form per event, as upper(A) = 1 - lower(A^c);
-        # in mask order, each LP warm-starts from the previous event's basis
-        lowers = [credal.lower_envelope(poly, event) for event in events]
+        # one oracle answer and one closed form per event, as upper(A) =
+        # 1 - lower(A^c); in mask order, each LP the batch solves
+        # warm-starts from the basis of the one before
+        lowers = credal.lower_envelopes(poly, events)
         closed = [kind.lower(doc.obj, event) for event in events]
     except ImpboxError as exc:
         _fail(str(exc))

@@ -13,9 +13,23 @@ multipliers must reach the same value (LP duality); a failure raises
 ``OracleError``.  The row check reads nothing but the witness, so it
 runs once per distinct witness of a polytope, on its first answer,
 which also builds the witness's ``ProbabilityVector``; the value and
-dual checks run on every answer.  This module is the independent
-verifier the rest of the library is checked against, so it
-deliberately knows nothing about p-boxes, random sets, etc.
+dual checks run on every answer.
+
+``lower_envelopes`` answers a batch of events, such as the sweep of
+every event that ``impbox verify`` makes, from two certificate tables
+over the event masks.  The first holds the least P(A) over the
+witnesses the batch has proven; the second the best lower bound proven
+by a dual certificate: each pruned row P(B) <= b proves lower(A) >=
+1 - b for every A that contains B^c, and each LP's certified dual
+proves its value for every A that contains the elements its dual
+constraints reach.  An event whose two bounds meet needs no LP: it is
+proven again, over integers, from the one witness and the one dual
+the tables picked.  Every other event is solved and certified as a
+single query is, and its witness and dual join the tables.
+
+This module is the independent verifier the rest of the library is
+checked against, so it deliberately knows nothing about p-boxes,
+random sets, etc.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -78,6 +92,18 @@ class CredalPolytope:
 class Envelope(NamedTuple):
     value: Fraction
     witness: ProbabilityVector
+
+
+class _Proof(NamedTuple):
+    """What a certified LP answer leaves behind."""
+
+    witness: ProbabilityVector
+    #: the witness in lowest terms: ``witness.p[i] == x[i] / x_den``
+    x: tuple[int, ...]
+    x_den: int
+    #: the elements i whose dual constraint ``y_eq + (the duals of the
+    #: rows holding i) <= c_i`` the duals meet with a positive left side
+    reach: int
 
 
 class CoherenceReport(NamedTuple):
@@ -149,9 +175,9 @@ class _Oracle:
         except _simplex.Infeasible:
             self.solver = None
 
-    def certified(self, c: list[int], sol: _simplex.Solution) -> ProbabilityVector | None:
-        """``sol``'s witness if ``sol`` is proven optimal for ``c`` against
-        the pruned rows, by LP duality; ``None`` if it is not.
+    def certified(self, c: list[int], sol: _simplex.Solution) -> _Proof | None:
+        """The proof of ``sol`` if it is optimal for ``c`` against the
+        pruned rows, by LP duality; ``None`` if it is not.
 
         A witness not yet in ``witnesses`` must be a point of the simplex
         that satisfies every row.  Every answer's witness must attain
@@ -200,7 +226,7 @@ class _Oracle:
             object.__setattr__(witness, "space", self.space)
             object.__setattr__(witness, "p", tuple(Fraction(v, xd) for v in x))
             self.witnesses[x, xd] = witness
-        return witness
+        return _Proof(witness, x, xd, sum(1 << i for i, r in enumerate(reach) if r > 0))
 
 
 def _oracle(poly: CredalPolytope) -> _Oracle:
@@ -209,24 +235,202 @@ def _oracle(poly: CredalPolytope) -> _Oracle:
     return cached(poly, "_oracle", _Oracle)
 
 
-def _solve(poly: CredalPolytope, objective: list[int]) -> tuple[Fraction, ProbabilityVector]:
+def _live_oracle(poly: CredalPolytope) -> _Oracle:
     oracle = _oracle(poly)
     if oracle.solver is None:
         raise InfeasibleError("the credal polytope is empty")
+    return oracle
+
+
+def _solve(oracle: _Oracle, mask: int) -> tuple[Fraction, _Proof]:
+    """min P(mask) by one certified LP: the value and its proof."""
+    objective = [mask >> i & 1 for i in range(oracle.space.size)]
     sol = oracle.solver.minimize(objective)
-    witness = oracle.certified(objective, sol)
-    if witness is None:
+    proof = oracle.certified(objective, sol)
+    if proof is None:
         raise OracleError(
             f"the simplex answer {sol.value} for objective {objective} failed "
             "its exact duality certificate"
         )
-    return sol.value, witness
+    return sol.value, proof
+
+
+class _Tables:
+    """What one batch of lower envelopes has proven about one polytope,
+    as two integer tables over the unions of the batch's cells.
+
+    The cells are non-empty parts of the space, cut by the batch's events
+    for as long as the unions of cells are no more than the events, so
+    the tables never outgrow the batch.  A sweep of all 2**n events has
+    the n singletons as cells and tables over the 2**n masks; an event of
+    a smaller batch that is not a union of cells is always solved by LP.
+    A table index has bit j set for cell j; ``position`` maps each union
+    of cells, as an element mask, to its index.
+
+    ``points`` holds the proofs of the batch's distinct witnesses, and
+    ``upper[k]`` is the least P(union k) over them.  ``duals`` holds
+    dual certificates as ``(reach, value)``, and ``lower[k]`` is the
+    greatest value among those whose reach lies in union k: the dual of
+    an LP min P(B) keeps ``y_eq + (the duals of the rows holding i)`` at
+    most 1 everywhere and at most 0 off its reach, so it is feasible,
+    with the same value, for min P(A) on every A that contains its reach.
+    An entry is ``value << shift | index``: the value over the common
+    denominator ``den`` and the index of a certificate that attains it,
+    so comparing two entries compares their values, and the better one
+    keeps its proof.
+
+    Where the two tables meet, lower(A) is known without an LP, and it
+    is proven again from the two certificates alone, over the elements,
+    so a wrong table entry can cost an LP or raise ``OracleError``, never
+    give a wrong answer.
+    """
+
+    def __init__(self, oracle: _Oracle, masks: list[int]):
+        n = oracle.space.size
+        self.oracle = oracle
+        self.bits = [1 << i for i in range(n)]
+        full = (1 << n) - 1
+        cells = [full]
+        # small events first: a sweep's singletons end the cutting early
+        for mask in sorted(set(masks), key=int.bit_count):
+            if len(cells) == n:
+                break
+            split = [part for cell in cells for part in (cell & mask, cell & ~mask) if part]
+            if 1 << len(split) <= len(masks):  # no table outgrows the batch
+                cells = split
+        cells.sort()  # the singletons of a sweep keep their element order
+        self.cells = cells
+        self.cell_of = [0] * n  # element i -> the index of its cell
+        unions = [0]
+        for j, cell in enumerate(cells):
+            unions += [union | cell for union in unions]
+            while cell:
+                self.cell_of[(cell & -cell).bit_length() - 1] = j
+                cell &= cell - 1
+        self.cell_bits = [1 << j for j in self.cell_of]
+        self.position = dict(zip(unions, count()))
+        self.den = oracle.lcd
+        # every index fits below the shift: the duals placed here, then
+        # at most one witness and one dual per event
+        self.shift = (len(oracle.rows) + 2 + len(masks)).bit_length()
+        self.index = (1 << self.shift) - 1
+        self.points: list[_Proof] = []
+        self.seen: set[int] = set()  # the ids of the witnesses in points
+        # before the first witness, every entry lies above any probability
+        self.upper = [self.den + 1 << self.shift] * len(unions)
+        # y = 0 proves P(A) >= 0 on every event: index 0, value 0
+        self.duals: list[tuple[int, Fraction]] = [(0, Fraction(0))]
+        self.lower = [0] * len(unions)
+        # y_eq = 1 proves P(X) >= 1; with the dual -1 on a pruned row
+        # P(B) <= b it proves P(A) >= 1 - b wherever A contains B^c
+        self.add_dual(full, Fraction(1))
+        for members, num, den, _ in oracle.rows:
+            reach = full ^ sum(map(self.bits.__getitem__, members))
+            self.add_dual(reach, Fraction(den - num, den))
+
+    def envelope(self, mask: int) -> Envelope:
+        """Lower(mask) with an attaining witness: from the tables where
+        they meet, else from one certified LP, whose witness and dual
+        then join the tables."""
+        k = self.position.get(mask)
+        if k is not None:
+            up, down, shift = self.upper[k], self.lower[k], self.shift
+            if up >> shift == down >> shift:
+                point = self.points[up & self.index]
+                reach, value = self.duals[down & self.index]
+                # a member with P(mask) = value, and a dual feasible for mask with it
+                attained = sum(compress(point.x, map(mask.__and__, self.bits)))
+                if reach & ~mask or value.denominator * attained != value.numerator * point.x_den:
+                    raise OracleError(
+                        f"the stored certificates for the event {mask:#b} failed "
+                        "their exact check"
+                    )
+                return Envelope(value, point.witness)
+        value, proof = _solve(self.oracle, mask)
+        if id(proof.witness) not in self.seen:
+            self.add_point(proof)
+        self.add_dual(proof.reach, value)
+        return Envelope(value, proof.witness)
+
+    def add_point(self, proof: _Proof) -> None:
+        """Lower ``upper`` to the sums of a new certified witness."""
+        self.seen.add(id(proof.witness))
+        x, xd = proof.x, proof.x_den
+        if self.den % xd:
+            self._rescale(xd)
+        sums = [0] * len(self.cells)
+        for j, v in zip(self.cell_of, x):
+            sums[j] += v
+        table = [len(self.points)]
+        self.points.append(proof)
+        shift, scale = self.shift, self.den // xd
+        for v in sums:  # doubling: entry k sums the cells of k
+            if v:
+                step = v * scale << shift
+                table += [entry + step for entry in table]
+            else:
+                table *= 2
+        self.upper = [old if old < new else new for old, new in zip(self.upper, table)]
+
+    def add_dual(self, reach: int, value: Fraction) -> None:
+        """Raise ``lower`` to ``value`` on every union of cells that
+        contains the element mask ``reach``."""
+        if self.den % value.denominator:
+            self._rescale(value.denominator)
+        lower = self.lower
+        num = value.numerator * (self.den // value.denominator)
+        base = self.position.get(reach)
+        if base is None:  # the union of the cells that meet reach
+            base = 0
+            for bit, cell_bit in zip(self.bits, self.cell_bits):
+                if reach & bit:
+                    base |= cell_bit
+        if lower[base] >> self.shift >= num:
+            return  # a stored dual with a smaller reach proves as much
+        entry = num << self.shift | len(self.duals)
+        self.duals.append((reach, value))
+        free = sub = (len(lower) - 1) ^ base
+        while True:
+            k = base | sub
+            if lower[k] < entry:
+                lower[k] = entry
+            if not sub:
+                return
+            sub = (sub - 1) & free
+
+    def _rescale(self, den: int) -> None:
+        """Put both tables over a common denominator that ``den`` divides:
+        each entry's value is scaled by one factor, and its index kept."""
+        k = math.lcm(self.den, den) // self.den
+        index = self.index
+        self.lower = [e * k - (e & index) * (k - 1) for e in self.lower]
+        self.upper = [e * k - (e & index) * (k - 1) for e in self.upper]
+        self.den *= k
 
 
 def lower_envelope(poly: CredalPolytope, a: Event) -> Envelope:
     """Exact minimum of P(a) over the polytope, with an attaining member."""
     _same_space(poly.space, a.space, "event and polytope spaces differ")
-    return Envelope(*_solve(poly, [a.mask >> i & 1 for i in range(poly.space.size)]))
+    value, proof = _solve(_live_oracle(poly), a.mask)
+    return Envelope(value, proof.witness)
+
+
+def lower_envelopes(poly: CredalPolytope, events: Iterable[Event]) -> list[Envelope]:
+    """``lower_envelope`` of each event, in order, on one polytope.
+
+    The values are those single queries would give; a witness may be a
+    different optimal point of the same value.  Most events of a sweep
+    need no LP: the batch keeps its certified witnesses and duals, and
+    the pruned rows as duals, in two tables (see ``_Tables``), and solves
+    an LP only where they do not meet.  The tables hold at most one entry
+    per event given, and each new witness or dual costs up to that many
+    integer steps.  Raises ``InfeasibleError`` on an empty polytope.
+    """
+    events = list(events)
+    for a in events:
+        _same_space(poly.space, a.space, "event and polytope spaces differ")
+    tables = _Tables(_live_oracle(poly), [a.mask for a in events])
+    return [tables.envelope(a.mask) for a in events]
 
 
 def upper_envelope(poly: CredalPolytope, a: Event) -> Envelope:
@@ -246,12 +450,13 @@ def is_coherent(poly: CredalPolytope) -> CoherenceReport:
     Raises ``InfeasibleError`` on an empty polytope.  The report names
     each constraint side whose stated bound is not the exact envelope.
     """
+    events = [event for event, _, _ in poly.constraints]
+    # upper(A) = 1 - lower(A^c): one batch for both sides
+    lowers = lower_envelopes(poly, events + [a.complement() for a in events])
     slack = []
-    for event, lo, hi in poly.constraints:
-        attained_lo = lower_envelope(poly, event).value
-        if attained_lo != lo:
-            slack.append((event, "lower", lo, attained_lo))
-        attained_hi = upper_envelope(poly, event).value
-        if attained_hi != hi:
-            slack.append((event, "upper", hi, attained_hi))
+    for (event, lo, hi), below, above in zip(poly.constraints, lowers, lowers[len(events):]):
+        if below.value != lo:
+            slack.append((event, "lower", lo, below.value))
+        if 1 - above.value != hi:
+            slack.append((event, "upper", hi, 1 - above.value))
     return CoherenceReport(not slack, tuple(slack))

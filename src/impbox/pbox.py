@@ -54,11 +54,12 @@ class GeneralizedPBox:
         object.__setattr__(self, "level_alpha", level_alpha)
         object.__setattr__(self, "level_beta", level_beta)
         ratios, levels = cached(self, "_ints", _ints)
-        alpha = [a for _, a, _ in levels[:-1]]
-        beta = [b for _, _, b in levels[1:]]
-        for lo, hi, a, b in zip(level_alpha, level_beta, alpha, beta):
-            if not 0 <= a <= b <= ratios.den:
-                raise _bounds_error(lo, hi)
+        _, alpha, beta = zip(*levels)
+        alpha, beta = alpha[:-1], beta[1:]
+        if min(alpha) < 0 or max(beta) > ratios.den or any(map(gt, alpha, beta)):
+            for lo, hi, a, b in zip(level_alpha, level_beta, alpha, beta):
+                if not 0 <= a <= b <= ratios.den:  # the first fault
+                    raise _bounds_error(lo, hi)
         if any(map(gt, alpha, alpha[1:])) or any(map(gt, beta, beta[1:])):
             raise ValidationError("level bounds must be non-decreasing outward")
         if alpha[-1] != ratios.den or beta[-1] != ratios.den:

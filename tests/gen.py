@@ -63,6 +63,18 @@ def rand_mass(rng: random.Random, space: FiniteSpace, k: int | None = None) -> M
     )
 
 
+def rand_dense_mass(rng: random.Random, space: FiniteSpace) -> MassAssignment:
+    """Mass on every event of one or two elements, integer weights 1-9.
+
+    Its polytope keeps a bound on nearly every event, the oracle's
+    densest row set.
+    """
+    masks = [m for m in range(1, 1 << space.size) if m.bit_count() <= 2]
+    weights = [rng.randint(1, 9) for _ in masks]
+    total = sum(weights)
+    return MassAssignment(space, {m: Fraction(w, total) for m, w in zip(masks, weights)})
+
+
 def rand_possibility(
     rng: random.Random, space: FiniteSpace, denom: int = 12
 ) -> PossibilityDistribution:

@@ -1,11 +1,15 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
 
+import gen
+
 from impbox import (
     ProbabilityVector,
+    credal,
     docio,
     interval,
     is_member,
@@ -802,6 +806,28 @@ def test_max_n_in_range_caps_the_space(runner, expert_file, monkeypatch, value, 
             f"error: $.space: space exceeds the configured maximum of {value} "
             "elements (IMPBOX_MAX_N)\n"
         )
+
+
+def _dense_mass_text():
+    ms = gen.rand_dense_mass(random.Random(6), gen.SPACES[6])
+    return docio.serialize(docio.Document("mass", ms.space, ms))
+
+
+@pytest.mark.parametrize(
+    "text", [EXPERT_TEXT, _dense_mass_text()], ids=["expert-pbox", "dense-mass"]
+)
+def test_verify_solves_fewer_lps_than_it_has_events(runner, tmp_path, monkeypatch, text):
+    polytopes = []
+    honest = credal.lower_envelopes
+    monkeypatch.setattr(
+        credal, "lower_envelopes", lambda poly, events: polytopes.append(poly) or honest(poly, events)
+    )
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.output == "64/64 events agree\n"
+    [poly] = polytopes
+    assert 0 < credal._oracle(poly).solver.lps < 64
 
 
 def test_verify_catches_a_coherent_but_wrong_belief(runner, tmp_path, monkeypatch):

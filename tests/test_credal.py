@@ -17,9 +17,10 @@ from impbox import (
     is_coherent,
     is_member,
     lower_envelope,
+    lower_envelopes,
     upper_envelope,
 )
-from impbox import _simplex, credal, interval, possibility, randomset
+from impbox import _simplex, credal, docio, interval, possibility, randomset
 from impbox.credal import is_empty
 from impbox.pbox import to_polytope
 
@@ -402,8 +403,11 @@ def test_the_certificate_agrees_with_the_full_reference_check(model):
             for c in objectives:
                 sol = oracle.solver.minimize(c)
                 assert reference.certified(oracle, c, sol)
-                witness = oracle.certified(c, sol)
-                assert witness.p == tuple(F(v, sol.x_den) for v in sol.x)
+                proof = oracle.certified(c, sol)
+                assert proof.witness.p == tuple(F(v, sol.x_den) for v in sol.x)
+                assert proof.witness.p == tuple(F(v, proof.x_den) for v in proof.x)
+                # a dual of min P(B) is feasible only for events holding its reach
+                assert not proof.reach & ~sum(ci << i for i, ci in enumerate(c))
                 for wrong in _wrong_answers(oracle, c, sol, earlier):
                     assert not reference.certified(oracle, c, wrong)
                     assert oracle.certified(c, wrong) is None
@@ -436,6 +440,98 @@ def test_equal_witnesses_are_one_object_from_the_oracles_table(model):
             table = credal._oracle(poly).witnesses
             assert len(table) == len(by_point)
             assert {id(w) for w in table.values()} == {id(w) for w in by_point.values()}
+
+
+def _raw_interval(rng, sp):
+    """Bounds l(x) <= u(x) with free sums, so often an empty polytope."""
+    lower = [F(rng.randint(0, 6), 12) for _ in range(sp.size)]
+    upper = [min(F(1), lo + F(rng.randint(0, 6), 12)) for lo in lower]
+    return interval.ProbabilityInterval(sp, lower, upper)
+
+
+#: (generator, kind) for every kind with a polytope, plus the dense masses
+#: and intervals whose bounds need not meet
+ENVELOPE_SOURCES = {
+    "mass": (gen.rand_mass, "mass"),
+    "dense-mass": (gen.rand_dense_mass, "mass"),
+    "interval": (gen.rand_reachable_interval, "interval"),
+    "raw-interval": (_raw_interval, "interval"),
+    "gen_pbox": (lambda rng, sp: gen.rand_pbox(rng, sp, ties=rng.random() < 0.5), "gen_pbox"),
+    "nested_bounds": (gen.rand_nested_pbox, "nested_bounds"),
+    "possibility": (gen.rand_possibility, "possibility"),
+    "probability": (gen.rand_probability, "probability"),
+}
+
+#: 200 space sizes per source, so 1600 polytopes; dense rows make n = 6, 7 slow
+SIZES = [1, 2, 3, 4, 5] * 38 + [6] * 8 + [7] * 2
+DENSE_SIZES = [1, 2, 3, 4, 5] * 39 + [6] * 4 + [7]
+
+
+@pytest.mark.parametrize("source", ENVELOPE_SOURCES)
+def test_lower_envelopes_equal_single_queries(source):
+    """A batch gives the values of one ``lower_envelope`` per event, with
+    member witnesses, and is refused on exactly the empty polytopes: for
+    a sweep on a fresh polytope, as ``verify`` sends it, and for a
+    shuffled sample with repeats on the queried one."""
+    rng = random.Random(f"envelopes/{source}")
+    make, kind = ENVELOPE_SOURCES[source]
+    empty = 0
+    for n in DENSE_SIZES if source == "dense-mass" else SIZES:
+        sp = gen.SPACES[n]
+        poly = docio.KINDS[kind].polytope(make(rng, sp))
+        events = list(enumerate_events(sp))
+        sample = rng.choices(events, k=rng.randint(1, 2 * len(events)))
+        batches = [(CredalPolytope(sp, poly.constraints), events), (poly, sample)]
+        try:
+            singles = [lower_envelope(poly, event).value for event in events]
+        except InfeasibleError:
+            empty += 1
+            for fresh, batch in batches:
+                with pytest.raises(InfeasibleError):
+                    lower_envelopes(fresh, batch)
+            continue
+        witnesses = {}
+        for fresh, batch in batches:
+            found = lower_envelopes(fresh, batch)
+            assert [env.value for env in found] == [singles[event.mask] for event in batch]
+            for env, event in zip(found, batch):
+                assert env.witness.prob(event) == env.value
+                witnesses[id(env.witness)] = env.witness
+        assert all(is_member(poly, witness) for witness in witnesses.values())
+    assert (empty > 0) == (source == "raw-interval")
+
+
+@pytest.mark.parametrize("tamper", ["dual-reach", "witness-value"])
+def test_a_stored_certificate_that_fails_its_check_raises(monkeypatch, expert_pbox, space6, tamper):
+    """The tables only pick certificates; each answer they give is proven
+    again, so a stored dual that is not feasible for the event, or a
+    stored witness that misses the value, raises instead of answering."""
+    full = (1 << space6.size) - 1
+    poly = to_polytope(expert_pbox)
+    events = list(enumerate_events(space6))
+    assert [env.value for env in lower_envelopes(poly, events)] == [
+        lower_envelope(poly, event).value for event in events
+    ]
+    if tamper == "dual-reach":
+        honest_dual = credal._Tables.add_dual
+
+        def add_dual(tables, reach, value):
+            stored = len(tables.duals)
+            honest_dual(tables, reach, value)
+            if len(tables.duals) > stored:  # placed on reach, kept as needing every element
+                tables.duals[-1] = (full, value)
+
+        monkeypatch.setattr(credal._Tables, "add_dual", add_dual)
+    else:
+        honest_point = credal._Tables.add_point
+
+        def add_point(tables, proof):
+            honest_point(tables, proof)  # placed by its sums, kept with one more unit on x1
+            tables.points[-1] = proof._replace(x=(proof.x[0] + 1,) + proof.x[1:])
+
+        monkeypatch.setattr(credal._Tables, "add_point", add_point)
+    with pytest.raises(OracleError):
+        lower_envelopes(poly, events)
 
 
 def _assert_optimal(a_ub, b_ub, a_eq, b_eq, c, sol):
@@ -502,3 +598,24 @@ def test_simplex_rejects_negative_rhs_and_reports_infeasible():
         _simplex.Simplex(1, [[1]], [-1])
     with pytest.raises(_simplex.Infeasible):
         _simplex.Simplex(2, [[1, 1]], [F(1, 2)])
+
+
+def test_simplex_counts_its_lps_and_phase_2_pivots(monkeypatch):
+    pivots = []
+    honest = _simplex.Simplex._pivot
+    monkeypatch.setattr(
+        _simplex.Simplex, "_pivot", lambda self, *args: pivots.append(args) or honest(self, *args)
+    )
+    rng = random.Random(3)
+    for n in range(1, 6):
+        for _ in range(10):
+            a_ub, b_ub, point = _rand_simplex_system(rng, n)
+            if point is None:
+                continue
+            solver = _simplex.Simplex(n, a_ub, b_ub)
+            pivots.clear()  # phase 1's pivots are not counted
+            assert (solver.lps, solver.pivots) == (0, 0)
+            for lps in range(1, 4):
+                solver.minimize([_rand_rational(rng) for _ in range(n)])
+                assert (solver.lps, solver.pivots) == (lps, len(pivots))
+    assert len(pivots) > 0

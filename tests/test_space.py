@@ -183,6 +183,7 @@ def _entry_points(other):
         "credal.CredalPolytope": lambda: CredalPolytope(SP, [(a, 0, HALF)]),
         "credal.is_member": lambda: credal.is_member(_POLY, q),
         "credal.lower_envelope": lambda: credal.lower_envelope(_POLY, a),
+        "credal.lower_envelopes": lambda: credal.lower_envelopes(_POLY, [a]),
         "credal.upper_envelope": lambda: credal.upper_envelope(_POLY, a),
         # a permutation has no space, only a size: the order is given by
         # the labels of SP that other also has, none for OTHER
