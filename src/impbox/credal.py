@@ -15,9 +15,10 @@ runs once per distinct witness of a polytope, on its first answer,
 which also builds the witness's ``ProbabilityVector``; the value and
 dual checks run on every answer.
 
-``lower_envelopes`` answers a batch of events, such as the sweep of
-every event that ``impbox verify`` makes, from two certificate tables
-over the event masks.  The first holds the least P(A) over the
+``lower_envelopes`` answers a batch of at least 2**n events, such as
+the sweep of every event that ``impbox verify`` makes, from two
+certificate tables indexed by event mask; a shorter batch is answered
+by single queries.  The first table holds the least P(A) over the
 witnesses the batch has proven; the second the best lower bound proven
 by a dual certificate: each pruned row P(B) <= b proves lower(A) >=
 1 - b for every A that contains B^c, and each LP's certified dual
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -256,22 +257,14 @@ def _solve(oracle: _Oracle, mask: int) -> tuple[Fraction, _Proof]:
 
 
 class _Tables:
-    """What one batch of lower envelopes has proven about one polytope,
-    as two integer tables over the unions of the batch's cells.
+    """What one sweep of lower envelopes has proven about one polytope,
+    as two integer tables indexed by event mask.
 
-    The cells are non-empty parts of the space, cut by the batch's events
-    for as long as the unions of cells are no more than the events, so
-    the tables never outgrow the batch.  A sweep of all 2**n events has
-    the n singletons as cells and tables over the 2**n masks; an event of
-    a smaller batch that is not a union of cells is always solved by LP.
-    A table index has bit j set for cell j; ``position`` maps each union
-    of cells, as an element mask, to its index.
-
-    ``points`` holds the proofs of the batch's distinct witnesses, and
-    ``upper[k]`` is the least P(union k) over them.  ``duals`` holds
-    dual certificates as ``(reach, value)``, and ``lower[k]`` is the
-    greatest value among those whose reach lies in union k: the dual of
-    an LP min P(B) keeps ``y_eq + (the duals of the rows holding i)`` at
+    ``points`` holds the proofs of the sweep's distinct witnesses, and
+    ``upper[mask]`` is the least P(mask) over them.  ``duals`` holds
+    dual certificates as ``(reach, value)``, and ``lower[mask]`` is the
+    greatest value among those whose reach lies in mask: the dual of an
+    LP min P(B) keeps ``y_eq + (the duals of the rows holding i)`` at
     most 1 everywhere and at most 0 off its reach, so it is feasible,
     with the same value, for min P(A) on every A that contains its reach.
     An entry is ``value << shift | index``: the value over the common
@@ -285,42 +278,23 @@ class _Tables:
     give a wrong answer.
     """
 
-    def __init__(self, oracle: _Oracle, masks: list[int]):
+    def __init__(self, oracle: _Oracle, n_events: int):
         n = oracle.space.size
         self.oracle = oracle
         self.bits = [1 << i for i in range(n)]
         full = (1 << n) - 1
-        cells = [full]
-        # small events first: a sweep's singletons end the cutting early
-        for mask in sorted(set(masks), key=int.bit_count):
-            if len(cells) == n:
-                break
-            split = [part for cell in cells for part in (cell & mask, cell & ~mask) if part]
-            if 1 << len(split) <= len(masks):  # no table outgrows the batch
-                cells = split
-        cells.sort()  # the singletons of a sweep keep their element order
-        self.cells = cells
-        self.cell_of = [0] * n  # element i -> the index of its cell
-        unions = [0]
-        for j, cell in enumerate(cells):
-            unions += [union | cell for union in unions]
-            while cell:
-                self.cell_of[(cell & -cell).bit_length() - 1] = j
-                cell &= cell - 1
-        self.cell_bits = [1 << j for j in self.cell_of]
-        self.position = dict(zip(unions, count()))
         self.den = oracle.lcd
         # every index fits below the shift: the duals placed here, then
         # at most one witness and one dual per event
-        self.shift = (len(oracle.rows) + 2 + len(masks)).bit_length()
+        self.shift = (len(oracle.rows) + 2 + n_events).bit_length()
         self.index = (1 << self.shift) - 1
         self.points: list[_Proof] = []
         self.seen: set[int] = set()  # the ids of the witnesses in points
         # before the first witness, every entry lies above any probability
-        self.upper = [self.den + 1 << self.shift] * len(unions)
+        self.upper = [self.den + 1 << self.shift] * (1 << n)
         # y = 0 proves P(A) >= 0 on every event: index 0, value 0
         self.duals: list[tuple[int, Fraction]] = [(0, Fraction(0))]
-        self.lower = [0] * len(unions)
+        self.lower = [0] * (1 << n)
         # y_eq = 1 proves P(X) >= 1; with the dual -1 on a pruned row
         # P(B) <= b it proves P(A) >= 1 - b wherever A contains B^c
         self.add_dual(full, Fraction(1))
@@ -332,20 +306,18 @@ class _Tables:
         """Lower(mask) with an attaining witness: from the tables where
         they meet, else from one certified LP, whose witness and dual
         then join the tables."""
-        k = self.position.get(mask)
-        if k is not None:
-            up, down, shift = self.upper[k], self.lower[k], self.shift
-            if up >> shift == down >> shift:
-                point = self.points[up & self.index]
-                reach, value = self.duals[down & self.index]
-                # a member with P(mask) = value, and a dual feasible for mask with it
-                attained = sum(compress(point.x, map(mask.__and__, self.bits)))
-                if reach & ~mask or value.denominator * attained != value.numerator * point.x_den:
-                    raise OracleError(
-                        f"the stored certificates for the event {mask:#b} failed "
-                        "their exact check"
-                    )
-                return Envelope(value, point.witness)
+        up, down, shift = self.upper[mask], self.lower[mask], self.shift
+        if up >> shift == down >> shift:
+            point = self.points[up & self.index]
+            reach, value = self.duals[down & self.index]
+            # a member with P(mask) = value, and a dual feasible for mask with it
+            attained = sum(compress(point.x, map(mask.__and__, self.bits)))
+            if reach & ~mask or value.denominator * attained != value.numerator * point.x_den:
+                raise OracleError(
+                    f"the stored certificates for the event {mask:#b} failed "
+                    "their exact check"
+                )
+            return Envelope(value, point.witness)
         value, proof = _solve(self.oracle, mask)
         if id(proof.witness) not in self.seen:
             self.add_point(proof)
@@ -358,13 +330,10 @@ class _Tables:
         x, xd = proof.x, proof.x_den
         if self.den % xd:
             self._rescale(xd)
-        sums = [0] * len(self.cells)
-        for j, v in zip(self.cell_of, x):
-            sums[j] += v
         table = [len(self.points)]
         self.points.append(proof)
         shift, scale = self.shift, self.den // xd
-        for v in sums:  # doubling: entry k sums the cells of k
+        for v in x:  # doubling: entry mask sums the elements of mask
             if v:
                 step = v * scale << shift
                 table += [entry + step for entry in table]
@@ -373,25 +342,18 @@ class _Tables:
         self.upper = [old if old < new else new for old, new in zip(self.upper, table)]
 
     def add_dual(self, reach: int, value: Fraction) -> None:
-        """Raise ``lower`` to ``value`` on every union of cells that
-        contains the element mask ``reach``."""
+        """Raise ``lower`` to ``value`` on every mask that contains ``reach``."""
         if self.den % value.denominator:
             self._rescale(value.denominator)
         lower = self.lower
         num = value.numerator * (self.den // value.denominator)
-        base = self.position.get(reach)
-        if base is None:  # the union of the cells that meet reach
-            base = 0
-            for bit, cell_bit in zip(self.bits, self.cell_bits):
-                if reach & bit:
-                    base |= cell_bit
-        if lower[base] >> self.shift >= num:
+        if lower[reach] >> self.shift >= num:
             return  # a stored dual with a smaller reach proves as much
         entry = num << self.shift | len(self.duals)
         self.duals.append((reach, value))
-        free = sub = (len(lower) - 1) ^ base
+        free = sub = (len(lower) - 1) ^ reach
         while True:
-            k = base | sub
+            k = reach | sub
             if lower[k] < entry:
                 lower[k] = entry
             if not sub:
@@ -418,18 +380,25 @@ def lower_envelope(poly: CredalPolytope, a: Event) -> Envelope:
 def lower_envelopes(poly: CredalPolytope, events: Iterable[Event]) -> list[Envelope]:
     """``lower_envelope`` of each event, in order, on one polytope.
 
-    The values are those single queries would give; a witness may be a
-    different optimal point of the same value.  Most events of a sweep
-    need no LP: the batch keeps its certified witnesses and duals, and
-    the pruned rows as duals, in two tables (see ``_Tables``), and solves
-    an LP only where they do not meet.  The tables hold at most one entry
-    per event given, and each new witness or dual costs up to that many
-    integer steps.  Raises ``InfeasibleError`` on an empty polytope.
+    A batch of fewer than 2**n events, n the size of the space, is
+    answered by one ``lower_envelope`` per event and returns exactly the
+    single queries' envelopes, witnesses included.  A batch of at least
+    2**n events, such as a sweep, gives the values single queries would
+    give, and a witness may be a different optimal point of the same
+    value.  Most of its events need no LP: the batch keeps its certified
+    witnesses and duals, and the pruned rows as duals, in two tables over
+    the 2**n masks (see ``_Tables``), and solves an LP only where they do
+    not meet.  So no table holds more entries than the batch has events,
+    and each new witness or dual costs up to 2**n integer steps.  Raises
+    ``InfeasibleError`` on an empty polytope, even for an empty batch.
     """
     events = list(events)
     for a in events:
         _same_space(poly.space, a.space, "event and polytope spaces differ")
-    tables = _Tables(_live_oracle(poly), [a.mask for a in events])
+    oracle = _live_oracle(poly)
+    if len(events) < 1 << poly.space.size:
+        return [lower_envelope(poly, a) for a in events]
+    tables = _Tables(oracle, len(events))
     return [tables.envelope(a.mask) for a in events]
 
 

@@ -22,7 +22,7 @@ from impbox import (
 )
 from impbox import _simplex, credal, docio, interval, possibility, randomset
 from impbox.credal import is_empty
-from impbox.pbox import to_polytope
+from impbox.pbox import from_functions, to_polytope
 
 
 @pytest.fixture
@@ -471,9 +471,12 @@ DENSE_SIZES = [1, 2, 3, 4, 5] * 39 + [6] * 4 + [7]
 def test_lower_envelopes_equal_single_queries(source):
     """A batch gives the values of one ``lower_envelope`` per event, with
     member witnesses, and is refused on exactly the empty polytopes: for
-    a sweep on a fresh polytope, as ``verify`` sends it, and for a
-    shuffled sample with repeats on the queried one."""
+    a sweep on a fresh polytope, as ``verify`` sends it, and for two
+    shuffled samples with repeats on the queried one: one of any length,
+    and one of 2**n to 2**(n+1) events, which the tables answer out of
+    mask order."""
     rng = random.Random(f"envelopes/{source}")
+    long_rng = random.Random(f"envelopes/{source}/long")
     make, kind = ENVELOPE_SOURCES[source]
     empty = 0
     for n in DENSE_SIZES if source == "dense-mass" else SIZES:
@@ -481,7 +484,12 @@ def test_lower_envelopes_equal_single_queries(source):
         poly = docio.KINDS[kind].polytope(make(rng, sp))
         events = list(enumerate_events(sp))
         sample = rng.choices(events, k=rng.randint(1, 2 * len(events)))
-        batches = [(CredalPolytope(sp, poly.constraints), events), (poly, sample)]
+        long_sample = long_rng.choices(events, k=long_rng.randint(len(events), 2 * len(events)))
+        batches = [
+            (CredalPolytope(sp, poly.constraints), events),
+            (poly, sample),
+            (poly, long_sample),
+        ]
         try:
             singles = [lower_envelope(poly, event).value for event in events]
         except InfeasibleError:
@@ -499,6 +507,57 @@ def test_lower_envelopes_equal_single_queries(source):
                 witnesses[id(env.witness)] = env.witness
         assert all(is_member(poly, witness) for witness in witnesses.values())
     assert (empty > 0) == (source == "raw-interval")
+
+
+def _refuse_tables(monkeypatch):
+    def refuse(tables, *args):
+        raise AssertionError("a batch shorter than 2**n events built tables")
+
+    monkeypatch.setattr(credal._Tables, "__init__", refuse)
+
+
+@pytest.mark.parametrize("source", ENVELOPE_SOURCES)
+def test_a_short_batch_is_its_single_queries(monkeypatch, source):
+    """A batch of fewer than 2**n events builds no tables and returns
+    exactly the envelopes, witnesses included, of single queries made in
+    the same order on a copy of the polytope."""
+    _refuse_tables(monkeypatch)
+    rng = random.Random(f"short/{source}")
+    make, kind = ENVELOPE_SOURCES[source]
+    answered = 0
+    for n in [1, 2, 3, 4, 5] * 6:
+        sp = gen.SPACES[n]
+        poly = docio.KINDS[kind].polytope(make(rng, sp))
+        if is_empty(poly):
+            continue
+        events = list(enumerate_events(sp))
+        batch = rng.choices(events, k=rng.randrange(len(events)))
+        twin = CredalPolytope(sp, poly.constraints)
+        assert lower_envelopes(poly, batch) == [lower_envelope(twin, event) for event in batch]
+        answered += 1
+    assert answered > 0
+
+
+def test_is_coherent_on_a_24_element_pbox_builds_no_tables(monkeypatch):
+    """A strictly ordered p-box has 24 levels, so ``is_coherent`` asks 48
+    envelopes, far fewer than the 2**24 events a table would span."""
+    _refuse_tables(monkeypatch)
+    n = 24
+    sp = FiniteSpace([f"x{i}" for i in range(1, n + 1)])
+    fupp = [F(i, n) for i in range(1, n + 1)]
+    flow = [v / 2 for v in fupp[:-1]] + [F(1)]
+    poly = to_polytope(from_functions(sp, flow, fupp))
+    assert len(poly.constraints) == n
+    assert is_coherent(poly) == (True, ())
+
+
+def test_an_empty_polytope_refuses_every_batch():
+    sp = gen.SPACES[3]
+    events = list(enumerate_events(sp))
+    constraints = [(sp.event(["x1"]), F(3, 5), F(1)), (sp.event(["x2"]), F(3, 5), F(1))]
+    for batch in ([], events[:3], events, events * 2):
+        with pytest.raises(InfeasibleError):
+            lower_envelopes(CredalPolytope(sp, constraints), batch)
 
 
 @pytest.mark.parametrize("tamper", ["dual-reach", "witness-value"])

@@ -184,6 +184,10 @@ def _entry_points(other):
         "credal.is_member": lambda: credal.is_member(_POLY, q),
         "credal.lower_envelope": lambda: credal.lower_envelope(_POLY, a),
         "credal.lower_envelopes": lambda: credal.lower_envelopes(_POLY, [a]),
+        # a batch of 2**n events is answered from tables; its last is foreign
+        "credal.lower_envelopes(sweep)": lambda: credal.lower_envelopes(
+            _POLY, list(enumerate_events(SP))[1:] + [a]
+        ),
         "credal.upper_envelope": lambda: credal.upper_envelope(_POLY, a),
         # a permutation has no space, only a size: the order is given by
         # the labels of SP that other also has, none for OTHER
