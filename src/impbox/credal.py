@@ -268,9 +268,9 @@ class _Tables:
     most 1 everywhere and at most 0 off its reach, so it is feasible,
     with the same value, for min P(A) on every A that contains its reach.
     An entry is ``value << shift | index``: the value over the common
-    denominator ``den`` and the index of a certificate that attains it,
-    so comparing two entries compares their values, and the better one
-    keeps its proof.
+    denominator ``den``, which only a new witness can change, and the
+    index of a certificate that attains it, so comparing two entries
+    compares their values, and the better one keeps its proof.
 
     Where the two tables meet, lower(A) is known without an LP, and it
     is proven again from the two certificates alone, over the elements,
@@ -342,9 +342,9 @@ class _Tables:
         self.upper = [old if old < new else new for old, new in zip(self.upper, table)]
 
     def add_dual(self, reach: int, value: Fraction) -> None:
-        """Raise ``lower`` to ``value`` on every mask that contains ``reach``."""
-        if self.den % value.denominator:
-            self._rescale(value.denominator)
+        """Raise ``lower`` to ``value`` on every mask that contains ``reach``.
+        ``den`` needs no rescale: the value's denominator divides the rows' lcd
+        or, as ``certified`` checks, its witness's ``x_den``, which ``den`` is over."""
         lower = self.lower
         num = value.numerator * (self.den // value.denominator)
         if lower[reach] >> self.shift >= num:

@@ -8,7 +8,6 @@ are exact and canonical output is byte-stable.
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 from collections import Counter
@@ -19,7 +18,7 @@ from typing import Any, Callable, Iterator
 from . import capacity, convert, credal, interval, pbox, possibility, randomset
 from ._exact import cached, too_long, too_long_message
 from .errors import ImpboxError, SpaceMismatchError, ValidationError
-from .space import MAX_ELEMENTS, Event, FiniteSpace, Permutation, enumerate_events
+from .space import Event, FiniteSpace, Permutation, enumerate_events
 
 
 class DocumentError(ImpboxError):
@@ -36,18 +35,6 @@ class Document:
     space: FiniteSpace
     #: the constructed domain object for this kind
     obj: Any
-
-
-def _max_elements() -> int:
-    """The space-size cap: ``IMPBOX_MAX_N`` if set, else ``MAX_ELEMENTS``."""
-    raw = os.environ.get("IMPBOX_MAX_N")
-    if raw is None:
-        return MAX_ELEMENTS
-    if raw not in {str(k) for k in range(1, MAX_ELEMENTS + 1)}:
-        raise DocumentError(
-            f"must be an integer from 1 to {MAX_ELEMENTS}, got {raw!r}", "IMPBOX_MAX_N"
-        )
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -383,12 +370,6 @@ def parse(text: str) -> Document:
     commas = [label for label in labels if "," in label]
     if commas:  # event keys join labels with ","
         raise DocumentError(f"label {commas[0]!r} contains ','", "$.space")
-    cap = _max_elements()
-    if len(labels) > cap:
-        raise DocumentError(
-            f"space exceeds the configured maximum of {cap} elements (IMPBOX_MAX_N)",
-            "$.space",
-        )
     try:
         space = FiniteSpace(labels)
     except ImpboxError as exc:

@@ -784,28 +784,49 @@ def test_verify_makes_one_closed_form_call_per_event(
     assert sorted(calls) == list(range(n_events))
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "0", "30", "25", "", " 5", "4.0"])
-def test_bad_max_n_is_a_validation_failure(runner, expert_file, monkeypatch, value):
+@pytest.mark.parametrize(
+    "value", ["abc", "-5", "0", "30", "25", "", " 5", "4.0", "6", "24", "5", "1"]
+)
+def test_max_n_is_not_read(runner, expert_file, monkeypatch, value):
+    """``IMPBOX_MAX_N`` no longer caps the space nor fails a run."""
+    monkeypatch.delenv("IMPBOX_MAX_N", raising=False)
+    commands = (["check", expert_file], ["verify", expert_file])
+    unset = [runner.invoke(main, args) for args in commands]
     monkeypatch.setenv("IMPBOX_MAX_N", value)
-    for args in (["check", expert_file], ["verify", expert_file]):
+    for args, before in zip(commands, unset):
         result = runner.invoke(main, args)
-        assert result.exit_code == 1
-        assert result.stdout == ""
-        assert result.stderr == (
-            f"error: IMPBOX_MAX_N: must be an integer from 1 to 24, got {value!r}\n"
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            before.exit_code, before.stdout, before.stderr
         )
 
 
-@pytest.mark.parametrize("value, exit_code", [("6", 0), ("24", 0), ("5", 1), ("1", 1)])
-def test_max_n_in_range_caps_the_space(runner, expert_file, monkeypatch, value, exit_code):
-    monkeypatch.setenv("IMPBOX_MAX_N", value)
-    result = runner.invoke(main, ["check", expert_file])
-    assert result.exit_code == exit_code
-    if exit_code:
-        assert result.stderr == (
-            f"error: $.space: space exceeds the configured maximum of {value} "
-            "elements (IMPBOX_MAX_N)\n"
-        )
+OVER_CAP_TEXT = json.dumps(
+    {"kind": "probability", "space": [f"x{i}" for i in range(1, 26)], "p": ["1"] + ["0"] * 24}
+)
+OVER_CAP_LINE = "$.space: space has 25 elements, maximum is 24"
+
+
+@pytest.mark.parametrize(
+    "text, args, line",
+    [
+        (OVER_CAP_TEXT, ["check"], OVER_CAP_LINE),
+        (OVER_CAP_TEXT, ["verify"], OVER_CAP_LINE),
+        (OVER_CAP_TEXT, ["query", "--event", "x1", "--bound", "lower"], OVER_CAP_LINE),
+        (OVER_CAP_TEXT, ["convert", "--to", "interval"], OVER_CAP_LINE),
+        (
+            '{"kind": "nested_bounds", "space": ["a", "b"], "levels": []}',
+            ["check"],
+            "$: at least one nested level is required",
+        ),
+    ],
+    ids=["check-25", "verify-25", "query-25", "convert-25", "check-no-levels"],
+)
+def test_a_refused_document_prints_one_error_line(runner, tmp_path, text, args, line):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    name, *options = args
+    result = runner.invoke(main, [name, str(path), *options])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", f"error: {line}\n")
 
 
 def _dense_mass_text():

@@ -560,6 +560,30 @@ def test_an_empty_polytope_refuses_every_batch():
             lower_envelopes(CredalPolytope(sp, constraints), batch)
 
 
+def test_a_witness_with_a_new_denominator_rescales_both_tables(monkeypatch):
+    """The rows' lcd is 2, and the sweep's witness (1/4, 1/4, 1/4, 1/4)
+    puts both tables over 4 once; the sweep still gives each event's
+    single-query value, with member witnesses, from 6 LPs."""
+    sp = FiniteSpace(["a", "b", "c", "d"])
+    constraints = [(sp.event(pair), F(0), F(1, 2)) for pair in ("ab", "bc", "ac")]
+    poly = CredalPolytope(sp, constraints)
+    rescales = []
+    honest = credal._Tables._rescale
+    monkeypatch.setattr(
+        credal._Tables,
+        "_rescale",
+        lambda tables, den: rescales.append((tables.den, den)) or honest(tables, den),
+    )
+    events = list(enumerate_events(sp))
+    found = lower_envelopes(poly, events)
+    assert rescales == [(2, 4)]
+    assert [env.value for env in found] == [
+        lower_envelope(CredalPolytope(sp, constraints), event).value for event in events
+    ]
+    assert all(is_member(poly, env.witness) for env in found)
+    assert credal._oracle(poly).solver.lps == 6
+
+
 @pytest.mark.parametrize("tamper", ["dual-reach", "witness-value"])
 def test_a_stored_certificate_that_fails_its_check_raises(monkeypatch, expert_pbox, space6, tamper):
     """The tables only pick certificates; each answer they give is proven

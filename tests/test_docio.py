@@ -112,20 +112,33 @@ def test_mass_document():
     assert dict(doc.obj.focal) == {0b01: F(1, 4), 0b11: F(3, 4)}
 
 
-def test_space_size_cap_env(monkeypatch):
-    monkeypatch.setenv("IMPBOX_MAX_N", "2")
+def _probability_text(n):
+    labels = [f"x{i}" for i in range(1, n + 1)]
+    return json.dumps({"kind": "probability", "space": labels, "p": ["1"] + ["0"] * (n - 1)})
+
+
+def test_space_size_cap():
+    """``FiniteSpace``'s ``MAX_ELEMENTS`` is the one cap on a document's space."""
+    assert parse(_probability_text(24)).space.size == 24
     with pytest.raises(DocumentError) as exc:
-        parse('{"kind": "probability", "space": ["x1", "x2", "x3"], '
-              '"p": ["1/3", "1/3", "1/3"]}')
-    assert "IMPBOX_MAX_N" in str(exc.value)
+        parse(_probability_text(25))
+    assert exc.value.path == "$.space"
+    assert str(exc.value) == "$.space: space has 25 elements, maximum is 24"
+
+
+def test_space_size_cap_env(monkeypatch):
+    """``IMPBOX_MAX_N`` is not read: it neither lowers nor raises the cap."""
+    monkeypatch.setenv("IMPBOX_MAX_N", "2")
+    assert parse(_probability_text(3)).space.size == 3
+    with pytest.raises(DocumentError) as exc:
+        parse(_probability_text(25))
+    assert str(exc.value) == "$.space: space has 25 elements, maximum is 24"
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "25", "30"])
 def test_space_size_cap_env_out_of_range(monkeypatch, value):
     monkeypatch.setenv("IMPBOX_MAX_N", value)
-    with pytest.raises(DocumentError) as exc:
-        parse('{"kind": "probability", "space": ["x1"], "p": ["1"]}')
-    assert exc.value.path == "IMPBOX_MAX_N"
+    assert parse(_probability_text(1)).space.size == 1
 
 
 def test_unknown_label_in_event_key():

@@ -16,6 +16,7 @@ from impbox import (
     capacity_from_probability,
     convert,
     docio,
+    from_nested_sets,
 )
 from impbox.docio import DocumentError
 from impbox.possibility import alpha_cut
@@ -59,6 +60,11 @@ SITES = {
         lambda: docio.document_for(SP),
         DocumentError,
         "$: no document kind for FiniteSpace",
+    ),
+    "from_nested_sets": (
+        lambda: from_nested_sets(SP, []),
+        ValidationError,
+        "at least one nested level is required",
     ),
     "alpha_cut": (
         lambda: alpha_cut(PossibilityDistribution(SP, [F(1, 2), 1]), F(3, 2)),

@@ -6,8 +6,9 @@ imports no model or front end, ``pbox`` imports nothing from
 takes, every model has a constructor of its own (so its input is
 checked there, not in a builder beside an unchecked dataclass
 constructor), only the oracle builds an object past its constructor,
-``docio`` turns event labels into masks in one key reader, and no
-closed form builds its answer ``Fraction`` past its view's table.
+``docio`` turns event labels into masks in one key reader, no
+closed form builds its answer ``Fraction`` past its view's table, and
+no module reads an environment variable.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers, public
@@ -531,3 +532,41 @@ def test_the_check_finds_fraction_calls():
 def test_closed_forms_answer_from_the_views_table(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert _fraction_calls(source, CLOSED_FORMS[module]) == []
+
+
+#: the names that read the process environment
+ENV_READERS = {"environ", "getenv"}
+
+
+def _environment_reads(source: str) -> list[str]:
+    """``os.environ``/``os.getenv`` attributes and imports of ``environ``
+    or ``getenv``, as their source text."""
+    return sorted(
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ENV_READERS
+        or isinstance(node, ast.ImportFrom) and {a.name for a in node.names} & ENV_READERS
+    )
+
+
+def test_the_check_finds_environment_reads():
+    source = (
+        "import os\n"
+        "from os import environ, getenv as read\n"
+        "def f():\n"
+        "    return os.environ.get('X'), os.getenv('Y'), environ['Z'], read('W')\n"
+        "def g(env):\n"
+        "    return env.environment, os.path.sep\n"
+    )
+    assert _environment_reads(source) == [
+        "from os import environ, getenv as read",
+        "os.environ",
+        "os.getenv",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_the_library_reads_no_environment_variable(module):
+    """Every input reaches the library as an argument, so no setting
+    outside a call, such as a second space-size cap, can change a result."""
+    assert _environment_reads((SRC / module).read_text(encoding="utf-8")) == []
