@@ -1,6 +1,5 @@
-"""Exact integers for rationals, the int->str digit limit, the
-per-object cache that keeps such integers, and the table that turns
-them back into ``Fraction``s.
+"""Exact integers for rationals, the int->str digit limit, and the
+table that turns such integers back into ``Fraction``s.
 
 Nothing here knows about spaces or models, so the credal oracle shares
 it and stays an independent check.
@@ -43,24 +42,6 @@ def too_long_message(what: str = "a derived numerator or denominator") -> str:
     return f"{what} exceeds {sys.get_int_max_str_digits()} digits"
 
 
-def cached(obj, name: str, build):
-    """``build(obj)``, computed on the first call for ``obj`` and kept in
-    its instance dict under ``name``, a ``_``-prefixed attribute name.
-
-    The value lives outside the dataclass fields, so ``==``, ``hash`` and
-    ``repr`` ignore it, and setting it works on a frozen instance.  A
-    ``build`` that raises caches nothing.  Two threads that both make the
-    first call may both build, and either value is kept, so ``build``
-    must give equal values for one object.
-    """
-    try:
-        return obj.__dict__[name]
-    except KeyError:
-        value = build(obj)
-        object.__setattr__(obj, name, value)
-        return value
-
-
 class Ratios(dict):
     """``num -> Fraction(num, den)`` for one ``den > 0``, each value built
     on the first lookup of ``num`` and kept.
@@ -69,8 +50,8 @@ class Ratios(dict):
     answers are one shared immutable object, and the table holds one
     entry per distinct numerator asked for.  It only grows, and only by
     equal values: two threads that miss on one ``num`` both build it and
-    either value is kept (CPython inserts a dict entry atomically), the
-    same contract as ``cached``.
+    either value is kept (CPython inserts a dict entry atomically), so
+    every thread reads a value equal to the one it would have built.
     """
 
     __slots__ = ("den",)

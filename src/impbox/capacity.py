@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, gt, sub
 from typing import Iterator, Mapping, Sequence
 
-from ._exact import cached, over_lcd, too_long_message
+from ._exact import over_lcd, too_long_message
 from .errors import ValidationError
 from .space import Event, FiniteSpace, _mask_of, _same_space, _unit_values
 
@@ -40,25 +41,6 @@ def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple
     if len(table) != n_events:
         raise ValidationError(f"expected {n_events} values (one per event), got {len(table)}")
     return table
-
-
-def _numerators(c: Capacity) -> tuple[int, ...]:
-    """``over_lcd(c.values)``'s numerators, for a common denominator that
-    prints: the table stays small and every Möbius mass prints too."""
-    try:
-        return tuple(over_lcd(c.values, printable=True)[1])
-    except ValueError:
-        raise ValidationError(too_long_message("common denominator of the values")) from None
-
-
-def _table(c: Capacity) -> tuple[int, ...]:
-    """The capacity's integer table, built once per capacity."""
-    return cached(c, "_table", _numerators)
-
-
-def _mobius_table(c: Capacity) -> tuple[int, ...]:
-    """The integer Möbius transform of ``_table(c)``, built once per capacity."""
-    return cached(c, "_mobius_table", lambda c: tuple(_mobius(list(_table(c)))))
 
 
 def _bit_slices(size: int) -> Iterator[tuple[slice, slice]]:
@@ -115,7 +97,7 @@ class Capacity:
             raise ValidationError(f"capacity of the whole space must be 1, got {table[-1]}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", table)
-        v = _table(self)
+        v = self._table
         if any(any(map(gt, v[lo], v[hi])) for lo, hi in _bit_slices(len(v))):
             # the message names the first violation, in mask then bit order
             bits = [1 << i for i in range(space.size)]
@@ -130,6 +112,20 @@ class Capacity:
     def __call__(self, event: Event) -> Fraction:
         _same_space(self.space, event.space, "event and capacity spaces differ")
         return self.values[event.mask]
+
+    @cached_property
+    def _table(self) -> tuple[int, ...]:
+        """``over_lcd(self.values)``'s numerators, for a common denominator
+        that prints: the table stays small and every Möbius mass prints too."""
+        try:
+            return tuple(over_lcd(self.values, printable=True)[1])
+        except ValueError:
+            raise ValidationError(too_long_message("common denominator of the values")) from None
+
+    @cached_property
+    def _mobius_table(self) -> tuple[int, ...]:
+        """The integer Möbius transform of ``_table``."""
+        return tuple(_mobius(list(self._table)))
 
 
 @dataclass(frozen=True)
@@ -208,7 +204,7 @@ def find_2_monotone_violation(c: Capacity) -> tuple[Event, Event] | None:
     O(4^n). A failure at S returns the pair (S+i, S+j), whose union is
     S+i+j and whose intersection is S, so it breaks the global inequality.
     """
-    v = _table(c)
+    v = c._table
     full = len(v) - 1
     for i in range(c.space.size):
         bi = 1 << i
@@ -227,10 +223,10 @@ def find_2_monotone_violation(c: Capacity) -> tuple[Event, Event] | None:
 
 def is_infty_monotone(c: Capacity) -> bool:
     """True iff all Möbius masses are non-negative (belief function)."""
-    return min(_mobius_table(c)) >= 0
+    return min(c._mobius_table) >= 0
 
 
 def is_additive(c: Capacity) -> bool:
     """True iff the Möbius masses are supported on singletons only."""
-    m = _mobius_table(c)
+    m = c._mobius_table
     return all(mass == 0 for mask, mass in enumerate(m) if mask.bit_count() != 1)

@@ -38,12 +38,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import _simplex
-from ._exact import cached, over_lcd
+from ._exact import over_lcd
 from .errors import InfeasibleError, OracleError, ValidationError
 from .space import Event, FiniteSpace, _same_space, _unit_values
 
@@ -88,6 +89,12 @@ class CredalPolytope:
             checked.append((event, lo, hi))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "constraints", tuple(checked))
+
+    @cached_property
+    def _oracle(self) -> _Oracle:
+        # the solver's tableau and the witness table change on queries, so
+        # one polytope must not be queried from two threads at once
+        return _Oracle(self)
 
 
 class Envelope(NamedTuple):
@@ -230,14 +237,8 @@ class _Oracle:
         return _Proof(witness, x, xd, sum(1 << i for i, r in enumerate(reach) if r > 0))
 
 
-def _oracle(poly: CredalPolytope) -> _Oracle:
-    # the solver's tableau and the witness table change on queries, so
-    # one polytope must not be queried from two threads at once
-    return cached(poly, "_oracle", _Oracle)
-
-
 def _live_oracle(poly: CredalPolytope) -> _Oracle:
-    oracle = _oracle(poly)
+    oracle = poly._oracle
     if oracle.solver is None:
         raise InfeasibleError("the credal polytope is empty")
     return oracle
@@ -410,7 +411,7 @@ def upper_envelope(poly: CredalPolytope, a: Event) -> Envelope:
 
 def is_empty(poly: CredalPolytope) -> bool:
     """True iff no probability vector satisfies all constraints."""
-    return _oracle(poly).solver is None
+    return poly._oracle.solver is None
 
 
 def is_coherent(poly: CredalPolytope) -> CoherenceReport:

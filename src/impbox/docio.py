@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator
 
 from . import capacity, convert, credal, interval, pbox, possibility, randomset
-from ._exact import cached, too_long, too_long_message
+from ._exact import too_long, too_long_message
 from .errors import ImpboxError, SpaceMismatchError, ValidationError
 from .space import Event, FiniteSpace, Permutation, enumerate_events
 
@@ -92,16 +92,12 @@ def _vector(payload, field: str, space: FiniteSpace) -> list[Fraction]:
     return [_rational(v, f"$.{field}[{i}]") for i, v in enumerate(raw)]
 
 
-def _label_bits(space: FiniteSpace) -> dict[str, int]:
-    """Each label's bit, and 0 for the empty part of a key such as ``",x1"``."""
-    return {"": 0, **{label: 1 << i for i, label in enumerate(space.labels)}}
-
-
 def _key_masks(space: FiniteSpace, keys, path: Callable[[Any], str]) -> Iterator[int]:
     """The bitmask of each event key, its labels joined by commas: the one
     place ``docio`` turns labels into masks. ``path(key)`` is called only
     to locate a key that names no event."""
-    get = cached(space, "_label_bits", _label_bits).get
+    # each label's bit, and 0 for the empty part of a key such as ",x1"
+    get = {"": 0, **{label: 1 << i for i, label in enumerate(space.labels)}}.get
     for key in keys:
         if not isinstance(key, str):
             raise DocumentError("expected a string of comma-separated labels", path(key))

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable
 
-from ._exact import Ratios, cached, over_lcd
+from ._exact import Ratios, over_lcd
 from .credal import CredalPolytope
 from .errors import InfeasibleError, NotReachableError
 from .space import Event, FiniteSpace, _same_space, _unit_values
@@ -34,12 +35,31 @@ class ProbabilityInterval:
     @property
     def non_empty(self) -> bool:
         """Some p meets every bound: l <= u pointwise, sum l <= 1 <= sum u."""
-        return cached(self, "_ints", _ints)[4]
+        return self._ints[4]
 
     @property
     def reachable(self) -> bool:
         """Non-empty, and each element's own bounds are already tight."""
-        return cached(self, "_ints", _ints)[5]
+        return self._ints[5]
+
+    @cached_property
+    def _ints(self) -> tuple:
+        """``(ratios, elements, total_l, total_u, non_empty, reachable)``: the
+        answers' table over the bounds' common denominator, ``(bit, l, u)``
+        per element and the two totals, as numerators over it, and the two
+        flags they decide."""
+        n = self.space.size
+        den, nums = over_lcd(self.lower + self.upper)
+        elements = tuple(zip([1 << i for i in range(n)], nums[:n], nums[n:]))
+        total_l, total_u = sum(nums[:n]), sum(nums[n:])
+        # l(x) > u(x) can only come out of a conjunction; it is folded into
+        # emptiness instead of rejected, so conjunction pipelines can
+        # propagate the result.
+        non_empty = all(l <= u for _, l, u in elements) and total_l <= den <= total_u
+        reachable = non_empty and all(
+            _envelope(l, u, total_l, total_u, den) == (l, u) for _, l, u in elements
+        )
+        return Ratios(den), elements, total_l, total_u, non_empty, reachable
 
 
 def _envelope(l_in, u_in, total_l, total_u, den) -> tuple[int, int]:
@@ -47,25 +67,6 @@ def _envelope(l_in, u_in, total_l, total_u, den) -> tuple[int, int]:
     sum to l_in/u_in, on a space where they sum to total_l/total_u; all
     numerators over ``den``, and so is the answer."""
     return max(l_in, den - (total_u - u_in)), min(u_in, den - (total_l - l_in))
-
-
-def _ints(interval: ProbabilityInterval) -> tuple:
-    """``(ratios, elements, total_l, total_u, non_empty, reachable)``: the
-    answers' table over the bounds' common denominator, ``(bit, l, u)``
-    per element and the two totals, as numerators over it, and the two
-    flags they decide."""
-    n = interval.space.size
-    den, nums = over_lcd(interval.lower + interval.upper)
-    elements = tuple(zip([1 << i for i in range(n)], nums[:n], nums[n:]))
-    total_l, total_u = sum(nums[:n]), sum(nums[n:])
-    # l(x) > u(x) can only come out of a conjunction; it is folded into
-    # emptiness instead of rejected, so conjunction pipelines can
-    # propagate the result.
-    non_empty = all(l <= u for _, l, u in elements) and total_l <= den <= total_u
-    reachable = non_empty and all(
-        _envelope(l, u, total_l, total_u, den) == (l, u) for _, l, u in elements
-    )
-    return Ratios(den), elements, total_l, total_u, non_empty, reachable
 
 
 def _outer(model, lower: Callable) -> ProbabilityInterval:
@@ -86,7 +87,7 @@ def normalize(interval: ProbabilityInterval) -> ProbabilityInterval:
     l'(x) = max(l(x), 1 - sum of the other uppers) and dually for u'.
     The result is reachable; idempotent on reachable inputs.
     """
-    ratios, elements, total_l, total_u, non_empty, _ = cached(interval, "_ints", _ints)
+    ratios, elements, total_l, total_u, non_empty, _ = interval._ints
     if not non_empty:
         raise InfeasibleError("cannot normalize an empty probability interval")
     bounds = [_envelope(l, u, total_l, total_u, ratios.den) for _, l, u in elements]
@@ -102,7 +103,7 @@ def event_bounds(interval: ProbabilityInterval, a: Event) -> tuple[Fraction, Fra
     Only valid on reachable intervals.
     """
     _same_space(interval.space, a.space, "event and interval spaces differ")
-    ratios, elements, total_l, total_u, _, reachable = cached(interval, "_ints", _ints)
+    ratios, elements, total_l, total_u, _, reachable = interval._ints
     if not reachable:
         raise NotReachableError(
             "event bounds need a reachable interval; call normalize first"

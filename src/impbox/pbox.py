@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, groupby
 from operator import gt, or_
 from typing import Iterable, Sequence
 
-from ._exact import Ratios, cached, over_lcd
+from ._exact import Ratios, over_lcd
 from .credal import CredalPolytope
 from .errors import ValidationError
 from .randomset import MassAssignment
@@ -53,7 +54,7 @@ class GeneralizedPBox:
         object.__setattr__(self, "block_masks", block_masks)
         object.__setattr__(self, "level_alpha", level_alpha)
         object.__setattr__(self, "level_beta", level_beta)
-        ratios, levels = cached(self, "_ints", _ints)
+        ratios, levels = self._ints
         _, alpha, beta = zip(*levels)
         alpha, beta = alpha[:-1], beta[1:]
         if min(alpha) < 0 or max(beta) > ratios.den or any(map(gt, alpha, beta)):
@@ -64,6 +65,20 @@ class GeneralizedPBox:
             raise ValidationError("level bounds must be non-decreasing outward")
         if alpha[-1] != ratios.den or beta[-1] != ratios.den:
             raise ValidationError("the whole space must carry bounds [1, 1]")
+
+    @cached_property
+    def _ints(self) -> tuple:
+        """``(ratios, levels)``: the answers' table over the bounds' common
+        denominator, and ``(block mask, alpha_k, beta_(k-1))`` per level,
+        innermost first, the bounds as numerators over it (beta_0 = 0).
+
+        A last ``(-1, 0, 0)`` entry meets every complement, so it ends the
+        last run of blocks an event contains.
+        """
+        m = len(self.block_masks)
+        den, nums = over_lcd(self.level_alpha + self.level_beta)
+        levels = zip((*self.block_masks, -1), (*nums[:m], 0), (0, *nums[m:]))
+        return Ratios(den), tuple(levels)
 
     @property
     def level_masks(self) -> tuple[int, ...]:
@@ -189,20 +204,6 @@ def to_random_set(pb: GeneralizedPBox) -> MassAssignment:
     return MassAssignment(pb.space, masses)
 
 
-def _ints(pb: GeneralizedPBox) -> tuple:
-    """``(ratios, levels)``: the answers' table over the bounds' common
-    denominator, and ``(block mask, alpha_k, beta_(k-1))`` per level,
-    innermost first, the bounds as numerators over it (beta_0 = 0).
-
-    A last ``(-1, 0, 0)`` entry meets every complement, so it ends the
-    last run of blocks an event contains.
-    """
-    m = len(pb.block_masks)
-    den, nums = over_lcd(pb.level_alpha + pb.level_beta)
-    levels = zip((*pb.block_masks, -1), (*nums[:m], 0), (0, *nums[m:]))
-    return Ratios(den), tuple(levels)
-
-
 def _lower_num(pb: GeneralizedPBox, mask: int) -> tuple[int, Ratios]:
     """``(num, ratios)``: the lower probability of the event ``mask`` is
     ``ratios[num]``, num over ``ratios.den``.
@@ -211,7 +212,7 @@ def _lower_num(pb: GeneralizedPBox, mask: int) -> tuple[int, Ratios]:
     sums max(0, alpha_(j) - beta_(i-1)) over the maximal consecutive
     runs of blocks [i, j].
     """
-    ratios, levels = cached(pb, "_ints", _ints)
+    ratios, levels = pb._ints
     outside = ~mask
     total = 0
     start = end = None  # beta_(i-1) and alpha_(j) of the run in progress

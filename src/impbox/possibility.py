@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from . import pbox
-from ._exact import Ratios, cached, over_lcd
+from ._exact import Ratios, over_lcd
 from .credal import CredalPolytope, ProbabilityVector
 from .errors import ValidationError
 from .randomset import MassAssignment
@@ -39,21 +40,21 @@ class PossibilityDistribution:
         """The distinct values taken by pi, increasing."""
         return tuple(sorted(set(self.pi)))
 
-
-def _ints(d: PossibilityDistribution) -> tuple:
-    """``(ratios, ranked)``: the answers' table over the degrees' common
-    denominator, and ``(bit, pi numerator)`` per element over it, pi
-    decreasing."""
-    den, nums = over_lcd(d.pi)
-    ranked = sorted(((1 << i, v) for i, v in enumerate(nums)), key=lambda e: -e[1])
-    return Ratios(den), tuple(ranked)
+    @cached_property
+    def _ints(self) -> tuple:
+        """``(ratios, ranked)``: the answers' table over the degrees' common
+        denominator, and ``(bit, pi numerator)`` per element over it, pi
+        decreasing."""
+        den, nums = over_lcd(self.pi)
+        ranked = sorted(((1 << i, v) for i, v in enumerate(nums)), key=lambda e: -e[1])
+        return Ratios(den), tuple(ranked)
 
 
 def _possibility_num(d: PossibilityDistribution, mask: int) -> tuple[int, Ratios]:
     """``(num, ratios)``: the largest degree in the event ``mask`` is
     ``ratios[num]``, read off the first element of the event in
     decreasing pi."""
-    ratios, ranked = cached(d, "_ints", _ints)
+    ratios, ranked = d._ints
     for bit, v in ranked:
         if mask & bit:
             return v, ratios
@@ -77,7 +78,7 @@ def necessity(d: PossibilityDistribution, a: Event) -> Fraction:
 def sufficiency(d: PossibilityDistribution, a: Event) -> Fraction:
     """The smallest degree in a: the first element of a in increasing pi."""
     _same_space(d.space, a.space, "event and distribution spaces differ")
-    ratios, ranked = cached(d, "_ints", _ints)
+    ratios, ranked = d._ints
     mask = a.mask
     for bit, v in reversed(ranked):
         if mask & bit:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
-from ._exact import Ratios, cached, over_lcd
+from ._exact import Ratios, over_lcd
 from .capacity import _zeta
 from .credal import CredalPolytope
 from .errors import ValidationError
@@ -45,18 +46,18 @@ class MassAssignment:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "focal", tuple(sorted(canonical.items())))
 
-
-def _ints(ms: MassAssignment) -> tuple:
-    """``(ratios, focal)``: the answers' table over the masses' common
-    denominator, and the focal pairs with each mass as a numerator over it."""
-    den, nums = over_lcd([m for _, m in ms.focal])
-    return Ratios(den), tuple(zip((mask for mask, _ in ms.focal), nums))
+    @cached_property
+    def _ints(self) -> tuple:
+        """``(ratios, focal)``: the answers' table over the masses' common
+        denominator, and the focal pairs with each mass as a numerator over it."""
+        den, nums = over_lcd([m for _, m in self.focal])
+        return Ratios(den), tuple(zip((mask for mask, _ in self.focal), nums))
 
 
 def bel(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events contained in a."""
     _same_space(ms.space, a.space, "event and mass assignment spaces differ")
-    ratios, focal = cached(ms, "_ints", _ints)
+    ratios, focal = ms._ints
     outside = ~a.mask
     return ratios[sum(m for mask, m in focal if not mask & outside)]
 
@@ -64,7 +65,7 @@ def bel(ms: MassAssignment, a: Event) -> Fraction:
 def pl(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events meeting a; equals 1 - bel(complement)."""
     _same_space(ms.space, a.space, "event and mass assignment spaces differ")
-    ratios, focal = cached(ms, "_ints", _ints)
+    ratios, focal = ms._ints
     inside = a.mask
     return ratios[sum(m for mask, m in focal if mask & inside)]
 

@@ -33,7 +33,7 @@ class FiniteSpace:
             raise SpaceSizeError(
                 f"space has {len(labels)} elements, maximum is {MAX_ELEMENTS}"
             )
-        if any(not lab for lab in labels):
+        if not all(isinstance(lab, str) and lab for lab in labels):
             raise ValidationError("element labels must be non-empty strings")
         if len(set(labels)) != len(labels):
             raise ValidationError(f"element labels must be distinct: {labels}")

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -69,6 +73,19 @@ def test_check_valid_document(runner, expert_file):
     assert result.exit_code == 0
     assert "valid: yes" in result.output
     assert "levels: 4" in result.output
+
+
+def test_the_cli_module_runs_as_a_script(runner, expert_file):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = subprocess.run(
+        [sys.executable, "-m", "impbox.cli", "check", expert_file],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert script.returncode == 0, script.stderr
+    assert script.stdout == runner.invoke(main, ["check", expert_file]).stdout
 
 
 def test_check_invalid_document(runner, tmp_path):
@@ -848,7 +865,7 @@ def test_verify_solves_fewer_lps_than_it_has_events(runner, tmp_path, monkeypatc
     result = runner.invoke(main, ["verify", str(path)])
     assert result.output == "64/64 events agree\n"
     [poly] = polytopes
-    assert 0 < credal._oracle(poly).solver.lps < 64
+    assert 0 < poly._oracle.solver.lps < 64
 
 
 def test_verify_catches_a_coherent_but_wrong_belief(runner, tmp_path, monkeypatch):

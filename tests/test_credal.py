@@ -340,7 +340,7 @@ def test_tampered_solver_answer_raises(monkeypatch, expert_pbox, space6, tamper)
     honest = _simplex.Simplex.minimize
     for warm in (True,) if tamper in WARM_ONLY else (False, True):
         poly = to_polytope(expert_pbox)
-        oracle = credal._oracle(poly)
+        oracle = poly._oracle
         swept = {}
         if warm:
             monkeypatch.setattr(
@@ -391,7 +391,7 @@ def test_the_certificate_agrees_with_the_full_reference_check(model):
         for _ in range(2):
             sp = gen.SPACES[n]
             poly = MODELS[model](rng, sp)
-            oracle = credal._oracle(poly)
+            oracle = poly._oracle
             lacking = _all_rows_but_the_last(oracle) if oracle.rows else None
             objectives = [
                 _objective(side)
@@ -437,7 +437,7 @@ def test_equal_witnesses_are_one_object_from_the_oracles_table(model):
                 witness = envelope(poly, event).witness
                 assert by_point.setdefault(witness.p, witness) is witness
                 assert is_member(poly, witness)
-            table = credal._oracle(poly).witnesses
+            table = poly._oracle.witnesses
             assert len(table) == len(by_point)
             assert {id(w) for w in table.values()} == {id(w) for w in by_point.values()}
 
@@ -581,7 +581,7 @@ def test_a_witness_with_a_new_denominator_rescales_both_tables(monkeypatch):
         lower_envelope(CredalPolytope(sp, constraints), event).value for event in events
     ]
     assert all(is_member(poly, env.witness) for env in found)
-    assert credal._oracle(poly).solver.lps == 6
+    assert poly._oracle.solver.lps == 6
 
 
 @pytest.mark.parametrize("tamper", ["dual-reach", "witness-value"])

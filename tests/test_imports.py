@@ -1,14 +1,15 @@
 """No module of impbox imports a name it never uses or keeps a dead helper,
 every public function and class is used, exported or documented, the CLI reaches the models only through ``docio.KINDS``, the oracle
 imports no model or front end, ``pbox`` imports nothing from
-``possibility``, every per-object cache is set by
-``_exact.cached``, every model stores exactly what its constructor
-takes, every model has a constructor of its own (so its input is
-checked there, not in a builder beside an unchecked dataclass
-constructor), only the oracle builds an object past its constructor,
-``docio`` turns event labels into masks in one key reader, no
-closed form builds its answer ``Fraction`` past its view's table, and
-no module reads an environment variable.
+``possibility``, no module sets a private attribute or writes into an
+instance dict (every per-object cache is a ``functools.cached_property``
+of its class), every model stores exactly what its constructor takes,
+every model has a constructor of its own (so its input is checked
+there, not in a builder beside an unchecked dataclass constructor),
+only the oracle builds an object past its constructor, ``docio`` turns
+event labels into masks in one key reader, no closed form builds its
+answer ``Fraction`` past its view's table, and no module reads an
+environment variable.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers, public
@@ -259,10 +260,6 @@ def test_the_oracle_imports_no_model_or_front_end(module):
     assert _oracle_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
-#: the one module that sets private attributes: ``_exact.cached``
-CACHE_HOME = "_exact.py"
-
-
 def _private_setattrs(source: str) -> list[str]:
     """Attribute names ``object.__setattr__`` is given that are private.
 
@@ -302,8 +299,65 @@ def test_the_check_finds_private_setattrs():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_only_the_cache_helper_sets_private_attributes(module):
-    found = _private_setattrs((SRC / module).read_text(encoding="utf-8"))
-    assert found == (["name"] if module == CACHE_HOME else [])
+    """No module sets a private attribute: a per-object cache is a
+    ``cached_property`` of its class, so no helper sets one by name."""
+    assert _private_setattrs((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _is_instance_dict(node) -> bool:
+    """Whether ``node`` is ``<x>.__dict__`` or ``vars(<x>)``."""
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "__dict__"
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "vars"
+        and len(node.args) == 1
+    )
+
+
+def _instance_dict_writes(source: str) -> list[str]:
+    """Stores into and deletions from ``<x>.__dict__[...]`` or
+    ``vars(<x>)[...]``, and their ``update``, ``setdefault`` and
+    ``__setitem__`` calls, as source text: each sets an attribute past
+    ``__setattr__``, as a hand-rolled cache would."""
+    return sorted(
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+        and _is_instance_dict(node.value)
+        or isinstance(node, ast.Attribute)
+        and node.attr in {"update", "setdefault", "__setitem__"}
+        and _is_instance_dict(node.value)
+    )
+
+
+def test_the_check_finds_instance_dict_writes():
+    source = (
+        "obj.__dict__['_ints'] = view\n"
+        "vars(self)[name] = 1\n"
+        "self.__dict__[key] += 1\n"
+        "a, vars(obj)['b'] = 1, 2\n"
+        "del obj.__dict__['_oracle']\n"
+        "obj.__dict__.setdefault('_table', table)\n"
+        "vars(obj).update(cache)\n"
+        "view = obj.__dict__['_ints'], vars(obj).get('x'), vars()\n"
+        "table[key] = obj.__dict__\n"
+    )
+    assert _instance_dict_writes(source) == [
+        "obj.__dict__.setdefault",
+        "obj.__dict__['_ints']",
+        "obj.__dict__['_oracle']",
+        "self.__dict__[key]",
+        "vars(obj).update",
+        "vars(obj)['b']",
+        "vars(self)[name]",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_module_writes_into_an_instance_dict(module):
+    assert _instance_dict_writes((SRC / module).read_text(encoding="utf-8")) == []
 
 
 #: the one module that builds an object past its constructor: the oracle's
@@ -420,8 +474,8 @@ KEY_READER = "_key_masks"
 
 
 def _reads_label_table(node) -> bool:
-    """Whether ``node`` names ``_label_bits``: the label table's builder, or
-    its ``cached`` attribute name as a string."""
+    """Whether ``node`` names ``_label_bits``: a label table's builder, or
+    its cache attribute, by name or as a string."""
     return (
         isinstance(node, ast.Name) and node.id == "_label_bits"
         or isinstance(node, ast.Attribute) and node.attr == "_label_bits"

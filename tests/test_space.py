@@ -38,6 +38,9 @@ def test_labels_must_be_distinct_and_nonempty():
         FiniteSpace(["a", ""])
     with pytest.raises(ValidationError):
         FiniteSpace([])
+    for labels in ([1, 2], ["a", None], [b"a"]):
+        with pytest.raises(ValidationError, match="non-empty strings"):
+            FiniteSpace(labels)
 
 
 def test_size_cap():
