@@ -12,20 +12,17 @@ import sys
 from fractions import Fraction
 
 
-def over_lcd(values, printable: bool = False) -> tuple[int, list[int]]:
+def over_lcd(values) -> tuple[int, list[int]]:
     """``(den, nums)``: ``den > 0`` is the lcm of the denominators of the
     ints and ``Fraction``s in ``values``, and ``nums[i] / den == values[i]``.
 
     Sums and differences of the numerators have the signs of the same
-    sums and differences of the values. With ``printable``, a ``den``
-    that ``str`` could not print raises ``ValueError`` before any scaling.
+    sums and differences of the values.
     """
     if all(type(v) is int for v in values):
         return 1, list(values)
     dens = {v.denominator for v in values}
     den = math.lcm(*dens)
-    if printable and too_long(den):
-        raise ValueError(too_long_message("common denominator"))
     scale = {d: den // d for d in dens}
     return den, [v.numerator * scale[v.denominator] for v in values]
 

@@ -14,7 +14,7 @@ from functools import cached_property
 from operator import add, gt, sub
 from typing import Iterator, Mapping, Sequence
 
-from ._exact import over_lcd, too_long_message
+from ._exact import over_lcd, too_long, too_long_message
 from .errors import ValidationError
 from .space import Event, FiniteSpace, _mask_of, _same_space, _unit_values
 
@@ -117,10 +117,10 @@ class Capacity:
     def _table(self) -> tuple[int, ...]:
         """``over_lcd(self.values)``'s numerators, for a common denominator
         that prints: the table stays small and every Möbius mass prints too."""
-        try:
-            return tuple(over_lcd(self.values, printable=True)[1])
-        except ValueError:
-            raise ValidationError(too_long_message("common denominator of the values")) from None
+        den, nums = over_lcd(self.values)
+        if too_long(den):
+            raise ValidationError(too_long_message("common denominator of the values"))
+        return tuple(nums)
 
     @cached_property
     def _mobius_table(self) -> tuple[int, ...]:

@@ -15,18 +15,19 @@ runs once per distinct witness of a polytope, on its first answer,
 which also builds the witness's ``ProbabilityVector``; the value and
 dual checks run on every answer.
 
-``lower_envelopes`` answers a batch of at least 2**n events, such as
-the sweep of every event that ``impbox verify`` makes, from two
-certificate tables indexed by event mask; a shorter batch is answered
-by single queries.  The first table holds the least P(A) over the
+Every query is a batch, ``lower_envelope`` one of one event; a batch
+of fewer than 2**n events solves one certified LP per event.  A batch
+of at least 2**n events, such as the sweep of every event that ``impbox
+verify`` makes, is answered from two certificate tables indexed by
+event mask.  The first holds the least P(A) over the
 witnesses the batch has proven; the second the best lower bound proven
 by a dual certificate: each pruned row P(B) <= b proves lower(A) >=
 1 - b for every A that contains B^c, and each LP's certified dual
 proves its value for every A that contains the elements its dual
 constraints reach.  An event whose two bounds meet needs no LP: it is
 proven again, over integers, from the one witness and the one dual
-the tables picked.  Every other event is solved and certified as a
-single query is, and its witness and dual join the tables.
+the tables picked.  Every other event is solved and certified as in
+a short batch, and its witness and dual join the tables.
 
 This module is the independent verifier the rest of the library is
 checked against, so it deliberately knows nothing about p-boxes,
@@ -126,32 +127,28 @@ def is_member(poly: CredalPolytope, p: ProbabilityVector) -> bool:
     return all(lo <= p.prob(event) <= hi for event, lo, hi in poly.constraints)
 
 
-def _le_rows(poly: CredalPolytope) -> list[tuple[int, Fraction]]:
-    """All constraints as <= rows ``(mask, bound)`` on p, deduplicated and pruned.
+def _le_rows(poly: CredalPolytope) -> tuple[int, list[tuple[int, int]]]:
+    """All constraints as <= rows on p, deduplicated and pruned, over the
+    bounds' common denominator: ``(lcd, rows)``, each row ``(mask, weight)``
+    stating P(mask) <= weight / lcd.
 
     Each (event, lo, hi) yields P(event) <= hi and P(event^c) <= 1 - lo.
     Rows with bound >= 1 are vacuous inside the simplex; a row is also
     dropped when another row covers a superset event with a smaller or
     equal bound.
     """
-    best: dict[int, Fraction] = {}
-    for event, lo, hi in poly.constraints:
-        for mask, bound in (
-            (event.mask, hi),
-            (event.complement().mask, 1 - lo),
-        ):
-            if bound >= 1 or mask == 0:
-                continue
-            if mask not in best or bound < best[mask]:
-                best[mask] = bound
+    full = (1 << poly.space.size) - 1
+    lcd, nums = over_lcd([bound for _, lo, hi in poly.constraints for bound in (hi, lo)])
+    best: dict[int, int] = {}
+    for (event, _, _), hi, lo in zip(poly.constraints, nums[::2], nums[1::2]):
+        for mask, weight in ((event.mask, hi), (full ^ event.mask, lcd - lo)):
+            if mask and weight < best.get(mask, lcd):
+                best[mask] = weight
     items = sorted(best.items())
-    return [
-        (mask, bound)
-        for mask, bound in items
-        if not any(
-            other != mask and mask & ~other == 0 and obound <= bound
-            for other, obound in items
-        )
+    return lcd, [
+        (mask, weight)
+        for mask, weight in items
+        if not any(o != mask and mask & ~o == 0 and w <= weight for o, w in items)
     ]
 
 
@@ -159,27 +156,24 @@ class _Oracle:
     """The pruned rows of one polytope, a warm solver over them, and the
     table of witnesses already certified.
 
-    ``solver`` is ``None`` when phase 1 finds the polytope empty.
-    ``witnesses`` maps each witness in lowest terms, ``(x, x_den)`` with
-    ``gcd(x_den, *x) == 1``, to its ``ProbabilityVector``; an entry is
-    added only once the witness has satisfied every row, so equal
-    witnesses are one immutable object.
+    ``lcd, rows`` are ``_le_rows(poly)``, which the solver, the
+    certificate and the batch tables all read.  ``solver`` is ``None``
+    when phase 1 finds the polytope empty.  ``witnesses`` maps each
+    witness in lowest terms, ``(x, x_den)`` with ``gcd(x_den, *x) == 1``,
+    to its ``ProbabilityVector``; an entry is added only once the witness
+    has satisfied every row, so equal witnesses are one immutable object.
     """
 
     def __init__(self, poly: CredalPolytope):
         n = poly.space.size
-        rows = _le_rows(poly)
         self.space = poly.space
-        # the certificate scales every bound num/den by lcd, to lcd*num/den
-        self.lcd, weights = over_lcd([b for _, b in rows])
-        self.rows = [
-            ([i for i in range(n) if mask >> i & 1], b.numerator, b.denominator, weight)
-            for (mask, b), weight in zip(rows, weights)
-        ]
+        self.bits = [1 << i for i in range(n)]
+        self.lcd, self.rows = _le_rows(poly)
         self.witnesses: dict[tuple[tuple[int, ...], int], ProbabilityVector] = {}
         try:
-            a_ub = [[mask >> i & 1 for i in range(n)] for mask, _ in rows]
-            self.solver = _simplex.Simplex(n, a_ub, [bound for _, bound in rows])
+            a_ub = [[mask >> i & 1 for i in range(n)] for mask, _ in self.rows]
+            b_ub = [Fraction(weight, self.lcd) for _, weight in self.rows]
+            self.solver = _simplex.Simplex(n, a_ub, b_ub)
         except _simplex.Infeasible:
             self.solver = None
 
@@ -192,7 +186,7 @@ class _Oracle:
         ``sol.value``, and its duals must be feasible for the dual LP and
         reach the same value.  Everything is compared over integers.
         """
-        n = self.space.size
+        n, lcd, bits = self.space.size, self.lcd, self.bits
         x, xd, y, yd = sol.x, sol.x_den, sol.y, sol.y_den
         if not (len(x) == n and len(y) == len(self.rows) + 1 and xd > 0 and yd > 0):
             return None
@@ -204,8 +198,8 @@ class _Oracle:
             all(v >= 0 for v in x)
             and sum(x) == xd
             and all(
-                sum(map(x.__getitem__, members)) * den <= num * xd
-                for members, num, den, _ in self.rows
+                sum(compress(x, map(mask.__and__, bits))) * lcd <= weight * xd
+                for mask, weight in self.rows
             )
         ):
             return None
@@ -213,18 +207,18 @@ class _Oracle:
         if vd * sum(map(mul, c, x)) != vn * xd:
             return None
         y_eq = y[-1]
-        dual_value = y_eq * self.lcd
+        dual_value = y_eq * lcd
         reach = [y_eq] * n  # y_eq + the duals of the rows holding i
         # only the rows with a non-zero dual add to either sum
-        for (members, _, _, weight), yr in compress(zip(self.rows, y), y):
+        for (mask, weight), yr in compress(zip(self.rows, y), y):
             if yr > 0:
                 return None
             dual_value += yr * weight
-            for i in members:
+            for i in compress(range(n), map(mask.__and__, bits)):
                 reach[i] += yr
         if not (
             all(r <= ci * yd for r, ci in zip(reach, c))
-            and vn * yd * self.lcd == vd * dual_value
+            and vn * yd * lcd == vd * dual_value
         ):
             return None
         if witness is None:
@@ -237,15 +231,8 @@ class _Oracle:
         return _Proof(witness, x, xd, sum(1 << i for i, r in enumerate(reach) if r > 0))
 
 
-def _live_oracle(poly: CredalPolytope) -> _Oracle:
-    oracle = poly._oracle
-    if oracle.solver is None:
-        raise InfeasibleError("the credal polytope is empty")
-    return oracle
-
-
-def _solve(oracle: _Oracle, mask: int) -> tuple[Fraction, _Proof]:
-    """min P(mask) by one certified LP: the value and its proof."""
+def _solve(oracle: _Oracle, mask: int) -> tuple[Envelope, _Proof]:
+    """min P(mask) by one certified LP: the envelope and its proof."""
     objective = [mask >> i & 1 for i in range(oracle.space.size)]
     sol = oracle.solver.minimize(objective)
     proof = oracle.certified(objective, sol)
@@ -254,7 +241,7 @@ def _solve(oracle: _Oracle, mask: int) -> tuple[Fraction, _Proof]:
             f"the simplex answer {sol.value} for objective {objective} failed "
             "its exact duality certificate"
         )
-    return sol.value, proof
+    return Envelope(sol.value, proof.witness), proof
 
 
 class _Tables:
@@ -267,9 +254,11 @@ class _Tables:
     greatest value among those whose reach lies in mask: the dual of an
     LP min P(B) keeps ``y_eq + (the duals of the rows holding i)`` at
     most 1 everywhere and at most 0 off its reach, so it is feasible,
-    with the same value, for min P(A) on every A that contains its reach.
-    An entry is ``value << shift | index``: the value over the common
-    denominator ``den``, which only a new witness can change, and the
+    with the same value, for min P(A) on every A that contains its reach;
+    each pruned row ``(mask, weight)`` seeds the dual
+    ``(full ^ mask, (lcd - weight) / lcd)``.  An entry is
+    ``value << shift | index``: the value over the common denominator
+    ``den``, the rows' ``lcd`` until a new witness changes it, and the
     index of a certificate that attains it, so comparing two entries
     compares their values, and the better one keeps its proof.
 
@@ -282,7 +271,7 @@ class _Tables:
     def __init__(self, oracle: _Oracle, n_events: int):
         n = oracle.space.size
         self.oracle = oracle
-        self.bits = [1 << i for i in range(n)]
+        self.bits = oracle.bits
         full = (1 << n) - 1
         self.den = oracle.lcd
         # every index fits below the shift: the duals placed here, then
@@ -299,9 +288,8 @@ class _Tables:
         # y_eq = 1 proves P(X) >= 1; with the dual -1 on a pruned row
         # P(B) <= b it proves P(A) >= 1 - b wherever A contains B^c
         self.add_dual(full, Fraction(1))
-        for members, num, den, _ in oracle.rows:
-            reach = full ^ sum(map(self.bits.__getitem__, members))
-            self.add_dual(reach, Fraction(den - num, den))
+        for mask, weight in oracle.rows:
+            self.add_dual(full ^ mask, Fraction(self.den - weight, self.den))
 
     def envelope(self, mask: int) -> Envelope:
         """Lower(mask) with an attaining witness: from the tables where
@@ -319,11 +307,11 @@ class _Tables:
                     "their exact check"
                 )
             return Envelope(value, point.witness)
-        value, proof = _solve(self.oracle, mask)
+        envelope, proof = _solve(self.oracle, mask)
         if id(proof.witness) not in self.seen:
             self.add_point(proof)
-        self.add_dual(proof.reach, value)
-        return Envelope(value, proof.witness)
+        self.add_dual(proof.reach, envelope.value)
+        return envelope
 
     def add_point(self, proof: _Proof) -> None:
         """Lower ``upper`` to the sums of a new certified witness."""
@@ -373,32 +361,33 @@ class _Tables:
 
 def lower_envelope(poly: CredalPolytope, a: Event) -> Envelope:
     """Exact minimum of P(a) over the polytope, with an attaining member."""
-    _same_space(poly.space, a.space, "event and polytope spaces differ")
-    value, proof = _solve(_live_oracle(poly), a.mask)
-    return Envelope(value, proof.witness)
+    return lower_envelopes(poly, [a])[0]
 
 
 def lower_envelopes(poly: CredalPolytope, events: Iterable[Event]) -> list[Envelope]:
     """``lower_envelope`` of each event, in order, on one polytope.
 
-    A batch of fewer than 2**n events, n the size of the space, is
-    answered by one ``lower_envelope`` per event and returns exactly the
-    single queries' envelopes, witnesses included.  A batch of at least
-    2**n events, such as a sweep, gives the values single queries would
-    give, and a witness may be a different optimal point of the same
-    value.  Most of its events need no LP: the batch keeps its certified
-    witnesses and duals, and the pruned rows as duals, in two tables over
-    the 2**n masks (see ``_Tables``), and solves an LP only where they do
-    not meet.  So no table holds more entries than the batch has events,
-    and each new witness or dual costs up to 2**n integer steps.  Raises
-    ``InfeasibleError`` on an empty polytope, even for an empty batch.
+    A batch of fewer than 2**n events, n the size of the space, solves
+    one certified LP per event, as ``lower_envelope``'s batch of one
+    does, and returns exactly the envelopes, witnesses included, of
+    single queries made in the same order.  A batch of at least 2**n
+    events, such as a sweep, gives the same values, and a witness may be
+    another optimal point.  Most of its events need no LP: the batch
+    keeps its certified witnesses and duals, and the pruned rows as
+    duals, in two tables over the 2**n masks (see ``_Tables``), and
+    solves an LP only where they do not meet.  So no table holds more
+    entries than the batch has events, and each new witness or dual
+    costs up to 2**n integer steps.  Raises ``InfeasibleError`` on an
+    empty polytope, even for an empty batch.
     """
     events = list(events)
     for a in events:
         _same_space(poly.space, a.space, "event and polytope spaces differ")
-    oracle = _live_oracle(poly)
+    oracle = poly._oracle
+    if oracle.solver is None:
+        raise InfeasibleError("the credal polytope is empty")
     if len(events) < 1 << poly.space.size:
-        return [lower_envelope(poly, a) for a in events]
+        return [_solve(oracle, a.mask)[0] for a in events]
     tables = _Tables(oracle, len(events))
     return [tables.envelope(a.mask) for a in events]
 

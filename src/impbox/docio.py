@@ -343,6 +343,12 @@ def _object(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+def _check_labels(labels) -> None:
+    """Event keys join labels with ",": ``parse`` and ``serialize`` refuse a label with one."""
+    if commas := [label for label in labels if "," in label]:
+        raise DocumentError(f"label {commas[0]!r} contains ','", "$.space")
+
+
 def parse(text: str) -> Document:
     """Parse a document, building and validating its domain object."""
     try:
@@ -363,9 +369,7 @@ def parse(text: str) -> Document:
     labels = payload.get("space")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise DocumentError("space must be a list of labels", "$.space")
-    commas = [label for label in labels if "," in label]
-    if commas:  # event keys join labels with ","
-        raise DocumentError(f"label {commas[0]!r} contains ','", "$.space")
+    _check_labels(labels)
     try:
         space = FiniteSpace(labels)
     except ImpboxError as exc:
@@ -381,6 +385,7 @@ def parse(text: str) -> Document:
 
 def serialize(doc: Document) -> str:
     """Canonical text form: fixed key order, rationals as "p/q" strings."""
+    _check_labels(doc.space.labels)
     body = {"kind": doc.kind, "space": list(doc.space.labels)}
     try:
         body.update(KINDS[doc.kind].write(doc.obj))

@@ -106,11 +106,11 @@ def covers_first_or_last(space: FiniteSpace, sigmas: Sequence[Permutation]) -> b
 def certified(oracle: _Oracle, c: list[int], sol: _simplex.Solution) -> bool:
     """Check ``sol`` exactly against the pruned rows, by LP duality.
 
-    The witness must satisfy every row and attain ``sol.value``; the
-    duals must be feasible for the dual LP and reach the same value.
-    Everything is compared over integers.
+    The witness must satisfy every row P(mask) <= weight / lcd and attain
+    ``sol.value``; the duals must be feasible for the dual LP and reach
+    the same value.  Everything is compared over integers.
     """
-    n = oracle.space.size
+    n, lcd = oracle.space.size, oracle.lcd
     x, xd, y, yd = sol.x, sol.x_den, sol.y, sol.y_den
     vn, vd = sol.value.numerator, sol.value.denominator
     if not (
@@ -124,10 +124,11 @@ def certified(oracle: _Oracle, c: list[int], sol: _simplex.Solution) -> bool:
     ):
         return False
     y_eq = y[-1]
-    dual_value = y_eq * oracle.lcd
+    dual_value = y_eq * lcd
     reach = [y_eq] * n  # y_eq + the duals of the rows holding i
-    for (members, num, den, weight), yr in zip(oracle.rows, y):
-        if sum(map(x.__getitem__, members)) * den > num * xd or yr > 0:
+    for (mask, weight), yr in zip(oracle.rows, y):
+        members = [i for i in range(n) if mask >> i & 1]
+        if sum(x[i] for i in members) * lcd > weight * xd or yr > 0:
             return False
         if yr:
             dual_value += yr * weight
@@ -135,7 +136,7 @@ def certified(oracle: _Oracle, c: list[int], sol: _simplex.Solution) -> bool:
                 reach[i] += yr
     return (
         all(r <= ci * yd for r, ci in zip(reach, c))
-        and vn * yd * oracle.lcd == vd * dual_value
+        and vn * yd * lcd == vd * dual_value
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from operator import mul
@@ -274,8 +275,8 @@ def _all_rows_but_the_last(oracle):
     rows = oracle.rows[:-1]
     solver = _simplex.Simplex(
         n,
-        [[int(i in members) for i in range(n)] for members, *_ in rows],
-        [F(num, den) for _, num, den, _ in rows],
+        [[mask >> i & 1 for i in range(n)] for mask, _ in rows],
+        [F(weight, oracle.lcd) for _, weight in rows],
     )
 
     def minimize(c):
@@ -286,8 +287,9 @@ def _all_rows_but_the_last(oracle):
 
 
 def _breaks_the_last_row(oracle, sol):
-    members, num, den, _ = oracle.rows[-1]
-    return sum(sol.x[i] for i in members) * den > num * sol.x_den
+    mask, weight = oracle.rows[-1]
+    attained = sum(v for i, v in enumerate(sol.x) if mask >> i & 1)
+    return attained * oracle.lcd > weight * sol.x_den
 
 
 #: id -> (labels of the event queried, a wrong answer made from the honest
@@ -370,7 +372,8 @@ def _wrong_answers(oracle, c, sol, earlier):
     if oracle.rows:
         yield sol._replace(y=(sol.y_den,) + sol.y[1:])  # a positive row dual
         # a vertex of the simplex that breaks the first row, at its value
-        i = oracle.rows[0][0][0]
+        mask = oracle.rows[0][0]
+        i = (mask & -mask).bit_length() - 1  # the row's first element
         x = tuple(int(j == i) for j in range(len(sol.x)))
         yield sol._replace(x=x, x_den=1, value=F(c[i]))
     # an earlier witness, which the table may hold, that misses the value
@@ -507,6 +510,63 @@ def test_lower_envelopes_equal_single_queries(source):
                 witnesses[id(env.witness)] = env.witness
         assert all(is_member(poly, witness) for witness in witnesses.values())
     assert (empty > 0) == (source == "raw-interval")
+
+
+def _unordered_interval(rng, sp):
+    """Bounds drawn apart, so often some l(x) > u(x), which
+    ``interval.to_polytope`` writes as the point constraints l and u."""
+    lower = [F(rng.randint(0, 12), 12) for _ in range(sp.size)]
+    upper = [F(rng.randint(0, 12), 12) for _ in range(sp.size)]
+    return interval.ProbabilityInterval(sp, lower, upper)
+
+
+def _padded(rng, poly):
+    """``poly``'s constraints twice over, shuffled among vacuous ones."""
+    sp = poly.space
+    events = list(enumerate_events(sp))
+    vacuous = [(rng.choice(events), F(0), F(1)) for _ in range(3)]
+    vacuous += [(sp.full, F(1), F(1)), (sp.empty, F(0), F(0))]
+    constraints = list(poly.constraints) * 2 + vacuous
+    rng.shuffle(constraints)
+    return CredalPolytope(sp, constraints)
+
+
+PRUNE_SOURCES = {**ENVELOPE_SOURCES, "unordered-interval": (_unordered_interval, "interval")}
+
+
+@pytest.mark.parametrize("source", PRUNE_SOURCES)
+def test_pruned_rows_imply_every_constraint_and_none_another(source):
+    """``_le_rows`` keeps the rows no other kept row implies: each stated
+    side P(B) <= b that the simplex does not already give is implied by a
+    kept row P(A) <= a with A holding B and a <= b; no kept row implies
+    another; and each kept ``weight / lcd`` is the bound stated on its
+    event."""
+    rng = random.Random(f"prune/{source}")
+    make, kind = PRUNE_SOURCES[source]
+    unordered = 0
+    for n in [1, 2, 3, 4, 5] * 8 + [6]:
+        sp = gen.SPACES[n]
+        full = (1 << n) - 1
+        model = make(rng, sp)
+        if source == "unordered-interval":
+            unordered += any(map(F.__gt__, model.lower, model.upper))
+        plain = docio.KINDS[kind].polytope(model)
+        for poly in (plain, _padded(rng, plain)):
+            lcd, rows = credal._le_rows(poly)
+            stated = {}  # each event's least stated upper bound
+            for event, lo, hi in poly.constraints:
+                for mask, bound in ((event.mask, hi), (full ^ event.mask, 1 - lo)):
+                    stated[mask] = min(bound, stated.get(mask, bound))
+            for mask, weight in rows:
+                assert mask and F(weight, lcd) == stated[mask] < 1
+            for mask, bound in stated.items():
+                if mask and bound < 1:
+                    assert any(
+                        mask & ~kept == 0 and F(weight, lcd) <= bound for kept, weight in rows
+                    )
+            for (a, a_weight), (b, b_weight) in itertools.permutations(rows, 2):
+                assert not (b & ~a == 0 and a_weight <= b_weight)
+    assert (unordered > 0) == (source == "unordered-interval")
 
 
 def _refuse_tables(monkeypatch):

@@ -209,6 +209,15 @@ def test_label_with_a_comma_is_rejected():
     assert exc.value.path == "$.space"
 
 
+def test_a_label_with_a_comma_is_not_serialized():
+    # a library object may carry such a label; its document would not parse
+    sp = FiniteSpace(["a,b", "c"])
+    doc = docio.document_for(MassAssignment(sp, {sp.full: F(1)}))
+    with pytest.raises(DocumentError, match="label 'a,b' contains ','") as exc:
+        serialize(doc)
+    assert exc.value.path == "$.space"
+
+
 def _pbox_sources(rng, count):
     """(kind, object, --sigma text) for intervals along a random order and
     p-boxes, their levels tied (from nested sets) or not (from functions)."""

@@ -86,12 +86,13 @@ def _build(kind, seed, space):
 @given(kind=st.sampled_from(list(BUILDERS)), seed=st.integers(0, 2**32), labels=LABELS)
 def test_parse_inverts_serialize(kind, seed, labels):
     doc = _build(kind, seed, FiniteSpace(labels))
-    text = serialize(doc)
     if any("," in label for label in labels):
+        # parse would refuse the document, so serialize does not write it
         with pytest.raises(DocumentError) as exc:
-            parse(text)
+            serialize(doc)
         assert exc.value.path == "$.space"
         return
+    text = serialize(doc)
     again = parse(text)
     assert again.kind == kind
     assert again.obj == doc.obj
