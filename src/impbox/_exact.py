@@ -19,8 +19,6 @@ def over_lcd(values) -> tuple[int, list[int]]:
     Sums and differences of the numerators have the signs of the same
     sums and differences of the values.
     """
-    if all(type(v) is int for v in values):
-        return 1, list(values)
     dens = {v.denominator for v in values}
     den = math.lcm(*dens)
     scale = {d: den // d for d in dens}
@@ -33,6 +31,11 @@ def too_long(n: int) -> bool:
     limit = sys.get_int_max_str_digits()
     # below 2**(3 * limit) = 8**limit an int has fewer than limit digits
     return bool(limit) and n.bit_length() > 3 * limit and abs(n) >= 10**limit
+
+
+def unprintable(*values) -> bool:
+    """Whether ``str()`` of a rational in ``values`` exceeds the digit limit."""
+    return any(too_long(max(abs(q.numerator), q.denominator)) for q in values)
 
 
 def too_long_message(what: str = "a derived numerator or denominator") -> str:

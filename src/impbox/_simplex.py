@@ -2,11 +2,10 @@
 
 Small dense solver used by the credal oracle: a handful of variables,
 tens of rows, and always the probability simplex cut by ``<=`` rows, a
-bounded region.  A ``Simplex`` is built once per constraint system:
-every row is scaled by the lcm of its denominators, so the tableau
-holds only integers, and phase 1 runs once.  Each ``minimize`` call
-then runs phase 2 from the last optimal basis, which is feasible
-whatever the objective.
+bounded region.  A ``Simplex`` is built once per constraint system,
+given as integers: its rows, as given, make the first tableau, and
+phase 1 runs once.  Each ``minimize`` call then runs phase 2 from the
+last optimal basis, which is feasible whatever the objective.
 
 Tableau entries are integers over one common denominator ``d > 0``, the
 absolute value of the current basis determinant (Edmonds 1967, Bareiss
@@ -23,8 +22,6 @@ from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
-from ._exact import over_lcd
-
 
 class Infeasible(Exception):
     """The constraint system has no solution."""
@@ -37,8 +34,8 @@ class Solution(NamedTuple):
     #: the optimal point is ``x[j] / x_den``
     x: tuple[int, ...]
     x_den: int
-    #: dual multiplier of each row, the ``<=`` rows then the sum row, is
-    #: ``y[r] / y_den``; those of ``<=`` rows are ``<= 0`` at an optimum
+    #: the dual multiplier of each row as given, the ``<=`` rows then the
+    #: sum row, is ``y[r] / y_den``; ``<= 0`` for ``<=`` rows at an optimum
     y: tuple[int, ...]
     y_den: int
 
@@ -46,10 +43,10 @@ class Solution(NamedTuple):
 class Simplex:
     """Minimize any objective over ``a_ub.x <= b_ub, sum(x) = 1, x >= 0``.
 
-    All right-hand sides must be non-negative (the callers guarantee
-    this), so the slacks of the <= rows and one artificial variable for
-    the sum row form the starting basis.  Raises ``Infeasible`` when the
-    system has no solution.
+    ``a_ub``, ``b_ub`` and every ``c`` are integers; the right-hand sides
+    must be non-negative (the callers guarantee this), so the slacks of
+    the <= rows and one artificial variable for the sum row form the
+    starting basis.  Raises ``Infeasible`` when the system has no solution.
     """
 
     def __init__(self, n, a_ub, b_ub):
@@ -60,13 +57,11 @@ class Simplex:
         self._n = n
         # columns: x | ub slacks | the sum row's artificial, then the rhs
         self._art = art = n + m - 1
-        rows = [list(a) + [b] for a, b in zip(a_ub, b_ub)] + [[1] * n + [1]]
-        if any(row[-1] < 0 for row in rows):
+        if any(b < 0 for b in b_ub):
             raise ValueError("right-hand sides must be non-negative")
-        self._scales, scaled = zip(*map(over_lcd, rows))
         self._tab = [
-            row[:-1] + [0] * r + [1] + [0] * (m - 1 - r) + row[-1:]
-            for r, row in enumerate(scaled)
+            [*a] + [0] * r + [1] + [0] * (m - 1 - r) + [b]
+            for r, (a, b) in enumerate(zip([*a_ub, [1] * n], [*b_ub, 1]))
         ]
         self._basis = list(range(n, n + m))
         self._d = 1
@@ -140,8 +135,7 @@ class Simplex:
     def minimize(self, c) -> Solution:
         """Minimize ``c.x`` by phase 2 from the last optimal basis."""
         n, tab, basis = self._n, self._tab, self._basis
-        scale, cost = over_lcd(c)
-        z = self._objective_row(cost + [0] * (self._art + 1 - n))
+        z = self._objective_row(list(c) + [0] * (self._art + 1 - n))
         self.lps += 1
         self.pivots += self._run(z, self._art)
         d = self._d
@@ -149,7 +143,5 @@ class Simplex:
         for row, j in zip(tab, basis):
             if j < n:
                 x[j] = row[-1]
-        # the reduced cost of row r's slack or artificial column is d
-        # times its dual in the scaled system; undo the row scaling
-        y = tuple(s * z[n + r] for r, s in enumerate(self._scales))
-        return Solution(Fraction(z[-1], d * scale), tuple(x), d, y, d * scale)
+        # row r's dual is the reduced cost of its slack or artificial column over d
+        return Solution(Fraction(z[-1], d), tuple(x), d, tuple(z[n : self._art + 1]), d)

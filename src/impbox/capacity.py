@@ -8,15 +8,16 @@ compare the integer numerators, whose signs are exactly the rationals'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, gt, sub
 from typing import Iterator, Mapping, Sequence
 
-from ._exact import over_lcd, too_long, too_long_message
+from ._exact import too_long, too_long_message
 from .errors import ValidationError
-from .space import Event, FiniteSpace, _mask_of, _same_space, _unit_values
+from .space import Event, FiniteSpace, _mask_of, _same_space, _sums_to_one, _unit_values
 
 
 def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple[Fraction, ...]:
@@ -115,12 +116,14 @@ class Capacity:
 
     @cached_property
     def _table(self) -> tuple[int, ...]:
-        """``over_lcd(self.values)``'s numerators, for a common denominator
-        that prints: the table stays small and every Möbius mass prints too."""
-        den, nums = over_lcd(self.values)
-        if too_long(den):
-            raise ValidationError(too_long_message("common denominator of the values"))
-        return tuple(nums)
+        """The values' numerators over a common denominator that prints, so
+        every Möbius mass prints too; the lcm is refused once it grows too long."""
+        den = 1
+        for d in {v.denominator for v in self.values}:
+            den = math.lcm(den, d)
+            if too_long(den):
+                raise ValidationError(too_long_message("common denominator of the values"))
+        return tuple(v.numerator * (den // v.denominator) for v in self.values)
 
     @cached_property
     def _mobius_table(self) -> tuple[int, ...]:
@@ -141,9 +144,7 @@ class MobiusAssignment:
         table = _as_table(space, masses, fill=Fraction(0))
         if table[0] != 0:
             raise ValidationError(f"mass of the empty set must be 0, got {table[0]}")
-        total = sum(table)
-        if total != 1:
-            raise ValidationError(f"masses must sum to 1, got {total}")
+        _sums_to_one(sum(table), "masses")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "masses", table)
 

@@ -12,7 +12,7 @@ import sys
 import click
 
 from . import credal, docio
-from ._exact import too_long, too_long_message
+from ._exact import too_long_message, unprintable
 from .errors import ImpboxError
 from .space import enumerate_events
 
@@ -107,7 +107,7 @@ def query(file, event_spec, bound):
         q = lower(doc.obj, a) if bound == "lower" else 1 - lower(doc.obj, a.complement())
     except ImpboxError as exc:
         _fail(str(exc))
-    if too_long(q.numerator) or too_long(q.denominator):
+    if unprintable(q):
         _fail(too_long_message())
     _echo(f"{q} = {float(q)!r}")
 
@@ -144,8 +144,7 @@ def verify(file):
         below, above = lowers[event.mask], lowers[full ^ event.mask]
         oracle_lo, oracle_hi = below.value, 1 - above.value
         side, envelope = ("lower", below) if lo != oracle_lo else ("upper", above)
-        numbers = (lo, hi, oracle_lo, oracle_hi, *envelope.witness.p)
-        if any(too_long(q.numerator) or too_long(q.denominator) for q in numbers):
+        if unprintable(lo, hi, oracle_lo, oracle_hi, *envelope.witness.p):
             _echo(f"mismatch on {event!r}: {too_long_message()}", err=True)
             sys.exit(3)
         _echo(

@@ -47,7 +47,7 @@ from typing import Iterable, NamedTuple
 from . import _simplex
 from ._exact import over_lcd
 from .errors import InfeasibleError, OracleError, ValidationError
-from .space import Event, FiniteSpace, _same_space, _unit_values
+from .space import Event, FiniteSpace, _same_space, _sums_to_one, _unit_values
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ class ProbabilityVector:
     def __init__(self, space: FiniteSpace, p: Iterable):
         p = _unit_values(space, p, "probabilities")
         den, nums = over_lcd(p)
-        if sum(nums) != den:
-            raise ValidationError(f"probabilities must sum to 1, got {sum(p)}")
+        _sums_to_one(Fraction(sum(nums), den), "probabilities")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "p", p)
 
@@ -156,12 +155,13 @@ class _Oracle:
     """The pruned rows of one polytope, a warm solver over them, and the
     table of witnesses already certified.
 
-    ``lcd, rows`` are ``_le_rows(poly)``, which the solver, the
-    certificate and the batch tables all read.  ``solver`` is ``None``
-    when phase 1 finds the polytope empty.  ``witnesses`` maps each
-    witness in lowest terms, ``(x, x_den)`` with ``gcd(x_den, *x) == 1``,
-    to its ``ProbabilityVector``; an entry is added only once the witness
-    has satisfied every row, so equal witnesses are one immutable object.
+    ``lcd, rows`` are ``_le_rows(poly)``, which the certificate and the
+    batch tables read, and the solver as ``lcd * P(mask) <= weight``.
+    ``solver`` is ``None`` when phase 1 finds the polytope empty.
+    ``witnesses`` maps each witness in lowest terms, ``(x, x_den)`` with
+    ``gcd(x_den, *x) == 1``, to its ``ProbabilityVector``; an entry is
+    added only once the witness has satisfied every row, so equal
+    witnesses are one immutable object.
     """
 
     def __init__(self, poly: CredalPolytope):
@@ -171,9 +171,8 @@ class _Oracle:
         self.lcd, self.rows = _le_rows(poly)
         self.witnesses: dict[tuple[tuple[int, ...], int], ProbabilityVector] = {}
         try:
-            a_ub = [[mask >> i & 1 for i in range(n)] for mask, _ in self.rows]
-            b_ub = [Fraction(weight, self.lcd) for _, weight in self.rows]
-            self.solver = _simplex.Simplex(n, a_ub, b_ub)
+            a_ub = [[self.lcd * (mask >> i & 1) for i in range(n)] for mask, _ in self.rows]
+            self.solver = _simplex.Simplex(n, a_ub, [weight for _, weight in self.rows])
         except _simplex.Infeasible:
             self.solver = None
 
@@ -206,20 +205,16 @@ class _Oracle:
         vn, vd = sol.value.numerator, sol.value.denominator
         if vd * sum(map(mul, c, x)) != vn * xd:
             return None
-        y_eq = y[-1]
-        dual_value = y_eq * lcd
-        reach = [y_eq] * n  # y_eq + the duals of the rows holding i
+        dual_value = y_eq = y[-1]
+        reach = [y_eq] * n  # y_eq + lcd times the duals of the rows holding i
         # only the rows with a non-zero dual add to either sum
         for (mask, weight), yr in compress(zip(self.rows, y), y):
             if yr > 0:
                 return None
             dual_value += yr * weight
             for i in compress(range(n), map(mask.__and__, bits)):
-                reach[i] += yr
-        if not (
-            all(r <= ci * yd for r, ci in zip(reach, c))
-            and vn * yd * lcd == vd * dual_value
-        ):
+                reach[i] += yr * lcd
+        if not (all(r <= ci * yd for r, ci in zip(reach, c)) and vn * yd == vd * dual_value):
             return None
         if witness is None:
             # the first-answer check has covered x >= 0 and sum(x) == x_den,

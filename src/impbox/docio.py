@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator
 
 from . import capacity, convert, credal, interval, pbox, possibility, randomset
-from ._exact import too_long, too_long_message
+from ._exact import too_long, too_long_message, unprintable
 from .errors import ImpboxError, SpaceMismatchError, ValidationError
 from .space import Event, FiniteSpace, Permutation, enumerate_events
 
@@ -173,6 +173,8 @@ def _gen_pbox_form(pb: pbox.GeneralizedPBox) -> pbox.GeneralizedPBox:
     levels = pb.levels()
     for (inner, lo, hi), (outer, *bounds) in zip(levels, levels[1:]):
         if bounds == [lo, hi]:
+            if unprintable(lo, hi):
+                raise DocumentError(too_long_message())
             raise ValidationError(
                 f"gen_pbox cannot state levels {inner!r} and {outer!r}, which "
                 f"share bounds [{lo}, {hi}]; convert --to nested_bounds instead"

@@ -17,7 +17,7 @@ from .capacity import _zeta
 from .credal import CredalPolytope
 from .errors import ValidationError
 from .interval import ProbabilityInterval, _outer
-from .space import Event, FiniteSpace, _mask_of, _same_space
+from .space import Event, FiniteSpace, _mask_of, _same_space, _sums_to_one
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,7 @@ class MassAssignment:
             if mask == 0:
                 raise ValidationError("the empty set cannot carry mass")
             canonical[mask] = canonical.get(mask, Fraction(0)) + val
-        total = sum(canonical.values())
-        if total != 1:
-            raise ValidationError(f"masses must sum to 1, got {total}")
+        _sums_to_one(sum(canonical.values()), "masses")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "focal", tuple(sorted(canonical.items())))
 

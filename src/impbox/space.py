@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from ._exact import too_long_message, unprintable
 from .errors import SpaceMismatchError, SpaceSizeError, ValidationError
 
 #: Hard cap on the number of elements, so that full 2^n enumeration
@@ -152,6 +153,14 @@ def _unit_values(space: FiniteSpace, values: Iterable, what: str) -> tuple[Fract
         if not 0 <= v.numerator <= v.denominator:  # denominators are positive
             raise ValidationError(f"{what} must lie in [0, 1], got {v}")
     return values
+
+
+def _sums_to_one(total: Fraction, what: str) -> None:
+    """Raise ``ValidationError`` unless ``total``, the sum of ``what``, is 1."""
+    if total != 1:
+        if unprintable(total):
+            raise ValidationError(too_long_message())
+        raise ValidationError(f"{what} must sum to 1, got {total}")
 
 
 def _mask_of(space: FiniteSpace, key, what: str = "event") -> int:

@@ -107,8 +107,9 @@ def certified(oracle: _Oracle, c: list[int], sol: _simplex.Solution) -> bool:
     """Check ``sol`` exactly against the pruned rows, by LP duality.
 
     The witness must satisfy every row P(mask) <= weight / lcd and attain
-    ``sol.value``; the duals must be feasible for the dual LP and reach
-    the same value.  Everything is compared over integers.
+    ``sol.value``; the duals, of the rows ``lcd * P(mask) <= weight`` the
+    solver is given, must be feasible for the dual LP and reach the same
+    value.  Everything is compared over integers.
     """
     n, lcd = oracle.space.size, oracle.lcd
     x, xd, y, yd = sol.x, sol.x_den, sol.y, sol.y_den
@@ -124,8 +125,8 @@ def certified(oracle: _Oracle, c: list[int], sol: _simplex.Solution) -> bool:
     ):
         return False
     y_eq = y[-1]
-    dual_value = y_eq * lcd
-    reach = [y_eq] * n  # y_eq + the duals of the rows holding i
+    dual_value = y_eq
+    reach = [y_eq] * n  # y_eq + lcd times the duals of the rows holding i
     for (mask, weight), yr in zip(oracle.rows, y):
         members = [i for i in range(n) if mask >> i & 1]
         if sum(x[i] for i in members) * lcd > weight * xd or yr > 0:
@@ -133,11 +134,8 @@ def certified(oracle: _Oracle, c: list[int], sol: _simplex.Solution) -> bool:
         if yr:
             dual_value += yr * weight
             for i in members:
-                reach[i] += yr
-    return (
-        all(r <= ci * yd for r, ci in zip(reach, c))
-        and vn * yd * lcd == vd * dual_value
-    )
+                reach[i] += yr * lcd
+    return all(r <= ci * yd for r, ci in zip(reach, c)) and vn * yd == vd * dual_value
 
 
 def mobius(table: list) -> list:

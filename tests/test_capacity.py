@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -292,18 +293,37 @@ def test_common_denominator_past_the_digit_limit_is_rejected():
 def test_check_facts_share_one_integer_table(monkeypatch):
     calls = []
 
-    def counted(name):
-        honest = getattr(capacity, name)
+    def counted(module, name):
+        honest = getattr(module, name)
         return lambda *args, **kwargs: calls.append(name) or honest(*args, **kwargs)
 
-    for name in ("over_lcd", "_mobius"):
-        monkeypatch.setattr(capacity, name, counted(name))
-    c = bel_capacity(gen.rand_mass(random.Random(3), gen.SPACES[4]))
-    assert calls == ["over_lcd"]
+    ms = gen.rand_mass(random.Random(3), gen.SPACES[4])
+    values = [bel(ms, e) for e in enumerate_events(ms.space)]
+    monkeypatch.setattr(math, "lcm", counted(math, "lcm"))
+    monkeypatch.setattr(capacity, "_mobius", counted(capacity, "_mobius"))
+    c = Capacity(ms.space, values)
+    # the table's lcm takes one step per distinct denominator
+    table = ["lcm"] * len({v.denominator for v in values})
+    assert calls == table
     facts = [is_2_monotone(c), is_infty_monotone(c), is_additive(c)]
-    assert calls == ["over_lcd", "_mobius"]
+    assert calls == table + ["_mobius"]
     assert facts == [is_2_monotone(c), is_infty_monotone(c), is_additive(c)]
-    assert calls == ["over_lcd", "_mobius"]
+    assert calls == table + ["_mobius"]
+
+
+def test_a_common_denominator_too_long_is_refused_after_few_lcm_steps(monkeypatch):
+    """The lcm stops growing once it cannot print: two of these distinct
+    2200-digit denominators already give one of about 4400 digits."""
+    steps = []
+    honest = math.lcm
+    monkeypatch.setattr(math, "lcm", lambda *args: steps.append(len(args) - 1) or honest(*args))
+    sp = gen.SPACES[6]
+    big = 10**2200
+    values = [F(0)] + [F(1, big + 2 * i + 1) for i in range(62)] + [F(1)]
+    with pytest.raises(ValidationError, match="common denominator"):
+        Capacity(sp, values)
+    # one step per denominator folded: at most the 1 of the bounds and two of these
+    assert sum(steps) <= 3
 
 
 @pytest.mark.parametrize(

@@ -564,6 +564,24 @@ BIG_BELIEF_TEXT = json.dumps(
 )
 
 
+#: prefixes {a,b} and {a,b,c} tie at [0, u(a) + u(b)], whose denominator
+#: has about 4400 digits
+TIED_PREFIXES_TEXT = json.dumps(
+    {
+        "kind": "interval",
+        "space": ["a", "b", "c", "d", "e"],
+        "l": ["0"] * 5,
+        "u": [
+            str(F(1, 4) + F(1, 10**2200 + 1)),
+            str(F(1, 4) + F(1, 10**2200 + 3)),
+            "0",
+            "1/2",
+            "1/2",
+        ],
+    }
+)
+
+
 @pytest.mark.parametrize(
     "text, args",
     [
@@ -608,6 +626,28 @@ BIG_BELIEF_TEXT = json.dumps(
             ),
             ["check"],
         ),
+        # each value prints; the sums in the messages have 4400-digit denominators
+        (
+            json.dumps(
+                {
+                    "kind": "probability",
+                    "space": ["a", "b"],
+                    "p": [f"1/1{'0' * 2199}1", f"1/1{'0' * 2199}3"],
+                }
+            ),
+            ["check"],
+        ),
+        (
+            json.dumps(
+                {
+                    "kind": "mass",
+                    "space": ["a", "b"],
+                    "focal": {"a": f"1/1{'0' * 2199}1", "b": f"1/1{'0' * 2199}3"},
+                }
+            ),
+            ["check"],
+        ),
+        (TIED_PREFIXES_TEXT, ["convert", "--to", "gen_pbox"]),
     ],
     ids=[
         "convert-1e-5000",
@@ -618,10 +658,22 @@ BIG_BELIEF_TEXT = json.dumps(
         "convert-4001-digit-possibility-to-mass",
         "query-6000-digit-belief",
         "check-capacity-common-denominator",
+        "check-probability-sum",
+        "check-mass-sum",
+        "convert-tied-prefixes-to-gen_pbox",
     ],
 )
 def test_oversized_numbers_are_validation_failures(runner, tmp_path, text, args):
     _assert_validation_failure(runner, tmp_path, text, args)
+
+
+@pytest.mark.parametrize("target", ["gen_pbox", "nested_bounds"])
+def test_a_tie_too_long_to_print_ends_in_the_digit_limit_error(runner, tmp_path, target):
+    path = tmp_path / "doc.json"
+    path.write_text(TIED_PREFIXES_TEXT)
+    result = runner.invoke(main, ["convert", str(path), "--to", target])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: $: {too_long_message()}\n"
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from impbox import (
     upper_envelope,
 )
 from impbox import _simplex, credal, docio, interval, possibility, randomset
+from impbox._exact import over_lcd
 from impbox.credal import is_empty
 from impbox.pbox import from_functions, to_polytope
 
@@ -271,12 +272,12 @@ def _all_rows_but_the_last(oracle):
     they pass every check of the full certificate that depends on the
     objective, and fail it exactly when the witness breaks the last row.
     """
-    n = oracle.space.size
+    n, lcd = oracle.space.size, oracle.lcd
     rows = oracle.rows[:-1]
     solver = _simplex.Simplex(
         n,
-        [[mask >> i & 1 for i in range(n)] for mask, _ in rows],
-        [F(weight, oracle.lcd) for _, weight in rows],
+        [[lcd * (mask >> i & 1) for i in range(n)] for mask, _ in rows],
+        [weight for _, weight in rows],
     )
 
     def minimize(c):
@@ -569,6 +570,31 @@ def test_pruned_rows_imply_every_constraint_and_none_another(source):
     assert (unordered > 0) == (source == "unordered-interval")
 
 
+@pytest.mark.parametrize("source", PRUNE_SOURCES)
+def test_the_solver_gets_the_rows_as_integers(monkeypatch, source):
+    """The oracle builds its solver from exactly ``lcd * P(mask) <= weight``
+    for each pruned row, in order, every entry an ``int``."""
+    built = []
+    honest = _simplex.Simplex.__init__
+    monkeypatch.setattr(
+        _simplex.Simplex,
+        "__init__",
+        lambda self, n, a_ub, b_ub: built.append((n, a_ub, b_ub)) or honest(self, n, a_ub, b_ub),
+    )
+    rng = random.Random(f"integer-rows/{source}")
+    make, kind = PRUNE_SOURCES[source]
+    for n in [1, 2, 3, 4, 5] * 4 + [6]:
+        sp = gen.SPACES[n]
+        oracle = docio.KINDS[kind].polytope(make(rng, sp))._oracle
+        (n_given, a_ub, b_ub), = built
+        built.clear()
+        assert n_given == n
+        assert a_ub == [[oracle.lcd * (mask >> i & 1) for i in range(n)] for mask, _ in oracle.rows]
+        assert b_ub == [weight for _, weight in oracle.rows]
+        assert all(type(v) is int for row in a_ub for v in row)
+        assert all(type(v) is int for v in b_ub)
+
+
 def _refuse_tables(monkeypatch):
     def refuse(tables, *args):
         raise AssertionError("a batch shorter than 2**n events built tables")
@@ -697,22 +723,27 @@ def _rand_rational(rng):
     return F(rng.randint(-6, 6), rng.randint(1, 4))
 
 
+def _rand_objective(rng, n):
+    """Random rationals put over the lcm of their denominators."""
+    return over_lcd([_rand_rational(rng) for _ in range(n)])[1]
+
+
 def _rand_simplex_system(rng, n):
-    """``<=`` rows over the simplex: feasible around a random point, or
+    """Integer ``<=`` rows over the simplex, each a rational row put over
+    the lcm of its denominators: feasible around a random point, or
     (``None`` point) made infeasible by a row that sums past every x."""
     point = gen.rand_probability(rng, gen.SPACES[n]).p
-    a_ub, b_ub = [], []
+    rows = []
     for _ in range(rng.randint(0, 5)):
         a = rng.choice([[1] * n, [_rand_rational(rng) for _ in range(n)]])
         lhs = sum(ai * pi for ai, pi in zip(a, point))
-        a_ub.append(a)
-        b_ub.append(max(F(0), lhs + rng.choice([0, F(rng.randint(0, 4), 4)])))
+        rows.append(a + [max(F(0), lhs + rng.choice([0, F(rng.randint(0, 4), 4)]))])
     if rng.random() < 0.25:
-        r = rng.randint(0, len(a_ub))
-        a_ub.insert(r, [F(rng.randint(4, 8), 4) for _ in range(n)])
-        b_ub.insert(r, F(rng.randint(0, 3), 4))
+        r = rng.randint(0, len(rows))
+        rows.insert(r, [F(rng.randint(4, 8), 4) for _ in range(n)] + [F(rng.randint(0, 3), 4)])
         point = None
-    return a_ub, b_ub, point
+    rows = [over_lcd(row)[1] for row in rows]
+    return [row[:-1] for row in rows], [row[-1] for row in rows], point
 
 
 def test_simplex_solves_le_systems_over_the_probability_simplex():
@@ -728,7 +759,7 @@ def test_simplex_solves_le_systems_over_the_probability_simplex():
             continue
         solver = _simplex.Simplex(n, a_ub, b_ub)
         for _ in range(3):
-            c = [_rand_rational(rng) for _ in range(n)]
+            c = _rand_objective(rng, n)
             sol = solver.minimize(c)
             _assert_optimal(a_ub, b_ub, [[1] * n], [1], c, sol)
             assert sol.value <= sum(ci * pi for ci, pi in zip(c, point))
@@ -740,7 +771,7 @@ def test_simplex_rejects_negative_rhs_and_reports_infeasible():
     with pytest.raises(ValueError):
         _simplex.Simplex(1, [[1]], [-1])
     with pytest.raises(_simplex.Infeasible):
-        _simplex.Simplex(2, [[1, 1]], [F(1, 2)])
+        _simplex.Simplex(2, [[2, 2]], [1])
 
 
 def test_simplex_counts_its_lps_and_phase_2_pivots(monkeypatch):
@@ -759,6 +790,6 @@ def test_simplex_counts_its_lps_and_phase_2_pivots(monkeypatch):
             pivots.clear()  # phase 1's pivots are not counted
             assert (solver.lps, solver.pivots) == (0, 0)
             for lps in range(1, 4):
-                solver.minimize([_rand_rational(rng) for _ in range(n)])
+                solver.minimize(_rand_objective(rng, n))
                 assert (solver.lps, solver.pivots) == (lps, len(pivots))
     assert len(pivots) > 0
