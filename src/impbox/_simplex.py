@@ -1,11 +1,13 @@
 """Exact two-phase simplex with fraction-free integer pivots.
 
-Small dense solver used by the credal oracle: a handful of variables,
-tens of rows, and always the probability simplex cut by ``<=`` rows, a
-bounded region.  A ``Simplex`` is built once per constraint system,
-given as integers: its rows, as given, make the first tableau, and
-phase 1 runs once.  Each ``minimize`` call then runs phase 2 from the
-last optimal basis, which is feasible whatever the objective.
+Dense solver used by the credal oracle: one variable per element, up to
+2**n - 2 rows (a mass polytope states one per event; a dense 7-element
+mass keeps 126 after pruning), and always the probability simplex cut
+by ``<=`` rows, a bounded region.  A ``Simplex`` is built once per
+constraint system, given as integers: its rows, as given, make the
+first tableau, and phase 1 runs once.  Each ``minimize`` call then runs
+phase 2 from the last optimal basis, which is feasible whatever the
+objective, and answers with the optimal vertex and its duals.
 
 Tableau entries are integers over one common denominator ``d > 0``, the
 absolute value of the current basis determinant (Edmonds 1967, Bareiss
@@ -18,7 +20,6 @@ cycling.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
@@ -28,16 +29,15 @@ class Infeasible(Exception):
 
 
 class Solution(NamedTuple):
-    """An optimum with its witness and dual multipliers, over integers."""
+    """An optimal vertex and its dual multipliers, over the tableau's
+    common denominator ``d > 0``; the optimum is ``c.x / d``."""
 
-    value: Fraction
-    #: the optimal point is ``x[j] / x_den``
+    #: the optimal point is ``x[j] / d``
     x: tuple[int, ...]
-    x_den: int
     #: the dual multiplier of each row as given, the ``<=`` rows then the
-    #: sum row, is ``y[r] / y_den``; ``<= 0`` for ``<=`` rows at an optimum
+    #: sum row, is ``y[r] / d``; ``<= 0`` for ``<=`` rows at an optimum
     y: tuple[int, ...]
-    y_den: int
+    d: int
 
 
 class Simplex:
@@ -138,10 +138,9 @@ class Simplex:
         z = self._objective_row(list(c) + [0] * (self._art + 1 - n))
         self.lps += 1
         self.pivots += self._run(z, self._art)
-        d = self._d
         x = [0] * n
         for row, j in zip(tab, basis):
             if j < n:
                 x[j] = row[-1]
         # row r's dual is the reduced cost of its slack or artificial column over d
-        return Solution(Fraction(z[-1], d), tuple(x), d, tuple(z[n : self._art + 1]), d)
+        return Solution(tuple(x), tuple(z[n : self._art + 1]), self._d)

@@ -8,12 +8,13 @@ lower one, 1 - min P(A^c).  A polytope builds its pruned rows and an
 integer-pivot simplex on its first query, runs phase 1 once, and
 warm-starts every later envelope from the last optimal basis.  Each
 answer is proven before it is returned, over integers and against the
-rows themselves: the witness must satisfy every row, and the dual
-multipliers must reach the same value (LP duality); a failure raises
-``OracleError``.  The row check reads nothing but the witness, so it
-runs once per distinct witness of a polytope, on its first answer,
-which also builds the witness's ``ProbabilityVector``; the value and
-dual checks run on every answer.
+rows themselves: the dual multipliers must be feasible and reach the
+witness's value (LP duality), and the witness must satisfy every row;
+a failure raises ``OracleError``.  The envelope's value is the proven
+witness's.  The row check reads nothing but the witness, so it runs
+once per distinct witness of a polytope, on its first answer, which
+also builds the witness's ``ProbabilityVector``; the dual checks run
+on every answer.
 
 Every query is a batch, ``lower_envelope`` one of one event; a batch
 of fewer than 2**n events solves one certified LP per event.  A batch
@@ -180,30 +181,14 @@ class _Oracle:
         """The proof of ``sol`` if it is optimal for ``c`` against the
         pruned rows, by LP duality; ``None`` if it is not.
 
-        A witness not yet in ``witnesses`` must be a point of the simplex
-        that satisfies every row.  Every answer's witness must attain
-        ``sol.value``, and its duals must be feasible for the dual LP and
-        reach the same value.  Everything is compared over integers.
+        The duals must be feasible for the dual LP and reach the witness's
+        value, both over ``sol.d``.  A witness not yet in ``witnesses``
+        must also be a point of the simplex that satisfies every row.
+        Everything is compared over integers.
         """
         n, lcd, bits = self.space.size, self.lcd, self.bits
-        x, xd, y, yd = sol.x, sol.x_den, sol.y, sol.y_den
-        if not (len(x) == n and len(y) == len(self.rows) + 1 and xd > 0 and yd > 0):
-            return None
-        g = math.gcd(xd, *x)
-        if g != 1:
-            x, xd = tuple(v // g for v in x), xd // g
-        witness = self.witnesses.get((x, xd))
-        if witness is None and not (
-            all(v >= 0 for v in x)
-            and sum(x) == xd
-            and all(
-                sum(compress(x, map(mask.__and__, bits))) * lcd <= weight * xd
-                for mask, weight in self.rows
-            )
-        ):
-            return None
-        vn, vd = sol.value.numerator, sol.value.denominator
-        if vd * sum(map(mul, c, x)) != vn * xd:
+        x, y, d = sol
+        if not (len(x) == n and len(y) == len(self.rows) + 1 and d > 0):
             return None
         dual_value = y_eq = y[-1]
         reach = [y_eq] * n  # y_eq + lcd times the duals of the rows holding i
@@ -214,29 +199,41 @@ class _Oracle:
             dual_value += yr * weight
             for i in compress(range(n), map(mask.__and__, bits)):
                 reach[i] += yr * lcd
-        if not (all(r <= ci * yd for r, ci in zip(reach, c)) and vn * yd == vd * dual_value):
+        if not (all(r <= ci * d for r, ci in zip(reach, c)) and sum(map(mul, c, x)) == dual_value):
             return None
+        g = math.gcd(d, *x)
+        if g != 1:
+            x, d = tuple(v // g for v in x), d // g
+        witness = self.witnesses.get((x, d))
         if witness is None:
-            # the first-answer check has covered x >= 0 and sum(x) == x_den,
-            # which is all ProbabilityVector.__init__ would check
+            if not (
+                all(v >= 0 for v in x)
+                and sum(x) == d
+                and all(
+                    sum(compress(x, map(mask.__and__, bits))) * lcd <= weight * d
+                    for mask, weight in self.rows
+                )
+            ):
+                return None
+            # this check has covered x >= 0 and sum(x) == d, which is all
+            # ProbabilityVector.__init__ would check
             witness = object.__new__(ProbabilityVector)
             object.__setattr__(witness, "space", self.space)
-            object.__setattr__(witness, "p", tuple(Fraction(v, xd) for v in x))
-            self.witnesses[x, xd] = witness
-        return _Proof(witness, x, xd, sum(1 << i for i, r in enumerate(reach) if r > 0))
+            object.__setattr__(witness, "p", tuple(Fraction(v, d) for v in x))
+            self.witnesses[x, d] = witness
+        return _Proof(witness, x, d, sum(1 << i for i, r in enumerate(reach) if r > 0))
 
 
 def _solve(oracle: _Oracle, mask: int) -> tuple[Envelope, _Proof]:
     """min P(mask) by one certified LP: the envelope and its proof."""
     objective = [mask >> i & 1 for i in range(oracle.space.size)]
-    sol = oracle.solver.minimize(objective)
-    proof = oracle.certified(objective, sol)
+    proof = oracle.certified(objective, oracle.solver.minimize(objective))
     if proof is None:
         raise OracleError(
-            f"the simplex answer {sol.value} for objective {objective} failed "
+            f"the simplex answer for objective {objective} failed "
             "its exact duality certificate"
         )
-    return Envelope(sol.value, proof.witness), proof
+    return Envelope(Fraction(sum(compress(proof.x, objective)), proof.x_den), proof.witness), proof
 
 
 class _Tables:

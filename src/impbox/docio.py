@@ -68,8 +68,8 @@ def _rational(value, path: str) -> Fraction:
     if isinstance(value, _HugeExponent) or isinstance(value, str) and _huge_exponent(value):
         raise DocumentError(too_long_message("numerator or denominator"), path)
     try:
-        q = Fraction(value) if not isinstance(value, float) else Fraction(str(value))
-    except (ValueError, ZeroDivisionError, TypeError):
+        q = Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise DocumentError(f"cannot parse {value!r} as a rational", path) from None
     # every accepted value must print again: str() of a longer int raises
     if too_long(max(abs(q.numerator), q.denominator)):

@@ -106,22 +106,19 @@ def covers_first_or_last(space: FiniteSpace, sigmas: Sequence[Permutation]) -> b
 def certified(oracle: _Oracle, c: list[int], sol: _simplex.Solution) -> bool:
     """Check ``sol`` exactly against the pruned rows, by LP duality.
 
-    The witness must satisfy every row P(mask) <= weight / lcd and attain
-    ``sol.value``; the duals, of the rows ``lcd * P(mask) <= weight`` the
-    solver is given, must be feasible for the dual LP and reach the same
-    value.  Everything is compared over integers.
+    The witness must satisfy every row P(mask) <= weight / lcd; the duals,
+    of the rows ``lcd * P(mask) <= weight`` the solver is given, must be
+    feasible for the dual LP and reach the witness's value, both over
+    ``sol.d``.  Everything is compared over integers.
     """
     n, lcd = oracle.space.size, oracle.lcd
-    x, xd, y, yd = sol.x, sol.x_den, sol.y, sol.y_den
-    vn, vd = sol.value.numerator, sol.value.denominator
+    x, y, d = sol
     if not (
         len(x) == n
         and len(y) == len(oracle.rows) + 1
-        and xd > 0
-        and yd > 0
+        and d > 0
         and all(v >= 0 for v in x)
-        and sum(x) == xd
-        and vd * sum(ci * xi for ci, xi in zip(c, x)) == vn * xd
+        and sum(x) == d
     ):
         return False
     y_eq = y[-1]
@@ -129,13 +126,16 @@ def certified(oracle: _Oracle, c: list[int], sol: _simplex.Solution) -> bool:
     reach = [y_eq] * n  # y_eq + lcd times the duals of the rows holding i
     for (mask, weight), yr in zip(oracle.rows, y):
         members = [i for i in range(n) if mask >> i & 1]
-        if sum(x[i] for i in members) * lcd > weight * xd or yr > 0:
+        if sum(x[i] for i in members) * lcd > weight * d or yr > 0:
             return False
         if yr:
             dual_value += yr * weight
             for i in members:
                 reach[i] += yr * lcd
-    return all(r <= ci * yd for r, ci in zip(reach, c)) and vn * yd == vd * dual_value
+    return (
+        all(r <= ci * d for r, ci in zip(reach, c))
+        and sum(ci * xi for ci, xi in zip(c, x)) == dual_value
+    )
 
 
 def mobius(table: list) -> list:

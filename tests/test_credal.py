@@ -290,32 +290,49 @@ def _all_rows_but_the_last(oracle):
 def _breaks_the_last_row(oracle, sol):
     mask, weight = oracle.rows[-1]
     attained = sum(v for i, v in enumerate(sol.x) if mask >> i & 1)
-    return attained * oracle.lcd > weight * sol.x_den
+    return attained * oracle.lcd > weight * sol.d
 
 
 #: id -> (labels of the event queried, a wrong answer made from the honest
 #: answer ``sol`` to objective ``c``); ``swept`` maps each objective of a
 #: full sweep to its honest answer, whose witness is in the table
 TAMPERS = {
-    "value": (
-        ["x3", "x4", "x5"],
-        lambda sol, c, oracle, swept: sol._replace(value=sol.value + F(1, 7)),
-    ),
     "dual-value": (
         ["x3", "x4", "x5"],
-        lambda sol, c, oracle, swept: sol._replace(y=sol.y[:-1] + (sol.y[-1] + sol.y_den,)),
+        lambda sol, c, oracle, swept: sol._replace(y=sol.y[:-1] + (sol.y[-1] + sol.d,)),
+    ),
+    # the honest x and y over 2d: feasible duals at the witness's value,
+    # but the witness sums to 1/2
+    "denominator": (
+        ["x3", "x4", "x5"],
+        lambda sol, c, oracle, swept: sol._replace(d=2 * sol.d),
+    ),
+    # the same fractions over -d
+    "sign": (
+        ["x3", "x4", "x5"],
+        lambda sol, c, oracle, swept: sol._replace(
+            x=tuple(-v for v in sol.x), y=tuple(-v for v in sol.y), d=-sol.d
+        ),
     ),
     "wrong-length": (
         ["x3", "x4", "x5"],
         lambda sol, c, oracle, swept: sol._replace(x=sol.x[:-1]),
     ),
+    # every number 0: the duals are feasible and meet the vertex's value,
+    # but d = 0 is no denominator
+    "zero": (
+        ["x3", "x4", "x5"],
+        lambda sol, c, oracle, swept: _simplex.Solution(
+            (0,) * len(sol.x), (0,) * len(sol.y), 0
+        ),
+    ),
     "witness": (
         ["x3", "x4", "x5"],
-        lambda sol, c, oracle, swept: sol._replace(x=(sol.x_den,) + (0,) * (len(sol.x) - 1)),
+        lambda sol, c, oracle, swept: sol._replace(x=(sol.d,) + (0,) * (len(sol.x) - 1)),
     ),
     "dual-sign": (
         ["x3", "x4", "x5"],
-        lambda sol, c, oracle, swept: sol._replace(y=(sol.y_den,) + sol.y[1:]),
+        lambda sol, c, oracle, swept: sol._replace(y=(sol.d,) + sol.y[1:]),
     ),
     # the whole answer the complement got: a certified witness, with the
     # complement's value, 1/10 where 9/10 is what it attains here
@@ -367,22 +384,28 @@ def test_tampered_solver_answer_raises(monkeypatch, expert_pbox, space6, tamper)
 
 def _wrong_answers(oracle, c, sol, earlier):
     """Answers to objective ``c`` that are wrong whatever the polytope."""
-    yield sol._replace(value=sol.value + F(1, 7))
-    yield sol._replace(y=sol.y[:-1] + (sol.y[-1] + sol.y_den,))
+    yield sol._replace(y=sol.y[:-1] + (sol.y[-1] + sol.d,))
     yield sol._replace(x=(sol.x[0] + 1,) + sol.x[1:])  # off the simplex
+    yield sol._replace(d=2 * sol.d)  # the witness sums to 1/2
+    # the same fractions over -d, and every number 0
+    yield sol._replace(x=tuple(-v for v in sol.x), y=tuple(-v for v in sol.y), d=-sol.d)
+    yield _simplex.Solution((0,) * len(sol.x), (0,) * len(sol.y), 0)
     if oracle.rows:
-        yield sol._replace(y=(sol.y_den,) + sol.y[1:])  # a positive row dual
-        # a vertex of the simplex that breaks the first row, at its value
+        yield sol._replace(y=(sol.d,) + sol.y[1:])  # a positive row dual
+        # a vertex of the simplex that breaks the first row
         mask = oracle.rows[0][0]
         i = (mask & -mask).bit_length() - 1  # the row's first element
-        x = tuple(int(j == i) for j in range(len(sol.x)))
-        yield sol._replace(x=x, x_den=1, value=F(c[i]))
-    # an earlier witness, which the table may hold, that misses the value
+        yield sol._replace(x=tuple(sol.d * (j == i) for j in range(len(sol.x))))
+    # an earlier witness, which the table may hold, with the honest duals
+    # over the two answers' common denominator, where it misses their value
+    value = sum(map(mul, c, sol.x))
     for other in earlier:
-        if sum(map(mul, c, other.x)) * sol.value.denominator != (
-            sol.value.numerator * other.x_den
-        ):
-            yield sol._replace(x=other.x, x_den=other.x_den)
+        if sum(map(mul, c, other.x)) * sol.d != value * other.d:
+            yield _simplex.Solution(
+                tuple(v * sol.d for v in other.x),
+                tuple(v * other.d for v in sol.y),
+                sol.d * other.d,
+            )
             break
 
 
@@ -408,7 +431,7 @@ def test_the_certificate_agrees_with_the_full_reference_check(model):
                 sol = oracle.solver.minimize(c)
                 assert reference.certified(oracle, c, sol)
                 proof = oracle.certified(c, sol)
-                assert proof.witness.p == tuple(F(v, sol.x_den) for v in sol.x)
+                assert proof.witness.p == tuple(F(v, sol.d) for v in sol.x)
                 assert proof.witness.p == tuple(F(v, proof.x_den) for v in proof.x)
                 # a dual of min P(B) is feasible only for events holding its reach
                 assert not proof.reach & ~sum(ci << i for i, ci in enumerate(c))
@@ -704,9 +727,10 @@ def test_a_stored_certificate_that_fails_its_check_raises(monkeypatch, expert_pb
 
 
 def _assert_optimal(a_ub, b_ub, a_eq, b_eq, c, sol):
-    """Primal and dual feasibility and equal objectives, in Fractions."""
-    x = [F(v, sol.x_den) for v in sol.x]
-    y = [F(v, sol.y_den) for v in sol.y]
+    """Primal and dual feasibility and equal objectives, in Fractions;
+    returns the optimum."""
+    x = [F(v, sol.d) for v in sol.x]
+    y = [F(v, sol.d) for v in sol.y]
     rows = list(a_ub) + list(a_eq)
     assert all(v >= 0 for v in x)
     for r, (a, b) in enumerate(zip(rows, list(b_ub) + list(b_eq))):
@@ -715,8 +739,9 @@ def _assert_optimal(a_ub, b_ub, a_eq, b_eq, c, sol):
     assert all(v <= 0 for v in y[: len(a_ub)])
     for j, cj in enumerate(c):
         assert sum(a[j] * yr for a, yr in zip(rows, y)) <= cj
-    assert sum(ci * xi for ci, xi in zip(c, x)) == sol.value
-    assert sum(b * yr for b, yr in zip(list(b_ub) + list(b_eq), y)) == sol.value
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    assert sum(b * yr for b, yr in zip(list(b_ub) + list(b_eq), y)) == value
+    return value
 
 
 def _rand_rational(rng):
@@ -761,8 +786,8 @@ def test_simplex_solves_le_systems_over_the_probability_simplex():
         for _ in range(3):
             c = _rand_objective(rng, n)
             sol = solver.minimize(c)
-            _assert_optimal(a_ub, b_ub, [[1] * n], [1], c, sol)
-            assert sol.value <= sum(ci * pi for ci, pi in zip(c, point))
+            value = _assert_optimal(a_ub, b_ub, [[1] * n], [1], c, sol)
+            assert value <= sum(ci * pi for ci, pi in zip(c, point))
             solved += 1
     assert solved and infeasible
 

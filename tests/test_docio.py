@@ -5,6 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
 
 import gen
 from impbox import (
@@ -15,6 +16,7 @@ from impbox import (
     ValidationError,
     docio,
 )
+from impbox.cli import main
 from impbox.docio import Document, DocumentError, parse, serialize
 from impbox.pbox import lower_prob, upper_prob
 from impbox.space import enumerate_events
@@ -265,8 +267,9 @@ def test_pbox_conversions_write_the_pbox_or_refuse():
 
 def _reference_read(kind, payload):
     """What ``parse`` must give for a ``capacity`` or ``mass`` payload:
-    each key through ``space.event`` over its labels, each value through
-    ``_rational``, and the model built on the ``Event``-keyed table.
+    each key through ``space.event`` over its labels, each value as the
+    JSON reader hands it over (a float as the ``Fraction`` of its text)
+    through ``_rational``, and the model built on the ``Event``-keyed table.
     Returns the object, or the ``(message, path)`` of the error."""
     space = FiniteSpace(payload["space"])
     field = "values" if kind == "capacity" else "focal"
@@ -281,6 +284,7 @@ def _reference_read(kind, payload):
             if event.mask in keys:
                 raise DocumentError(f"same event as {keys[event.mask]!r}", path)
             keys[event.mask] = key
+            val = json.loads(json.dumps(val), parse_float=docio._json_number)
             table[event] = docio._rational(val, path)
         build = Capacity if kind == "capacity" else MassAssignment
         try:
@@ -389,3 +393,39 @@ def test_value_texts_are_parsed_again_on_every_read():
     finally:
         sys.set_int_max_str_digits(limit)
     assert str(exc.value) == "$.values['x1']: numerator or denominator exceeds 640 digits"
+
+
+#: (kind, a payload with the constant at one value position, that position)
+CONSTANT_POSITIONS = [
+    ("probability", lambda v: {"p": [v, "1"]}, "$.p[0]"),
+    ("interval", lambda v: {"l": [v, "0"], "u": ["1", "1"]}, "$.l[0]"),
+    ("interval", lambda v: {"l": ["0", "0"], "u": ["1", v]}, "$.u[1]"),
+    ("gen_pbox", lambda v: {"F_low": [v, "1"], "F_upp": ["1", "1"]}, "$.F_low[0]"),
+    ("gen_pbox", lambda v: {"F_low": ["0", "1"], "F_upp": [v, "1"]}, "$.F_upp[0]"),
+    ("nested_bounds", lambda v: {"levels": [{"event": "x1", "lo": v}]}, "$.levels[0].lo"),
+    ("nested_bounds", lambda v: {"levels": [{"event": "x1", "hi": v}]}, "$.levels[0].hi"),
+    ("possibility", lambda v: {"pi": ["1", v]}, "$.pi[1]"),
+    ("mass", lambda v: {"focal": {"x1,x2": v}}, "$.focal['x1,x2']"),
+    ("capacity", lambda v: {"values": {"": "0", "x1": v}}, "$.values['x1']"),
+]
+
+
+@pytest.mark.parametrize("constant", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize(
+    "kind, payload, path",
+    CONSTANT_POSITIONS,
+    ids=[position for _, _, position in CONSTANT_POSITIONS],
+)
+def test_json_nan_and_infinity_are_not_rationals(tmp_path, constant, kind, payload, path):
+    # json writes and reads these floats as NaN, Infinity and -Infinity
+    text = json.dumps({"kind": kind, "space": ["x1", "x2"], **payload(constant)})
+    with pytest.raises(DocumentError) as exc:
+        parse(text)
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: cannot parse {constant!r} as a rational"
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    result = CliRunner().invoke(main, ["check", str(doc)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == f"error: {str(exc.value)}\n"

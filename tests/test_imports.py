@@ -6,10 +6,10 @@ instance dict (every per-object cache is a ``functools.cached_property``
 of its class), every model stores exactly what its constructor takes,
 every model has a constructor of its own (so its input is checked
 there, not in a builder beside an unchecked dataclass constructor),
-only the oracle builds an object past its constructor, ``docio`` turns
-event labels into masks in one key reader, no closed form builds its
-answer ``Fraction`` past its view's table, and no module reads an
-environment variable.
+only the oracle builds an object past its constructor, the simplex
+imports nothing from ``fractions``, ``docio`` turns event labels into
+masks in one key reader, no closed form builds its answer ``Fraction``
+past its view's table, and no module reads an environment variable.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers, public
@@ -258,6 +258,37 @@ def test_the_check_finds_oracle_imports():
 @pytest.mark.parametrize("module", ["credal.py", "_simplex.py"])
 def test_the_oracle_imports_no_model_or_front_end(module):
     assert _oracle_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _fraction_imports(source: str) -> list[str]:
+    """Import statements, at any depth, of the ``fractions`` module or of
+    a name ``Fraction`` from anywhere, as their source text."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if {"fractions", "Fraction"} & set(_import_names(node))
+    ]
+
+
+def test_the_check_finds_fraction_imports():
+    source = (
+        "from itertools import count\n"
+        "from fractions import Fraction as F\n"
+        "import fractions\n"
+        "from ._exact import over_lcd\n"
+        "def f():\n"
+        "    from .space import Fraction\n"
+    )
+    assert _fraction_imports(source) == [
+        "from fractions import Fraction as F",
+        "import fractions",
+        "from .space import Fraction",
+    ]
+
+
+def test_the_simplex_imports_no_fractions():
+    """The solver takes, pivots and answers integers only."""
+    assert _fraction_imports((SRC / "_simplex.py").read_text(encoding="utf-8")) == []
 
 
 def _private_setattrs(source: str) -> list[str]:
