@@ -15,7 +15,7 @@ from functools import cached_property
 from operator import add, gt, sub
 from typing import Iterator, Mapping, Sequence
 
-from ._exact import too_long, too_long_message
+from ._exact import over_lcd, too_long, too_long_message
 from .errors import ValidationError
 from .space import Event, FiniteSpace, _mask_of, _same_space, _sums_to_one, _unit_values
 
@@ -144,7 +144,7 @@ class MobiusAssignment:
         table = _as_table(space, masses, fill=Fraction(0))
         if table[0] != 0:
             raise ValidationError(f"mass of the empty set must be 0, got {table[0]}")
-        _sums_to_one(sum(table), "masses")
+        _sums_to_one(*over_lcd(table), "masses")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "masses", table)
 
@@ -154,14 +154,10 @@ class MobiusAssignment:
 
 
 def capacity_from_probability(space: FiniteSpace, p: Sequence) -> Capacity:
-    """The additive capacity of a probability distribution p."""
+    """The additive capacity of a probability distribution p: the Möbius
+    inverse of the masses p_i on the singletons."""
     p = _unit_values(space, p, "probabilities")
-    if sum(p) != 1:
-        raise ValidationError("probability distribution must be non-negative and sum to 1")
-    table = [Fraction(0)] * (1 << space.size)
-    for i, value in enumerate(p):
-        table[1 << i] = value
-    return Capacity(space, tuple(_zeta(table)))
+    return mobius_inverse(MobiusAssignment(space, {1 << i: v for i, v in enumerate(p)}))
 
 
 def conjugate(c: Capacity) -> Capacity:

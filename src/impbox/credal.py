@@ -60,8 +60,7 @@ class ProbabilityVector:
 
     def __init__(self, space: FiniteSpace, p: Iterable):
         p = _unit_values(space, p, "probabilities")
-        den, nums = over_lcd(p)
-        _sums_to_one(Fraction(sum(nums), den), "probabilities")
+        _sums_to_one(*over_lcd(p), "probabilities")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "p", p)
 

@@ -13,6 +13,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Iterator
 
 from . import capacity, convert, credal, interval, pbox, possibility, randomset
@@ -38,13 +39,15 @@ class Document:
 
 
 @dataclass(frozen=True)
-class _HugeExponent:
-    """A JSON number whose exponent is past the digit limit, left unbuilt."""
+class _TooLong:
+    """A JSON number past the digit limit, left unbuilt: its exponent, or
+    a run of its digits, is longer than the limit."""
 
     text: str
 
 
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
 def _huge_exponent(text: str) -> bool:
@@ -58,18 +61,37 @@ def _huge_exponent(text: str) -> bool:
     return len(digits) > len(str(limit)) or int(digits or 0) > limit
 
 
-def _json_number(text: str) -> Fraction | _HugeExponent:
-    return _HugeExponent(text) if _huge_exponent(text) else Fraction(text)
+def _long_digit_run(text: str) -> bool:
+    """Whether a run of digits in ``text`` (underscores apart) is longer
+    than the int->str digit limit, which ``int``, and so ``Fraction``,
+    refuses to read."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and any(
+        len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(text)
+    )
+
+
+def _json_number(text: str, build: Callable[[str], Any] = Fraction) -> Any:
+    """``build(text)``, or ``_TooLong`` for a number past the digit limit:
+    JSON number syntax fails ``Fraction`` and ``int`` in no other way."""
+    if _huge_exponent(text):
+        return _TooLong(text)
+    try:
+        return build(text)
+    except ValueError:
+        return _TooLong(text)
 
 
 def _rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError("expected a rational number, got a boolean", path)
-    if isinstance(value, _HugeExponent) or isinstance(value, str) and _huge_exponent(value):
+    if isinstance(value, _TooLong) or isinstance(value, str) and _huge_exponent(value):
         raise DocumentError(too_long_message("numerator or denominator"), path)
     try:
         q = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        if isinstance(value, str) and _long_digit_run(value):
+            raise DocumentError(too_long_message("numerator or denominator"), path) from None
         raise DocumentError(f"cannot parse {value!r} as a rational", path) from None
     # every accepted value must print again: str() of a longer int raises
     if too_long(max(abs(q.numerator), q.denominator)):
@@ -354,13 +376,16 @@ def _check_labels(labels) -> None:
 def parse(text: str) -> Document:
     """Parse a document, building and validating its domain object."""
     try:
-        payload = json.loads(text, parse_float=_json_number, object_pairs_hook=_object)
+        payload = json.loads(
+            text,
+            parse_float=_json_number,
+            parse_int=partial(_json_number, build=int),
+            object_pairs_hook=_object,
+        )
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("malformed JSON: nested too deeply") from None
-    except ValueError as exc:  # an integer past the int->str digit limit
-        raise DocumentError(str(exc)) from None
     if not isinstance(payload, dict):
         raise DocumentError("top level must be an object")
     kind = payload.get("kind")

@@ -57,10 +57,9 @@ class GeneralizedPBox:
         ratios, levels = self._ints
         _, alpha, beta = zip(*levels)
         alpha, beta = alpha[:-1], beta[1:]
-        if min(alpha) < 0 or max(beta) > ratios.den or any(map(gt, alpha, beta)):
-            for lo, hi, a, b in zip(level_alpha, level_beta, alpha, beta):
-                if not 0 <= a <= b <= ratios.den:  # the first fault
-                    raise _bounds_error(lo, hi)
+        for lo, hi, a, b in zip(level_alpha, level_beta, alpha, beta):
+            if not 0 <= a <= b <= ratios.den:  # the first fault
+                raise _bounds_error(lo, hi)
         if any(map(gt, alpha, alpha[1:])) or any(map(gt, beta, beta[1:])):
             raise ValidationError("level bounds must be non-decreasing outward")
         if alpha[-1] != ratios.den or beta[-1] != ratios.den:

@@ -40,9 +40,10 @@ class MassAssignment:
             if mask == 0:
                 raise ValidationError("the empty set cannot carry mass")
             canonical[mask] = canonical.get(mask, Fraction(0)) + val
-        _sums_to_one(sum(canonical.values()), "masses")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "focal", tuple(sorted(canonical.items())))
+        ratios, focal = self._ints
+        _sums_to_one(ratios.den, (m for _, m in focal), "masses")
 
     @cached_property
     def _ints(self) -> tuple:

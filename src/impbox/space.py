@@ -155,9 +155,11 @@ def _unit_values(space: FiniteSpace, values: Iterable, what: str) -> tuple[Fract
     return values
 
 
-def _sums_to_one(total: Fraction, what: str) -> None:
-    """Raise ``ValidationError`` unless ``total``, the sum of ``what``, is 1."""
-    if total != 1:
+def _sums_to_one(den: int, nums: Iterable[int], what: str) -> None:
+    """Raise ``ValidationError`` unless ``what``, given as numerators
+    ``nums`` over ``den > 0``, sum to 1."""
+    if (total := sum(nums)) != den:
+        total = Fraction(total, den)
         if unprintable(total):
             raise ValidationError(too_long_message())
         raise ValidationError(f"{what} must sum to 1, got {total}")

@@ -1010,6 +1010,18 @@ KEY_READER_ERRORS = {
         '{"kind": "mass", "space": ["a", "b"], "focal": {"a": 1e99999, "b": "1/2"}}',
         f"$.focal['a']: {TOO_LONG}",
     ),
+    "mass-long-json-integer": (
+        '{"kind": "mass", "space": ["a", "b"], "focal": {"a": ' + "1" * 5000 + ', "b": "1/2"}}',
+        f"$.focal['a']: {TOO_LONG}",
+    ),
+    "mass-long-json-decimal": (
+        '{"kind": "mass", "space": ["a", "b"], "focal": {"a": 0.' + "1" * 5000 + ', "b": "1/2"}}',
+        f"$.focal['a']: {TOO_LONG}",
+    ),
+    "mass-long-denominator-text": (
+        _keyed("mass", {"a": "1/" + "1" * 5000, "b": "1/2"}),
+        f"$.focal['a']: {TOO_LONG}",
+    ),
 }
 
 

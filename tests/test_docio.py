@@ -169,6 +169,21 @@ def test_rational_at_the_digit_limit_round_trips():
         parse(text.replace(f"1e-{limit - 1}", f"1e-{limit}"))
 
 
+@pytest.mark.parametrize("form", ['"1/{}"', "0.{}"], ids=["string", "json-decimal"])
+def test_a_literal_is_read_up_to_the_digit_limit(form):
+    limit = sys.get_int_max_str_digits()
+
+    def text(digits):
+        value = form.format("1" * digits)
+        return '{"kind": "possibility", "space": ["a", "b"], "pi": ["1", ' + value + "]}"
+
+    # 1/11...1 and 11...1/10**(limit - 1): every numerator and denominator prints
+    assert 0 < parse(text(limit - 1)).obj.pi[1] < 1
+    with pytest.raises(DocumentError) as exc:
+        parse(text(limit + 1))
+    assert str(exc.value) == f"$.pi[1]: numerator or denominator exceeds {limit} digits"
+
+
 def test_oversized_json_integer_is_a_document_error():
     with pytest.raises(DocumentError):
         parse('{"kind": "probability", "space": ["a"], "p": [' + "1" * 5000 + "]}")

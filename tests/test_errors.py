@@ -37,7 +37,7 @@ SITES = {
     "capacity_from_probability": (
         lambda: capacity_from_probability(SP, [F(1, 2), F(1, 4)]),
         ValidationError,
-        "probability distribution must be non-negative and sum to 1",
+        "masses must sum to 1, got 3/4",
     ),
     "reconstruct_interval.unreachable": (
         lambda: convert.reconstruct_interval(UNREACHABLE, convert.reduced_permutation_set(SP)),

@@ -29,6 +29,7 @@ from impbox import (
     possibility,
     randomset,
 )
+from impbox._exact import too_long_message
 
 
 def test_labels_must_be_distinct_and_nonempty():
@@ -209,3 +210,28 @@ def test_a_foreign_space_raises_space_mismatch(name):
         MISMATCHES[name]()
     # spaces are compared by identity first, then by value
     _entry_points(TWIN)[name]()
+
+
+#: each builder that checks a unit total, from the masses or probabilities
+#: of the two singletons, with the noun its message uses
+UNIT_TOTALS = {
+    "ProbabilityVector": (lambda sp, a, b: ProbabilityVector(sp, [a, b]), "probabilities"),
+    "MassAssignment": (lambda sp, a, b: MassAssignment(sp, {0b01: a, 0b10: b}), "masses"),
+    "MobiusAssignment": (lambda sp, a, b: MobiusAssignment(sp, {0b01: a, 0b10: b}), "masses"),
+    "capacity_from_probability": (
+        lambda sp, a, b: capacity_from_probability(sp, [a, b]),
+        "masses",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, what", UNIT_TOTALS.values(), ids=UNIT_TOTALS)
+def test_every_unit_total_is_checked_by_one_rule(build, what):
+    sp = FiniteSpace(["a", "b"])
+    with pytest.raises(ValidationError) as exc:
+        build(sp, HALF, Fraction(1, 4))
+    assert str(exc.value) == f"{what} must sum to 1, got 3/4"
+    # each value prints, but their sum's denominator has about 4400 digits
+    with pytest.raises(ValidationError) as exc:
+        build(sp, Fraction(1, 10**2200 + 1), Fraction(1, 10**2200 + 3))
+    assert str(exc.value) == too_long_message()
