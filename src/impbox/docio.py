@@ -390,9 +390,10 @@ def parse(text: str) -> Document:
         raise DocumentError("top level must be an object")
     kind = payload.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
-        raise DocumentError(
-            f"kind must be one of {tuple(KINDS)}, got {kind!r}", "$.kind"
-        )
+        # a JSON number is named, not shown: it may be too long to print
+        number = isinstance(kind, (int, Fraction, _TooLong)) and not isinstance(kind, bool)
+        got = "a number" if number else repr(kind)
+        raise DocumentError(f"kind must be one of {tuple(KINDS)}, got {got}", "$.kind")
     labels = payload.get("space")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise DocumentError("space must be a list of labels", "$.space")

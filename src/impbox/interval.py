@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Callable, Iterable
 
 from ._exact import Ratios, over_lcd
 from .credal import CredalPolytope
 from .errors import InfeasibleError, NotReachableError
-from .space import Event, FiniteSpace, _same_space, _unit_values
+from .space import Event, FiniteSpace, _byte_tables, _same_space, _unit_values
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,15 @@ class ProbabilityInterval:
         )
         return Ratios(den), elements, total_l, total_u, non_empty, reachable
 
+    @cached_property
+    def _sums(self) -> tuple:
+        """The ``_byte_tables`` of the lower bounds' numerators, then of the
+        upper bounds', under ``+``, built on the first bound query: six
+        lookups sum both over an event."""
+        _, elements, *_ = self._ints
+        _, lower, upper = zip(*elements)
+        return (*_byte_tables(lower, add, 0), *_byte_tables(upper, add, 0))
+
 
 def _envelope(l_in, u_in, total_l, total_u, den) -> tuple[int, int]:
     """Coherent (lower, upper) probability of a set whose lower/upper bounds
@@ -102,18 +112,18 @@ def event_bounds(interval: ProbabilityInterval, a: Event) -> tuple[Fraction, Fra
     lower = max(sum of l inside, 1 - sum of u outside), and dually.
     Only valid on reachable intervals.
     """
-    _same_space(interval.space, a.space, "event and interval spaces differ")
-    ratios, elements, total_l, total_u, _, reachable = interval._ints
+    if a.space is not interval.space:
+        _same_space(interval.space, a.space, "event and interval spaces differ")
+    ratios, _, total_l, total_u, _, reachable = interval._ints
     if not reachable:
         raise NotReachableError(
             "event bounds need a reachable interval; call normalize first"
         )
+    l0, l1, l2, u0, u1, u2 = interval._sums
     mask = a.mask
-    l_in = u_in = 0
-    for bit, l, u in elements:
-        if mask & bit:
-            l_in += l
-            u_in += u
+    low, mid, high = mask & 255, mask >> 8 & 255, mask >> 16
+    l_in = l0[low] + l1[mid] + l2[high]
+    u_in = u0[low] + u1[mid] + u2[high]
     lo, hi = _envelope(l_in, u_in, total_l, total_u, ratios.den)
     return ratios[lo], ratios[hi]
 

@@ -4,7 +4,9 @@ A p-box is stored once, as its levels: bounds alpha_k <= P(A_k) <= beta_k
 on a nested family A_1 subset ... subset A_M = X, kept as the partition
 blocks G_k = A_k minus A_(k-1) with the bounds of their level.  The
 constructor checks them in O(M + n), comparing the bounds as numerators
-of the integer view the closed forms read.  ``from_nested_sets`` keeps
+of the integer view the closed forms read; the first bound query adds
+byte tables that name the levels an event's complement meets.
+``from_nested_sets`` keeps
 every non-empty level it is given, even when neighbours share their
 bounds; ``from_functions`` ties elements with equal values into one
 level, the equivalence classes of the pre-order.  The distributions,
@@ -24,7 +26,7 @@ from ._exact import Ratios, over_lcd
 from .credal import CredalPolytope
 from .errors import ValidationError
 from .randomset import MassAssignment
-from .space import Event, FiniteSpace, _same_space, _unit_values
+from .space import Event, FiniteSpace, _byte_tables, _same_space, _unit_values
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,7 @@ class GeneralizedPBox:
         object.__setattr__(self, "block_masks", block_masks)
         object.__setattr__(self, "level_alpha", level_alpha)
         object.__setattr__(self, "level_beta", level_beta)
-        ratios, levels = self._ints
-        _, alpha, beta = zip(*levels)
-        alpha, beta = alpha[:-1], beta[1:]
+        ratios, alpha, beta = self._ints
         for lo, hi, a, b in zip(level_alpha, level_beta, alpha, beta):
             if not 0 <= a <= b <= ratios.den:  # the first fault
                 raise _bounds_error(lo, hi)
@@ -67,17 +67,31 @@ class GeneralizedPBox:
 
     @cached_property
     def _ints(self) -> tuple:
-        """``(ratios, levels)``: the answers' table over the bounds' common
-        denominator, and ``(block mask, alpha_k, beta_(k-1))`` per level,
-        innermost first, the bounds as numerators over it (beta_0 = 0).
-
-        A last ``(-1, 0, 0)`` entry meets every complement, so it ends the
-        last run of blocks an event contains.
-        """
+        """``(ratios, alpha, beta)``: the answers' table over the bounds'
+        common denominator, and the level bounds as numerators over it."""
         m = len(self.block_masks)
         den, nums = over_lcd(self.level_alpha + self.level_beta)
-        levels = zip((*self.block_masks, -1), (*nums[:m], 0), (0, *nums[m:]))
-        return Ratios(den), tuple(levels)
+        return Ratios(den), nums[:m], nums[m:]
+
+    @cached_property
+    def _tables(self) -> tuple:
+        """``(ratios, full, (t0, t1, t2, levels, runs))``, built on the first
+        bound query: ``full`` is the space's mask, and ``t0, t1, t2`` are
+        the ``_byte_tables`` of the bit ``1 << k`` of each element's level
+        k, so they name the levels whose blocks meet a mask; ``levels`` is
+        the mask of all M levels.  ``runs[1 << i | 1 << (j + 1)]`` is the
+        numerator of max(0, alpha_j - beta_(i-1)) for the run of levels
+        [i, j] (beta_(-1) = 0)."""
+        ratios, alpha, beta = self._ints
+        m = len(alpha)
+        runs = {
+            1 << i | 1 << (j + 1): max(0, alpha[j] - before)
+            for i, before in enumerate((0, *beta[:-1]))
+            for j in range(i, m)
+        }
+        bits = _spread(self, [1 << k for k in range(m)])
+        tables = (*_byte_tables(bits, or_, 0), (1 << m) - 1, runs)
+        return ratios, (1 << self.space.size) - 1, tables
 
     @property
     def level_masks(self) -> tuple[int, ...]:
@@ -203,42 +217,40 @@ def to_random_set(pb: GeneralizedPBox) -> MassAssignment:
     return MassAssignment(pb.space, masses)
 
 
-def _lower_num(pb: GeneralizedPBox, mask: int) -> tuple[int, Ratios]:
-    """``(num, ratios)``: the lower probability of the event ``mask`` is
-    ``ratios[num]``, num over ``ratios.den``.
+def _lower_num(tables: tuple, outside: int) -> int:
+    """The numerator of the lower probability of the event whose
+    complement is the mask ``outside``, from a p-box's ``_tables``.
 
-    Projects the event onto the union of blocks it fully contains and
-    sums max(0, alpha_(j) - beta_(i-1)) over the maximal consecutive
-    runs of blocks [i, j].
+    Projects the event onto the levels whose blocks miss ``outside`` and
+    sums max(0, alpha_j - beta_(i-1)) over their maximal runs [i, j]:
+    adding a run's lowest bit clears it and sets the bit after it.
     """
-    ratios, levels = pb._ints
-    outside = ~mask
+    t0, t1, t2, levels, runs = tables
+    inside = levels ^ (t0[outside & 255] | t1[outside >> 8 & 255] | t2[outside >> 16])
     total = 0
-    start = end = None  # beta_(i-1) and alpha_(j) of the run in progress
-    for block, alpha, beta_before in levels:
-        if not block & outside:
-            if start is None:
-                start = beta_before
-            end = alpha
-        elif start is not None:  # the run ended at the level before
-            if end > start:
-                total += end - start
-            start = None
-    return total, ratios
+    while inside:
+        low = inside & -inside
+        inside += low
+        high = inside & -inside
+        inside ^= high
+        total += runs[low | high]
+    return total
 
 
 def lower_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
     """Exact lower probability of an event under the p-box."""
-    _same_space(pb.space, a.space, "event and p-box spaces differ")
-    num, ratios = _lower_num(pb, a.mask)
-    return ratios[num]
+    if a.space is not pb.space:
+        _same_space(pb.space, a.space, "event and p-box spaces differ")
+    ratios, full, tables = pb._tables
+    return ratios[_lower_num(tables, a.mask ^ full)]
 
 
 def upper_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
     """Conjugate upper probability: 1 - lower_prob of the complement."""
-    _same_space(pb.space, a.space, "event and p-box spaces differ")
-    num, ratios = _lower_num(pb, a.mask ^ ((1 << pb.space.size) - 1))
-    return ratios[ratios.den - num]
+    if a.space is not pb.space:
+        _same_space(pb.space, a.space, "event and p-box spaces differ")
+    ratios, _, tables = pb._tables
+    return ratios[ratios.den - _lower_num(tables, a.mask)]
 
 
 def to_polytope(pb: GeneralizedPBox) -> CredalPolytope:

@@ -42,43 +42,44 @@ class PossibilityDistribution:
 
     @cached_property
     def _ints(self) -> tuple:
-        """``(ratios, ranked)``: the answers' table over the degrees' common
-        denominator, and ``(bit, pi numerator)`` per element over it, pi
-        decreasing."""
+        """``(ratios, full, ranked)``: the answers' table over the degrees'
+        common denominator, the space's mask, and ``(bit, pi numerator)``
+        per element over it, pi decreasing."""
         den, nums = over_lcd(self.pi)
         ranked = sorted(((1 << i, v) for i, v in enumerate(nums)), key=lambda e: -e[1])
-        return Ratios(den), tuple(ranked)
+        return Ratios(den), (1 << len(nums)) - 1, tuple(ranked)
 
 
-def _possibility_num(d: PossibilityDistribution, mask: int) -> tuple[int, Ratios]:
-    """``(num, ratios)``: the largest degree in the event ``mask`` is
-    ``ratios[num]``, read off the first element of the event in
-    decreasing pi."""
-    ratios, ranked = d._ints
+def _possibility_num(ranked: tuple, mask: int) -> int:
+    """The numerator of the largest degree in the event ``mask``, read off
+    its first element in a distribution's ``ranked`` view."""
     for bit, v in ranked:
         if mask & bit:
-            return v, ratios
-    return 0, ratios
+            return v
+    return 0
 
 
 def possibility(d: PossibilityDistribution, a: Event) -> Fraction:
     """The largest degree in a."""
-    _same_space(d.space, a.space, "event and distribution spaces differ")
-    num, ratios = _possibility_num(d, a.mask)
-    return ratios[num]
+    if a.space is not d.space:
+        _same_space(d.space, a.space, "event and distribution spaces differ")
+    ratios, _, ranked = d._ints
+    return ratios[_possibility_num(ranked, a.mask)]
 
 
 def necessity(d: PossibilityDistribution, a: Event) -> Fraction:
     """Conjugate of possibility: 1 - the largest degree outside a."""
-    _same_space(d.space, a.space, "event and distribution spaces differ")
-    num, ratios = _possibility_num(d, a.mask ^ ((1 << d.space.size) - 1))
-    return ratios[ratios.den - num]
+    if a.space is not d.space:
+        _same_space(d.space, a.space, "event and distribution spaces differ")
+    ratios, full, ranked = d._ints
+    return ratios[ratios.den - _possibility_num(ranked, a.mask ^ full)]
 
 
 def sufficiency(d: PossibilityDistribution, a: Event) -> Fraction:
     """The smallest degree in a: the first element of a in increasing pi."""
-    _same_space(d.space, a.space, "event and distribution spaces differ")
-    ratios, ranked = d._ints
+    if a.space is not d.space:
+        _same_space(d.space, a.space, "event and distribution spaces differ")
+    ratios, _, ranked = d._ints
     mask = a.mask
     for bit, v in reversed(ranked):
         if mask & bit:

@@ -55,18 +55,28 @@ class MassAssignment:
 
 def bel(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events contained in a."""
-    _same_space(ms.space, a.space, "event and mass assignment spaces differ")
+    if a.space is not ms.space:
+        _same_space(ms.space, a.space, "event and mass assignment spaces differ")
     ratios, focal = ms._ints
     outside = ~a.mask
-    return ratios[sum(m for mask, m in focal if not mask & outside)]
+    total = 0
+    for mask, m in focal:
+        if not mask & outside:
+            total += m
+    return ratios[total]
 
 
 def pl(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events meeting a; equals 1 - bel(complement)."""
-    _same_space(ms.space, a.space, "event and mass assignment spaces differ")
+    if a.space is not ms.space:
+        _same_space(ms.space, a.space, "event and mass assignment spaces differ")
     ratios, focal = ms._ints
     inside = a.mask
-    return ratios[sum(m for mask, m in focal if mask & inside)]
+    total = 0
+    for mask, m in focal:
+        if mask & inside:
+            total += m
+    return ratios[total]
 
 
 def contour(ms: MassAssignment) -> tuple[Fraction, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._exact import too_long_message, unprintable
 from .errors import SpaceMismatchError, SpaceSizeError, ValidationError
@@ -80,8 +80,9 @@ class Event:
         # than the rest of the constructor
         if mask < 0 or mask >> len(space.labels):
             _in_range(space, mask)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mask", mask)
+        # the slots' own setters: the frozen ``__setattr__`` refuses them
+        _set_space(self, space)
+        _set_mask(self, mask)
 
     def _check_space(self, other: Event) -> None:
         _same_space(self.space, other.space, "events live on different spaces")
@@ -128,6 +129,10 @@ class Event:
         return "{" + ",".join(self.labels) + "}"
 
 
+_set_space = Event.space.__set__
+_set_mask = Event.mask.__set__
+
+
 def _in_range(space: FiniteSpace, mask: int) -> int:
     """``mask``, unless it has a bit outside ``space``: ``ValidationError``."""
     if mask < 0 or mask >> space.size:
@@ -163,6 +168,23 @@ def _sums_to_one(den: int, nums: Iterable[int], what: str) -> None:
         if unprintable(total):
             raise ValidationError(too_long_message())
         raise ValidationError(f"{what} must sum to 1, got {total}")
+
+
+def _byte_tables(values: Sequence, op: Callable, zero) -> tuple[tuple, tuple, tuple]:
+    """``(t0, t1, t2)``: ``op`` folded over ``values``, one per element, by
+    byte of a mask, so its fold over a mask ``m`` below ``2**MAX_ELEMENTS``
+    is ``op(op(t0[m & 255], t1[m >> 8 & 255]), t2[m >> 16])``.
+
+    Table k has one entry per subset of the elements of byte k, ``zero``
+    for the empty one: 2**8 at most, and a single entry past the last
+    element."""
+    tables = []
+    for start in (0, 8, 16):
+        table = [zero]
+        for value in values[start : start + 8]:
+            table += [op(folded, value) for folded in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _mask_of(space: FiniteSpace, key, what: str = "event") -> int:

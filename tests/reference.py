@@ -13,7 +13,10 @@ rows included, which the oracle's once-per-witness row check is
 compared against. ``mobius`` and ``zeta`` are the scalar per-mask loops
 the sliced kernels of ``capacity`` are checked against, and
 ``covering_violation`` is the covering-pair scan whose message and
-witness the ``Capacity`` constructor must repeat.
+witness the ``Capacity`` constructor must repeat.  ``pbox_bounds``,
+``interval_bounds``, ``mass_bounds`` and ``possibility_bounds`` are the
+per-event loops over levels, elements, focal sets and degrees that the
+closed forms' byte tables are checked against.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from impbox import FiniteSpace, GeneralizedPBox, MassAssignment, Permutation, _simplex
+from impbox import (
+    FiniteSpace,
+    GeneralizedPBox,
+    MassAssignment,
+    Permutation,
+    PossibilityDistribution,
+    ProbabilityInterval,
+    _simplex,
+)
 from impbox._exact import over_lcd
 from impbox.credal import _Oracle
 from impbox.errors import ValidationError
@@ -178,3 +189,65 @@ def covering_violation(space: FiniteSpace, table: Sequence[Fraction]) -> Validat
                     witness=(small, big),
                 )
     return None
+
+
+
+def _pbox_lower(pb: GeneralizedPBox, mask: int) -> Fraction:
+    """The p-box's lower probability of the event ``mask``, walking all M
+    levels once.
+
+    Sums max(0, alpha_j - beta_(i-1)) over the maximal runs [i, j] of
+    levels whose blocks the event contains; a last block that meets
+    every complement ends the last run.
+    """
+    outside = ~mask
+    total = Fraction(0)
+    start = end = None  # beta_(i-1) and alpha_j of the run in progress
+    levels = zip(
+        (*pb.block_masks, -1), (*pb.level_alpha, 0), (Fraction(0), *pb.level_beta)
+    )
+    for block, alpha, beta_before in levels:
+        if not block & outside:
+            if start is None:
+                start = beta_before
+            end = alpha
+        elif start is not None:
+            total += max(Fraction(0), end - start)
+            start = None
+    return total
+
+
+def pbox_bounds(pb: GeneralizedPBox, a: Event) -> tuple[Fraction, Fraction]:
+    """Lower probability of a and 1 - that of its complement, by level walks."""
+    return _pbox_lower(pb, a.mask), 1 - _pbox_lower(pb, a.complement().mask)
+
+
+def interval_bounds(interval: ProbabilityInterval, a: Event) -> tuple[Fraction, Fraction]:
+    """max(sum of l inside, 1 - sum of u outside), and dually, summed
+    element by element."""
+    l_in = u_in = l_out = u_out = Fraction(0)
+    for i, (l, u) in enumerate(zip(interval.lower, interval.upper)):
+        if a.mask >> i & 1:
+            l_in, u_in = l_in + l, u_in + u
+        else:
+            l_out, u_out = l_out + l, u_out + u
+    return max(l_in, 1 - u_out), min(u_in, 1 - l_out)
+
+
+def mass_bounds(ms: MassAssignment, a: Event) -> tuple[Fraction, Fraction]:
+    """Belief and plausibility of a: the masses of the focal events inside
+    a, and of those meeting it."""
+    return (
+        sum((m for mask, m in ms.focal if mask & ~a.mask == 0), Fraction(0)),
+        sum((m for mask, m in ms.focal if mask & a.mask), Fraction(0)),
+    )
+
+
+def possibility_bounds(d: PossibilityDistribution, a: Event) -> tuple[Fraction, Fraction]:
+    """Necessity and possibility of a: 1 - the largest degree outside a,
+    and the largest inside (0 on the empty event)."""
+    outside = a.complement().indices()
+    return (
+        1 - max((d.pi[i] for i in outside), default=Fraction(0)),
+        max((d.pi[i] for i in a.indices()), default=Fraction(0)),
+    )

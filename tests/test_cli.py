@@ -1022,6 +1022,14 @@ KEY_READER_ERRORS = {
         _keyed("mass", {"a": "1/" + "1" * 5000, "b": "1/2"}),
         f"$.focal['a']: {TOO_LONG}",
     ),
+    "kind-huge-json-exponent": (
+        '{"kind": 1e99999, "space": ["a"]}',
+        f"$.kind: kind must be one of ({KIND_CHOICES}), got a number",
+    ),
+    "kind-long-json-integer": (
+        '{"kind": ' + "1" * 5000 + ', "space": ["a"]}',
+        f"$.kind: kind must be one of ({KIND_CHOICES}), got a number",
+    ),
 }
 
 

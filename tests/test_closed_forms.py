@@ -1,10 +1,11 @@
 """The closed forms each model answers from its cached integer view.
 
-Every lower and upper bound must equal the oracle's envelope and come
-back as an exact ``Fraction``, equal answers of one model as one object
-from its view's table; a model that has answered queries keeps its
-cache outside ``==``, ``hash`` and ``repr``, and copies and pickles
-like a fresh one.
+Every lower and upper bound must equal the oracle's envelope, and the
+per-event loops of ``reference`` on masks with bits in all three bytes
+of the byte tables, and come back as an exact ``Fraction``, equal
+answers of one model as one object from its view's table; a model that
+has answered queries keeps its cache outside ``==``, ``hash`` and
+``repr``, and copies and pickles like a fresh one.
 """
 
 import copy
@@ -17,7 +18,19 @@ from fractions import Fraction
 import pytest
 
 import gen
-from impbox import capacity, credal, enumerate_events, interval, pbox, possibility, randomset
+import reference
+from impbox import (
+    Event,
+    FiniteSpace,
+    capacity,
+    credal,
+    enumerate_events,
+    interval,
+    pbox,
+    possibility,
+    randomset,
+    space,
+)
 from impbox._exact import Ratios
 
 #: kind -> (generator, lower bound, upper bound, credal set)
@@ -66,6 +79,51 @@ def test_closed_forms_and_conjugates_equal_the_oracle(kind):
                 assert lo == credal.lower_envelope(poly, a).value
                 assert hi == credal.upper_envelope(poly, a).value
                 assert hi == 1 - lower(obj, a.complement())
+
+
+#: kind -> the per-event loop of ``reference`` for its (lower, upper) bounds
+REFERENCES = {
+    "gen_pbox": reference.pbox_bounds,
+    "gen_pbox_ties": reference.pbox_bounds,
+    "nested_pbox": reference.pbox_bounds,
+    "mass": reference.mass_bounds,
+    "possibility": reference.possibility_bounds,
+    "interval": reference.interval_bounds,
+}
+
+
+def _three_byte_masks(rng, n, count):
+    """``count`` seeded masks of an n-element space with a bit in each of
+    the bytes 0-7, 8-15 and 16 up, and 3 to n bits in all: a sparse
+    event or a sparse complement is where a sum over it decides a bound."""
+    masks = []
+    for _ in range(count):
+        mask = 1 << rng.randrange(8) | 1 << rng.randrange(8, 16) | 1 << rng.randrange(16, n)
+        for i in rng.sample(range(n), rng.randrange(n)):
+            mask |= 1 << i
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_closed_forms_equal_the_per_event_loops_in_every_byte(kind):
+    assert space.MAX_ELEMENTS <= 24, (
+        "the closed forms fold masks through three byte tables t0, t1, t2, "
+        "which cover 24 elements"
+    )
+    assert set(REFERENCES) == set(MODELS)
+    make, lower, upper, _ = MODELS[kind]
+    rng = random.Random(f"byte-tables/{kind}")
+    for n in (*range(1, 9), 17, 24):
+        sp = gen.SPACES.get(n) or FiniteSpace([f"x{i}" for i in range(1, n + 1)])
+        for _ in range(2 if n <= 8 else 4):
+            obj = make(rng, sp)
+            if n <= 8:
+                events = list(enumerate_events(sp))
+            else:
+                events = [Event(sp, mask) for mask in _three_byte_masks(rng, n, 150)]
+            for a in events:
+                assert (lower(obj, a), upper(obj, a)) == REFERENCES[kind](obj, a)
 
 
 def test_sufficiency_is_the_smallest_degree():

@@ -564,12 +564,14 @@ def test_docio_reads_labels_only_in_its_key_reader():
 
 
 #: the closed forms, by module: each answers from its integer view's
-#: ``_exact.Ratios`` table, which builds every ``Fraction`` once
+#: ``_exact.Ratios`` table, which builds every ``Fraction`` once; the byte
+#: tables some of them read fold integers only
 CLOSED_FORMS = {
     "interval.py": {"event_bounds", "normalize"},
     "pbox.py": {"_lower_num", "lower_prob", "upper_prob"},
     "possibility.py": {"_possibility_num", "necessity", "possibility", "sufficiency"},
     "randomset.py": {"bel", "pl"},
+    "space.py": {"_byte_tables"},
 }
 
 
