@@ -13,7 +13,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Any, Callable, Iterator
 
 from . import capacity, convert, credal, interval, pbox, possibility, randomset
@@ -39,11 +38,14 @@ class Document:
 
 
 @dataclass(frozen=True)
-class _TooLong:
-    """A JSON number past the digit limit, left unbuilt: its exponent, or
-    a run of its digits, is longer than the limit."""
+class _Number:
+    """A JSON number, kept as the text it spells: ``_rational`` reads it
+    as it reads a number string, and an error line prints that text."""
 
     text: str
+
+    def __repr__(self) -> str:
+        return self.text
 
 
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
@@ -71,26 +73,16 @@ def _long_digit_run(text: str) -> bool:
     )
 
 
-def _json_number(text: str, build: Callable[[str], Any] = Fraction) -> Any:
-    """``build(text)``, or ``_TooLong`` for a number past the digit limit:
-    JSON number syntax fails ``Fraction`` and ``int`` in no other way."""
-    if _huge_exponent(text):
-        return _TooLong(text)
-    try:
-        return build(text)
-    except ValueError:
-        return _TooLong(text)
-
-
 def _rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError("expected a rational number, got a boolean", path)
-    if isinstance(value, _TooLong) or isinstance(value, str) and _huge_exponent(value):
+    text = value.text if isinstance(value, _Number) else value
+    if isinstance(text, str) and _huge_exponent(text):
         raise DocumentError(too_long_message("numerator or denominator"), path)
     try:
-        q = Fraction(value)
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
-        if isinstance(value, str) and _long_digit_run(value):
+        if isinstance(text, str) and _long_digit_run(text):
             raise DocumentError(too_long_message("numerator or denominator"), path) from None
         raise DocumentError(f"cannot parse {value!r} as a rational", path) from None
     # every accepted value must print again: str() of a longer int raises
@@ -158,7 +150,7 @@ def _event_map(payload, field: str, space: FiniteSpace) -> dict[int, Fraction]:
         if mask in keys:
             raise DocumentError(f"same event as {keys[mask]!r}", path(key))
         keys[mask] = key
-        if type(val) is not str:  # True == 1, so only texts share a parse
+        if type(val) is not str:  # only strings, as ``serialize`` writes, share a parse
             table[mask] = _rational(val, path(key))
         elif val in texts:
             table[mask] = texts[val]
@@ -378,8 +370,8 @@ def parse(text: str) -> Document:
     try:
         payload = json.loads(
             text,
-            parse_float=_json_number,
-            parse_int=partial(_json_number, build=int),
+            parse_float=_Number,
+            parse_int=_Number,
             object_pairs_hook=_object,
         )
     except json.JSONDecodeError as exc:
@@ -391,8 +383,7 @@ def parse(text: str) -> Document:
     kind = payload.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
         # a JSON number is named, not shown: it may be too long to print
-        number = isinstance(kind, (int, Fraction, _TooLong)) and not isinstance(kind, bool)
-        got = "a number" if number else repr(kind)
+        got = "a number" if isinstance(kind, _Number) else repr(kind)
         raise DocumentError(f"kind must be one of {tuple(KINDS)}, got {got}", "$.kind")
     labels = payload.get("space")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):

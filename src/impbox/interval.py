@@ -46,19 +46,19 @@ class ProbabilityInterval:
     @cached_property
     def _ints(self) -> tuple:
         """``(ratios, elements, total_l, total_u, non_empty, reachable)``: the
-        answers' table over the bounds' common denominator, ``(bit, l, u)``
-        per element and the two totals, as numerators over it, and the two
+        answers' table over the bounds' common denominator, ``(l, u)`` per
+        element and the two totals, as numerators over it, and the two
         flags they decide."""
         n = self.space.size
         den, nums = over_lcd(self.lower + self.upper)
-        elements = tuple(zip([1 << i for i in range(n)], nums[:n], nums[n:]))
+        elements = tuple(zip(nums[:n], nums[n:]))
         total_l, total_u = sum(nums[:n]), sum(nums[n:])
         # l(x) > u(x) can only come out of a conjunction; it is folded into
         # emptiness instead of rejected, so conjunction pipelines can
         # propagate the result.
-        non_empty = all(l <= u for _, l, u in elements) and total_l <= den <= total_u
+        non_empty = all(l <= u for l, u in elements) and total_l <= den <= total_u
         reachable = non_empty and all(
-            _envelope(l, u, total_l, total_u, den) == (l, u) for _, l, u in elements
+            _envelope(l, u, total_l, total_u, den) == (l, u) for l, u in elements
         )
         return Ratios(den), elements, total_l, total_u, non_empty, reachable
 
@@ -68,8 +68,8 @@ class ProbabilityInterval:
         upper bounds', under ``+``, built on the first bound query: six
         lookups sum both over an event."""
         _, elements, *_ = self._ints
-        _, lower, upper = zip(*elements)
-        return (*_byte_tables(lower, add, 0), *_byte_tables(upper, add, 0))
+        lower, upper = zip(*elements)
+        return (*_byte_tables(lower, add), *_byte_tables(upper, add))
 
 
 def _envelope(l_in, u_in, total_l, total_u, den) -> tuple[int, int]:
@@ -100,7 +100,7 @@ def normalize(interval: ProbabilityInterval) -> ProbabilityInterval:
     ratios, elements, total_l, total_u, non_empty, _ = interval._ints
     if not non_empty:
         raise InfeasibleError("cannot normalize an empty probability interval")
-    bounds = [_envelope(l, u, total_l, total_u, ratios.den) for _, l, u in elements]
+    bounds = [_envelope(l, u, total_l, total_u, ratios.den) for l, u in elements]
     lower = [ratios[lo] for lo, _ in bounds]
     upper = [ratios[hi] for _, hi in bounds]
     return ProbabilityInterval(interval.space, lower, upper)

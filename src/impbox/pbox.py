@@ -90,7 +90,7 @@ class GeneralizedPBox:
             for j in range(i, m)
         }
         bits = _spread(self, [1 << k for k in range(m)])
-        tables = (*_byte_tables(bits, or_, 0), (1 << m) - 1, runs)
+        tables = (*_byte_tables(bits, or_), (1 << m) - 1, runs)
         return ratios, (1 << self.space.size) - 1, tables
 
     @property

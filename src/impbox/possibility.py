@@ -113,15 +113,8 @@ def contains(d: PossibilityDistribution, p: ProbabilityVector) -> bool:
 
 
 def _as_pbox(d: PossibilityDistribution) -> pbox.GeneralizedPBox:
-    """The generalized p-box of pi: F_upp = pi, F_low = 1 on {pi = 1}.
-
-    One block per distinct degree, lowest first, with bounds [0, degree]
-    ([1, 1] on the last).
-    """
-    levels = d.levels()
-    blocks = tuple(sum(1 << i for i, v in enumerate(d.pi) if v == b) for b in levels)
-    alpha = (Fraction(0),) * (len(levels) - 1) + (Fraction(1),)
-    return pbox.GeneralizedPBox(d.space, blocks, alpha, levels)
+    """The generalized p-box of pi: F_upp = pi, F_low = 1 on {pi = 1}."""
+    return pbox.from_functions(d.space, [1 if v == 1 else 0 for v in d.pi], d.pi)
 
 
 def to_polytope(d: PossibilityDistribution) -> CredalPolytope:

@@ -170,17 +170,17 @@ def _sums_to_one(den: int, nums: Iterable[int], what: str) -> None:
         raise ValidationError(f"{what} must sum to 1, got {total}")
 
 
-def _byte_tables(values: Sequence, op: Callable, zero) -> tuple[tuple, tuple, tuple]:
-    """``(t0, t1, t2)``: ``op`` folded over ``values``, one per element, by
-    byte of a mask, so its fold over a mask ``m`` below ``2**MAX_ELEMENTS``
-    is ``op(op(t0[m & 255], t1[m >> 8 & 255]), t2[m >> 16])``.
+def _byte_tables(values: Sequence[int], op: Callable) -> tuple[tuple, tuple, tuple]:
+    """``(t0, t1, t2)``: ``op`` folded over ``values``, one int per element,
+    by byte of a mask, so its fold over a mask ``m`` below
+    ``2**MAX_ELEMENTS`` is ``op(op(t0[m & 255], t1[m >> 8 & 255]), t2[m >> 16])``.
 
-    Table k has one entry per subset of the elements of byte k, ``zero``
-    for the empty one: 2**8 at most, and a single entry past the last
-    element."""
+    Table k has one entry per subset of the elements of byte k, 0 for the
+    empty one, which ``op`` must keep as its identity: 2**8 entries at
+    most, and a single entry past the last element."""
     tables = []
     for start in (0, 8, 16):
-        table = [zero]
+        table = [0]
         for value in values[start : start + 8]:
             table += [op(folded, value) for folded in table]
         tables.append(tuple(table))

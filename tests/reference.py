@@ -16,7 +16,9 @@ the sliced kernels of ``capacity`` are checked against, and
 witness the ``Capacity`` constructor must repeat.  ``pbox_bounds``,
 ``interval_bounds``, ``mass_bounds`` and ``possibility_bounds`` are the
 per-event loops over levels, elements, focal sets and degrees that the
-closed forms' byte tables are checked against.
+closed forms' byte tables are checked against.  ``possibility_pbox``
+builds a distribution's p-box block by block, one block per distinct
+degree, which ``from_functions`` must match.
 """
 
 from __future__ import annotations
@@ -251,3 +253,12 @@ def possibility_bounds(d: PossibilityDistribution, a: Event) -> tuple[Fraction, 
         1 - max((d.pi[i] for i in outside), default=Fraction(0)),
         max((d.pi[i] for i in a.indices()), default=Fraction(0)),
     )
+
+
+def possibility_pbox(d: PossibilityDistribution) -> GeneralizedPBox:
+    """The generalized p-box of pi, one block per distinct degree, lowest
+    first, with bounds [0, degree] ([1, 1] on the last)."""
+    levels = d.levels()
+    blocks = tuple(sum(1 << i for i, v in enumerate(d.pi) if v == b) for b in levels)
+    alpha = (Fraction(0),) * (len(levels) - 1) + (Fraction(1),)
+    return GeneralizedPBox(d.space, blocks, alpha, levels)

@@ -1030,6 +1030,18 @@ KEY_READER_ERRORS = {
         '{"kind": ' + "1" * 5000 + ', "space": ["a"]}',
         f"$.kind: kind must be one of ({KIND_CHOICES}), got a number",
     ),
+    "kind-list-of-json-decimal": (
+        '{"kind": [1.5], "space": ["a"]}',
+        f"$.kind: kind must be one of ({KIND_CHOICES}), got [1.5]",
+    ),
+    "kind-object-of-huge-json-exponent": (
+        '{"kind": {"a": 1e99999}, "space": ["a"]}',
+        f"$.kind: kind must be one of ({KIND_CHOICES}), got {{'a': 1e99999}}",
+    ),
+    "possibility-list-of-json-decimal": (
+        '{"kind": "possibility", "space": ["a", "b"], "pi": [[0.5], "1"]}',
+        "$.pi[0]: cannot parse [0.5] as a rational",
+    ),
 }
 
 

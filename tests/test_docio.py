@@ -283,8 +283,8 @@ def test_pbox_conversions_write_the_pbox_or_refuse():
 def _reference_read(kind, payload):
     """What ``parse`` must give for a ``capacity`` or ``mass`` payload:
     each key through ``space.event`` over its labels, each value as the
-    JSON reader hands it over (a float as the ``Fraction`` of its text)
-    through ``_rational``, and the model built on the ``Event``-keyed table.
+    JSON reader hands it over (a float as the ``_Number`` that keeps its
+    text) through ``_rational``, and the model built on the ``Event``-keyed table.
     Returns the object, or the ``(message, path)`` of the error."""
     space = FiniteSpace(payload["space"])
     field = "values" if kind == "capacity" else "focal"
@@ -299,7 +299,7 @@ def _reference_read(kind, payload):
             if event.mask in keys:
                 raise DocumentError(f"same event as {keys[event.mask]!r}", path)
             keys[event.mask] = key
-            val = json.loads(json.dumps(val), parse_float=docio._json_number)
+            val = json.loads(json.dumps(val), parse_float=docio._Number)
             table[event] = docio._rational(val, path)
         build = Capacity if kind == "capacity" else MassAssignment
         try:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import gen
+import reference
 from impbox import (
     FiniteSpace,
     PossibilityDistribution,
@@ -14,6 +15,7 @@ from impbox import (
     is_member,
 )
 from impbox.possibility import (
+    _as_pbox,
     alpha_cut,
     contains,
     necessity,
@@ -142,3 +144,11 @@ def test_transform_bel_equals_necessity_and_contour_roundtrip():
         assert contour(ms) == d.pi
         for event in enumerate_events(sp):
             assert bel(ms, event) == necessity(d, event)
+
+
+def test_pbox_is_the_one_built_level_by_level():
+    rng = random.Random(53)
+    for _ in range(300):
+        sp = FiniteSpace([f"x{i}" for i in range(rng.randint(1, 9))])
+        d = gen.rand_possibility(rng, sp, denom=rng.choice([2, 3, 12]))
+        assert _as_pbox(d) == reference.possibility_pbox(d)
