@@ -40,11 +40,15 @@ class Document:
 @dataclass(frozen=True)
 class _Number:
     """A JSON number, kept as the text it spells: ``_rational`` reads it
-    as it reads a number string, and an error line prints that text."""
+    as it reads a number string, and an error line prints that text, or
+    ``<number over N digits>`` when a run of its digits is longer than the
+    int->str digit limit N."""
 
     text: str
 
     def __repr__(self) -> str:
+        if _long_digit_run(self.text):
+            return f"<number over {sys.get_int_max_str_digits()} digits>"
         return self.text
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
 from typing import Callable, Iterable
 
 from ._exact import Ratios, over_lcd
@@ -65,11 +64,11 @@ class ProbabilityInterval:
     @cached_property
     def _sums(self) -> tuple:
         """The ``_byte_tables`` of the lower bounds' numerators, then of the
-        upper bounds', under ``+``, built on the first bound query: six
-        lookups sum both over an event."""
+        upper bounds', built on the first bound query: six lookups sum
+        both over an event."""
         _, elements, *_ = self._ints
         lower, upper = zip(*elements)
-        return (*_byte_tables(lower, add), *_byte_tables(upper, add))
+        return (*_byte_tables(lower), *_byte_tables(upper))
 
 
 def _envelope(l_in, u_in, total_l, total_u, den) -> tuple[int, int]:

@@ -4,8 +4,9 @@ A p-box is stored once, as its levels: bounds alpha_k <= P(A_k) <= beta_k
 on a nested family A_1 subset ... subset A_M = X, kept as the partition
 blocks G_k = A_k minus A_(k-1) with the bounds of their level.  The
 constructor checks them in O(M + n), comparing the bounds as numerators
-of the integer view the closed forms read; the first bound query adds
-byte tables that name the levels an event's complement meets.
+over their common denominator.  A p-box is a random set: the first
+bound query builds that random set from the same numerators, and every
+lower and upper probability is its belief and plausibility.
 ``from_nested_sets`` keeps
 every non-empty level it is given, even when neighbours share their
 bounds; ``from_functions`` ties elements with equal values into one
@@ -22,11 +23,11 @@ from itertools import accumulate, groupby
 from operator import gt, or_
 from typing import Iterable, Sequence
 
-from ._exact import Ratios, over_lcd
+from . import randomset
+from ._exact import over_lcd
 from .credal import CredalPolytope
 from .errors import ValidationError
-from .randomset import MassAssignment
-from .space import Event, FiniteSpace, _byte_tables, _same_space, _unit_values
+from .space import Event, FiniteSpace, _same_space, _unit_values
 
 
 @dataclass(frozen=True)
@@ -56,42 +57,47 @@ class GeneralizedPBox:
         object.__setattr__(self, "block_masks", block_masks)
         object.__setattr__(self, "level_alpha", level_alpha)
         object.__setattr__(self, "level_beta", level_beta)
-        ratios, alpha, beta = self._ints
+        den, alpha, beta = self._ints
         for lo, hi, a, b in zip(level_alpha, level_beta, alpha, beta):
-            if not 0 <= a <= b <= ratios.den:  # the first fault
+            if not 0 <= a <= b <= den:  # the first fault
                 raise _bounds_error(lo, hi)
         if any(map(gt, alpha, alpha[1:])) or any(map(gt, beta, beta[1:])):
             raise ValidationError("level bounds must be non-decreasing outward")
-        if alpha[-1] != ratios.den or beta[-1] != ratios.den:
+        if alpha[-1] != den or beta[-1] != den:
             raise ValidationError("the whole space must carry bounds [1, 1]")
 
     @cached_property
     def _ints(self) -> tuple:
-        """``(ratios, alpha, beta)``: the answers' table over the bounds'
-        common denominator, and the level bounds as numerators over it."""
+        """``(den, alpha, beta)``: the bounds' common denominator, and the
+        level bounds as numerators over it."""
         m = len(self.block_masks)
         den, nums = over_lcd(self.level_alpha + self.level_beta)
-        return Ratios(den), nums[:m], nums[m:]
+        return den, nums[:m], nums[m:]
 
     @cached_property
-    def _tables(self) -> tuple:
-        """``(ratios, full, (t0, t1, t2, levels, runs))``, built on the first
-        bound query: ``full`` is the space's mask, and ``t0, t1, t2`` are
-        the ``_byte_tables`` of the bit ``1 << k`` of each element's level
-        k, so they name the levels whose blocks meet a mask; ``levels`` is
-        the mask of all M levels.  ``runs[1 << i | 1 << (j + 1)]`` is the
-        numerator of max(0, alpha_j - beta_(i-1)) for the run of levels
-        [i, j] (beta_(-1) = 0)."""
-        ratios, alpha, beta = self._ints
-        m = len(alpha)
-        runs = {
-            1 << i | 1 << (j + 1): max(0, alpha[j] - before)
-            for i, before in enumerate((0, *beta[:-1]))
-            for j in range(i, m)
-        }
-        bits = _spread(self, [1 << k for k in range(m)])
-        tables = (*_byte_tables(bits, or_), (1 << m) - 1, runs)
-        return ratios, (1 << self.space.size) - 1, tables
+    def _random_set(self) -> randomset.MassAssignment:
+        """The random set with the same lower probability, threshold form,
+        built on the first bound query.
+
+        For each distinct level bound gamma > 0, the focal event collects
+        the blocks k with beta_k >= gamma > alpha_(k-1) (alpha_0 = 0): the
+        upper bound of their level reaches gamma while the lower bound of
+        the level before has not.  Its mass is the gap to the previous
+        threshold.  The bounds are compared as numerators over ``den``.
+        """
+        den, alpha, beta = self._ints
+        masses: dict[int, int] = {}
+        previous = 0
+        for gamma in sorted({*alpha, *beta} - {0}):
+            mask = 0
+            for block, before, b in zip(self.block_masks, (0, *alpha[:-1]), beta):
+                if b >= gamma > before:
+                    mask |= block
+            masses[mask] = masses.get(mask, 0) + gamma - previous
+            previous = gamma
+        return randomset.MassAssignment(
+            self.space, {mask: Fraction(num, den) for mask, num in masses.items()}
+        )
 
     @property
     def level_masks(self) -> tuple[int, ...]:
@@ -194,63 +200,27 @@ def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
     return GeneralizedPBox(space, [e.mask & ~m for m, e in zip(inner, events)], alpha, beta)
 
 
-def to_random_set(pb: GeneralizedPBox) -> MassAssignment:
-    """The random set with the same lower probability, threshold form.
-
-    For each distinct level bound gamma > 0, the focal event collects
-    the blocks k with beta_k >= gamma > alpha_(k-1) (alpha_0 = 0): the
-    upper bound of their level reaches gamma while the lower bound of
-    the level before has not.  Its mass is the gap to the previous
-    threshold.
-    """
-    alpha_before = (Fraction(0), *pb.level_alpha[:-1])
-    gammas = sorted((set(pb.level_alpha) | set(pb.level_beta)) - {0})
-    masses: dict[int, Fraction] = {}
-    previous = Fraction(0)
-    for gamma in gammas:
-        mask = 0
-        for block, before, beta in zip(pb.block_masks, alpha_before, pb.level_beta):
-            if beta >= gamma > before:
-                mask |= block
-        masses[mask] = masses.get(mask, Fraction(0)) + (gamma - previous)
-        previous = gamma
-    return MassAssignment(pb.space, masses)
-
-
-def _lower_num(tables: tuple, outside: int) -> int:
-    """The numerator of the lower probability of the event whose
-    complement is the mask ``outside``, from a p-box's ``_tables``.
-
-    Projects the event onto the levels whose blocks miss ``outside`` and
-    sums max(0, alpha_j - beta_(i-1)) over their maximal runs [i, j]:
-    adding a run's lowest bit clears it and sets the bit after it.
-    """
-    t0, t1, t2, levels, runs = tables
-    inside = levels ^ (t0[outside & 255] | t1[outside >> 8 & 255] | t2[outside >> 16])
-    total = 0
-    while inside:
-        low = inside & -inside
-        inside += low
-        high = inside & -inside
-        inside ^= high
-        total += runs[low | high]
-    return total
+def to_random_set(pb: GeneralizedPBox) -> randomset.MassAssignment:
+    """The random set with the same lower probability (see
+    ``GeneralizedPBox._random_set``), built once per p-box and shared
+    with its bounds."""
+    return pb._random_set
 
 
 def lower_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
-    """Exact lower probability of an event under the p-box."""
+    """Exact lower probability of an event: the belief of the p-box's
+    random set."""
     if a.space is not pb.space:
         _same_space(pb.space, a.space, "event and p-box spaces differ")
-    ratios, full, tables = pb._tables
-    return ratios[_lower_num(tables, a.mask ^ full)]
+    return randomset.bel(pb._random_set, a)
 
 
 def upper_prob(pb: GeneralizedPBox, a: Event) -> Fraction:
-    """Conjugate upper probability: 1 - lower_prob of the complement."""
+    """Exact upper probability of an event: the plausibility of the
+    p-box's random set, 1 - lower_prob of the complement."""
     if a.space is not pb.space:
         _same_space(pb.space, a.space, "event and p-box spaces differ")
-    ratios, _, tables = pb._tables
-    return ratios[ratios.den - _lower_num(tables, a.mask)]
+    return randomset.pl(pb._random_set, a)
 
 
 def to_polytope(pb: GeneralizedPBox) -> CredalPolytope:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._exact import too_long_message, unprintable
 from .errors import SpaceMismatchError, SpaceSizeError, ValidationError
@@ -170,19 +170,19 @@ def _sums_to_one(den: int, nums: Iterable[int], what: str) -> None:
         raise ValidationError(f"{what} must sum to 1, got {total}")
 
 
-def _byte_tables(values: Sequence[int], op: Callable) -> tuple[tuple, tuple, tuple]:
-    """``(t0, t1, t2)``: ``op`` folded over ``values``, one int per element,
-    by byte of a mask, so its fold over a mask ``m`` below
-    ``2**MAX_ELEMENTS`` is ``op(op(t0[m & 255], t1[m >> 8 & 255]), t2[m >> 16])``.
+def _byte_tables(values: Sequence[int]) -> tuple[tuple, tuple, tuple]:
+    """``(t0, t1, t2)``: sums of ``values``, one int per element, by byte
+    of a mask, so their sum over a mask ``m`` below ``2**MAX_ELEMENTS`` is
+    ``t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16]``.
 
     Table k has one entry per subset of the elements of byte k, 0 for the
-    empty one, which ``op`` must keep as its identity: 2**8 entries at
-    most, and a single entry past the last element."""
+    empty one: 2**8 entries at most, and a single entry past the last
+    element."""
     tables = []
     for start in (0, 8, 16):
         table = [0]
         for value in values[start : start + 8]:
-            table += [op(folded, value) for folded in table]
+            table += [total + value for total in table]
         tables.append(tuple(table))
     return tuple(tables)
 

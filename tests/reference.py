@@ -16,7 +16,8 @@ the sliced kernels of ``capacity`` are checked against, and
 witness the ``Capacity`` constructor must repeat.  ``pbox_bounds``,
 ``interval_bounds``, ``mass_bounds`` and ``possibility_bounds`` are the
 per-event loops over levels, elements, focal sets and degrees that the
-closed forms' byte tables are checked against.  ``possibility_pbox``
+closed forms are checked against; a p-box answers as its random set, so
+``pbox_bounds`` walks its levels instead.  ``possibility_pbox``
 builds a distribution's p-box block by block, one block per distinct
 degree, which ``from_functions`` must match.
 """

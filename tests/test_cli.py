@@ -950,6 +950,8 @@ def _keyed(kind, payload):
 
 
 TOO_LONG = too_long_message("numerator or denominator")
+#: how an error line names a nested JSON number with too many digits to print
+LONG_NUMBER = f"<number over {sys.get_int_max_str_digits()} digits>"
 
 #: keyed-payload documents the key reader rejects, each with its one
 #: ``error:`` line; the first bad key in document order is the one named
@@ -1041,6 +1043,14 @@ KEY_READER_ERRORS = {
     "possibility-list-of-json-decimal": (
         '{"kind": "possibility", "space": ["a", "b"], "pi": [[0.5], "1"]}',
         "$.pi[0]: cannot parse [0.5] as a rational",
+    ),
+    "kind-list-of-long-json-integer": (
+        '{"kind": [' + "1" * 5000 + '], "space": ["a"]}',
+        f"$.kind: kind must be one of ({KIND_CHOICES}), got [{LONG_NUMBER}]",
+    ),
+    "possibility-list-of-long-json-integer": (
+        '{"kind": "possibility", "space": ["a", "b"], "pi": [[' + "1" * 5000 + '], "1"]}',
+        f"$.pi[0]: cannot parse [{LONG_NUMBER}] as a rational",
     ),
 }
 

@@ -48,6 +48,13 @@ MODELS = {
         pbox.upper_prob,
         pbox.to_polytope,
     ),
+    # distinct bounds at every level: about 2n focal sets in its random set
+    "gen_pbox_fine": (
+        lambda rng, sp: gen.rand_pbox(rng, sp, denom=1 << 12),
+        pbox.lower_prob,
+        pbox.upper_prob,
+        pbox.to_polytope,
+    ),
     "mass": (gen.rand_mass, randomset.bel, randomset.pl, randomset.to_polytope),
     "possibility": (
         gen.rand_possibility,
@@ -86,6 +93,7 @@ REFERENCES = {
     "gen_pbox": reference.pbox_bounds,
     "gen_pbox_ties": reference.pbox_bounds,
     "nested_pbox": reference.pbox_bounds,
+    "gen_pbox_fine": reference.pbox_bounds,
     "mass": reference.mass_bounds,
     "possibility": reference.possibility_bounds,
     "interval": reference.interval_bounds,
@@ -178,8 +186,10 @@ def test_a_queried_object_equals_hashes_copies_and_pickles_like_a_fresh_one(kind
 
 
 def _table(obj) -> Ratios:
-    """The answers' table in a queried model's integer view."""
-    [table] = [entry for entry in vars(obj)["_ints"] if isinstance(entry, Ratios)]
+    """The answers' table in a queried model's integer view; a p-box
+    answers from the view of its random set."""
+    view = vars(vars(obj).get("_random_set", obj))["_ints"]
+    [table] = [entry for entry in view if isinstance(entry, Ratios)]
     return table
 
 

@@ -568,7 +568,7 @@ def test_docio_reads_labels_only_in_its_key_reader():
 #: tables some of them read fold integers only
 CLOSED_FORMS = {
     "interval.py": {"event_bounds", "normalize"},
-    "pbox.py": {"_lower_num", "lower_prob", "upper_prob"},
+    "pbox.py": {"lower_prob", "upper_prob"},
     "possibility.py": {"_possibility_num", "necessity", "possibility", "sufficiency"},
     "randomset.py": {"bel", "pl"},
     "space.py": {"_byte_tables"},
