@@ -53,6 +53,8 @@ class Simplex:
         #: ``minimize`` calls so far, and the phase-2 pivots they made
         self.lps = 0
         self.pivots = 0
+        #: the pivots phase 1 made, the artificial's last one included
+        self.phase_1_pivots = 0
         m = len(a_ub) + 1
         self._n = n
         # columns: x | ub slacks | the sum row's artificial, then the rhs
@@ -66,7 +68,7 @@ class Simplex:
         self._basis = list(range(n, n + m))
         self._d = 1
         z = self._objective_row([0] * art + [1])
-        self._run(z, art + 1)
+        self.phase_1_pivots += self._run(z, art + 1)
         if z[-1] != 0:
             raise Infeasible()
         # a basic artificial left at 0 leaves on a non-zero x or slack entry
@@ -74,6 +76,7 @@ class Simplex:
         if art in self._basis:
             r = self._basis.index(art)
             self._pivot(None, r, next(j for j in range(art) if self._tab[r][j]))
+            self.phase_1_pivots += 1
 
     def _objective_row(self, cost: list[int]) -> list[int]:
         """``d`` times the reduced costs of ``cost`` at the current basis.

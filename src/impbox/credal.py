@@ -25,10 +25,19 @@ witnesses the batch has proven; the second the best lower bound proven
 by a dual certificate: each pruned row P(B) <= b proves lower(A) >=
 1 - b for every A that contains B^c, and each LP's certified dual
 proves its value for every A that contains the elements its dual
-constraints reach.  An event whose two bounds meet needs no LP: it is
-proven again, over integers, from the one witness and the one dual
-the tables picked.  Every other event is solved and certified as in
-a short batch, and its witness and dual join the tables.
+constraints reach.  Every stored dual stands for a dual-feasible y
+with its value whose left side at each element, y_eq plus the duals
+of the rows holding it, is at most 1 everywhere and at most 0 off its
+reach; so two stored duals whose reaches are disjoint sum to one such
+dual, with the sum of their values, on the union of their reaches.
+An event whose two bounds meet needs no LP: it is proven again, over
+integers, from the one witness and the one dual the tables picked.
+Where they do not meet, one more lookup adds the dual picked for the
+rest of the event, past the first dual's reach; where that sum meets
+the witness, the event is proven again, over integers, from the
+witness and the two duals, and the sum joins the tables as one dual.
+Every other event is solved and certified as in a short batch, and
+its witness and dual join the tables.
 
 This module is the independent verifier the rest of the library is
 checked against, so it deliberately knows nothing about p-boxes,
@@ -247,15 +256,22 @@ class _Tables:
     most 1 everywhere and at most 0 off its reach, so it is feasible,
     with the same value, for min P(A) on every A that contains its reach;
     each pruned row ``(mask, weight)`` seeds the dual
-    ``(full ^ mask, (lcd - weight) / lcd)``.  An entry is
-    ``value << shift | index``: the value over the common denominator
-    ``den``, the rows' ``lcd`` until a new witness changes it, and the
-    index of a certificate that attains it, so comparing two entries
-    compares their values, and the better one keeps its proof.
+    ``(full ^ mask, (lcd - weight) / lcd)``, and ``(full, 1)`` and
+    ``(0, 0)`` are seeds too.  Each seed keeps the same two bounds, so
+    two stored duals whose reaches are disjoint add up to a dual that
+    keeps them on the union of their reaches, with the sum of their
+    values.  An entry is ``value << shift | index``: the value over the
+    common denominator ``den``, the rows' ``lcd`` until a new witness
+    changes it, and the index of a certificate that attains it, so
+    comparing two entries compares their values, and the better one
+    keeps its proof.
 
-    Where the two tables meet, lower(A) is known without an LP, and it
-    is proven again from the two certificates alone, over the elements,
-    so a wrong table entry can cost an LP or raise ``OracleError``, never
+    Where the two tables meet, lower(A) is known without an LP.  Where
+    they do not, the dual picked on A plus the dual picked on the rest
+    of A past its reach may still meet the witness, and then lower(A)
+    is their sum, which joins the tables as A's one dual.  Either answer
+    is proven again from its certificates alone, over the elements, so
+    a wrong table entry can cost an LP or raise ``OracleError``, never
     give a wrong answer.
     """
 
@@ -266,7 +282,7 @@ class _Tables:
         full = (1 << n) - 1
         self.den = oracle.lcd
         # every index fits below the shift: the duals placed here, then
-        # at most one witness and one dual per event
+        # at most one witness and one dual, an LP's or a sum's, per event
         self.shift = (len(oracle.rows) + 2 + n_events).bit_length()
         self.index = (1 << self.shift) - 1
         self.points: list[_Proof] = []
@@ -284,12 +300,14 @@ class _Tables:
 
     def envelope(self, mask: int) -> Envelope:
         """Lower(mask) with an attaining witness: from the tables where
-        they meet, else from one certified LP, whose witness and dual
-        then join the tables."""
-        up, down, shift = self.upper[mask], self.lower[mask], self.shift
+        they meet or, one lookup later, where the dual ``lower[mask]``
+        picks plus the dual ``lower`` picks on the rest of mask meets
+        the witness table; else from one certified LP, whose witness and
+        dual then join the tables."""
+        up, down, shift, index = self.upper[mask], self.lower[mask], self.shift, self.index
         if up >> shift == down >> shift:
-            point = self.points[up & self.index]
-            reach, value = self.duals[down & self.index]
+            point = self.points[up & index]
+            reach, value = self.duals[down & index]
             # a member with P(mask) = value, and a dual feasible for mask with it
             attained = sum(compress(point.x, map(mask.__and__, self.bits)))
             if reach & ~mask or value.denominator * attained != value.numerator * point.x_den:
@@ -298,11 +316,39 @@ class _Tables:
                     "their exact check"
                 )
             return Envelope(value, point.witness)
+        first = self.duals[down & index]
+        other = self.lower[mask & ~first[0]]
+        if (down >> shift) + (other >> shift) == up >> shift:
+            return self.add_sum(mask, self.points[up & index], first, self.duals[other & index])
         envelope, proof = _solve(self.oracle, mask)
         if id(proof.witness) not in self.seen:
             self.add_point(proof)
         self.add_dual(proof.reach, envelope.value)
         return envelope
+
+    def add_sum(
+        self, mask: int, point: _Proof, first: tuple[int, Fraction], second: tuple[int, Fraction]
+    ) -> Envelope:
+        """Lower(mask) from a witness and two stored duals whose sum meets
+        it: proven over integers, the sum then joins the tables as one
+        dual.  Raises ``OracleError`` unless both reaches lie in mask and
+        are disjoint, and the two values add up to the witness's P(mask)."""
+        (reach, value), (more, extra) = first, second
+        attained = sum(compress(point.x, map(mask.__and__, self.bits)))
+        # value + extra == attained / x_den, cross-multiplied
+        total = value.numerator * extra.denominator + extra.numerator * value.denominator
+        if (
+            reach & ~mask
+            or more & ~(mask ^ reach)
+            or total * point.x_den != attained * value.denominator * extra.denominator
+        ):
+            raise OracleError(
+                f"the stored certificates summed for the event {mask:#b} failed "
+                "their exact check"
+            )
+        value = Fraction(attained, point.x_den)
+        self.add_dual(reach | more, value)
+        return Envelope(value, point.witness)
 
     def add_point(self, proof: _Proof) -> None:
         """Lower ``upper`` to the sums of a new certified witness."""
@@ -324,7 +370,8 @@ class _Tables:
     def add_dual(self, reach: int, value: Fraction) -> None:
         """Raise ``lower`` to ``value`` on every mask that contains ``reach``.
         ``den`` needs no rescale: the value's denominator divides the rows' lcd
-        or, as ``certified`` checks, its witness's ``x_den``, which ``den`` is over."""
+        or, as ``certified`` and ``add_sum`` check, its witness's ``x_den``,
+        which ``den`` is over."""
         lower = self.lower
         num = value.numerator * (self.den // value.denominator)
         if lower[reach] >> self.shift >= num:

@@ -693,6 +693,27 @@ def test_a_witness_with_a_new_denominator_rescales_both_tables(monkeypatch):
     assert poly._oracle.solver.lps == 6
 
 
+#: the LPs the sweeps of 20 seeded polytopes at n = 5 and 6 solve, per source
+SWEEP_LPS = {"gen_pbox": 163, "nested_bounds": 90, "interval": 262}
+
+
+@pytest.mark.parametrize("source", SWEEP_LPS)
+def test_a_sweep_solves_no_more_lps_than_recorded(source):
+    """``Simplex.lps`` summed over the sweeps of seeded p-box and interval
+    polytopes stays at most ``SWEEP_LPS``.  Before sums of disjoint
+    duals answered events, these sweeps solved 313 (gen_pbox), 158
+    (nested_bounds) and 272 (interval) LPs."""
+    rng = random.Random(f"sweep-lps/{source}")
+    make, kind = ENVELOPE_SOURCES[source]
+    lps = 0
+    for n in [5, 6] * 10:
+        sp = gen.SPACES[n]
+        poly = docio.KINDS[kind].polytope(make(rng, sp))
+        lower_envelopes(poly, list(enumerate_events(sp)))
+        lps += poly._oracle.solver.lps
+    assert lps <= SWEEP_LPS[source]
+
+
 @pytest.mark.parametrize("tamper", ["dual-reach", "witness-value"])
 def test_a_stored_certificate_that_fails_its_check_raises(monkeypatch, expert_pbox, space6, tamper):
     """The tables only pick certificates; each answer they give is proven
@@ -724,6 +745,36 @@ def test_a_stored_certificate_that_fails_its_check_raises(monkeypatch, expert_pb
         monkeypatch.setattr(credal._Tables, "add_point", add_point)
     with pytest.raises(OracleError):
         lower_envelopes(poly, events)
+
+
+@pytest.mark.parametrize("tamper", [None, "overlap", "total"])
+def test_a_sum_of_stored_duals_is_proven_before_it_answers(monkeypatch, expert_pbox, space6, tamper):
+    """The honest sweep answers some events by the sum of two stored
+    duals; a sum whose second dual's reach overlaps the first's, or
+    whose total misses the witness's P(A), raises instead of answering."""
+    poly = to_polytope(expert_pbox)
+    events = list(enumerate_events(space6))
+    singles = [lower_envelope(poly, event).value for event in events]
+    sums = []
+    honest = credal._Tables.add_sum
+
+    def add_sum(tables, mask, point, first, second):
+        sums.append(mask)
+        more, extra = second
+        if tamper == "overlap":
+            second = (more | first[0], extra)
+        elif tamper == "total":
+            second = (more, extra + F(1, 7))
+        return honest(tables, mask, point, first, second)
+
+    monkeypatch.setattr(credal._Tables, "add_sum", add_sum)
+    if tamper is None:
+        assert [env.value for env in lower_envelopes(poly, events)] == singles
+        assert sums
+    else:
+        with pytest.raises(OracleError):
+            lower_envelopes(poly, events)
+        assert len(sums) == 1
 
 
 def _assert_optimal(a_ub, b_ub, a_eq, b_eq, c, sol):
@@ -806,15 +857,19 @@ def test_simplex_counts_its_lps_and_phase_2_pivots(monkeypatch):
         _simplex.Simplex, "_pivot", lambda self, *args: pivots.append(args) or honest(self, *args)
     )
     rng = random.Random(3)
+    phase_1 = 0
     for n in range(1, 6):
         for _ in range(10):
             a_ub, b_ub, point = _rand_simplex_system(rng, n)
             if point is None:
                 continue
+            pivots.clear()
             solver = _simplex.Simplex(n, a_ub, b_ub)
-            pivots.clear()  # phase 1's pivots are not counted
-            assert (solver.lps, solver.pivots) == (0, 0)
+            first = len(pivots)
+            assert (solver.lps, solver.pivots, solver.phase_1_pivots) == (0, 0, first)
+            phase_1 += first
+            pivots.clear()  # phase 2 counts its own
             for lps in range(1, 4):
                 solver.minimize(_rand_objective(rng, n))
-                assert (solver.lps, solver.pivots) == (lps, len(pivots))
-    assert len(pivots) > 0
+                assert (solver.lps, solver.pivots, solver.phase_1_pivots) == (lps, len(pivots), first)
+    assert len(pivots) > 0 and phase_1 > 0
