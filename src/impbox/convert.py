@@ -12,9 +12,10 @@ from itertools import accumulate
 from operator import or_
 from typing import Iterable
 
+from . import randomset
 from .errors import NotReachableError, SpaceMismatchError, ValidationError
-from .interval import ProbabilityInterval, _outer, conjunction, event_bounds
-from .pbox import GeneralizedPBox, lower_prob
+from .interval import ProbabilityInterval, conjunction, event_bounds
+from .pbox import GeneralizedPBox, to_random_set
 from .space import Event, FiniteSpace, Permutation
 
 
@@ -41,14 +42,15 @@ def interval_to_sigma_pbox(
 
 
 def pbox_to_interval(pb: GeneralizedPBox) -> ProbabilityInterval:
-    """Tightest probability interval outer-approximating the p-box.
+    """Tightest probability interval outer-approximating the p-box: that
+    of its random set (``randomset.to_interval``).
 
     Per element: the exact lower/upper probability of its singleton.
     In level terms that is max(0, alpha_(k) - beta_(k-1)) for an
     element alone in its block (0 otherwise) and beta_(k) - alpha_(k-1)
     for the upper bound.
     """
-    return _outer(pb, lower_prob)
+    return randomset.to_interval(to_random_set(pb))
 
 
 def reconstruct_interval(

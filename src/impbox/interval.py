@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ._exact import Ratios, over_lcd
 from .credal import CredalPolytope
@@ -76,18 +76,6 @@ def _envelope(l_in, u_in, total_l, total_u, den) -> tuple[int, int]:
     sum to l_in/u_in, on a space where they sum to total_l/total_u; all
     numerators over ``den``, and so is the answer."""
     return max(l_in, den - (total_u - u_in)), min(u_in, den - (total_l - l_in))
-
-
-def _outer(model, lower: Callable) -> ProbabilityInterval:
-    """Tightest probability interval outer-approximating a model whose
-    lower probability is ``lower(model, event)``: per element x,
-    l(x) = lower({x}) and u(x) = 1 - lower(X minus {x})."""
-    singletons = [model.space.singleton(i) for i in range(model.space.size)]
-    return ProbabilityInterval(
-        model.space,
-        [lower(model, a) for a in singletons],
-        [1 - lower(model, a.complement()) for a in singletons],
-    )
 
 
 def normalize(interval: ProbabilityInterval) -> ProbabilityInterval:

@@ -4,7 +4,11 @@ The possibility measure of an event is the max of the distribution over
 it, necessity is its conjugate, sufficiency the min.  Conventions on
 the empty event: possibility 0, necessity 0 on the complement side,
 sufficiency 1 (empty min).  A distribution is a generalized p-box, so
-its credal polytope and nested random set are those of its p-box.
+its credal polytope and nested random set are those of its p-box.  Its
+necessity is the consonant belief function of that random set (Shafer
+1976): the first possibility or necessity query builds the random set,
+and every answer is its plausibility or belief.  Sufficiency reads the
+degrees themselves.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from . import pbox
-from ._exact import Ratios, over_lcd
+from . import pbox, randomset
 from .credal import CredalPolytope, ProbabilityVector
 from .errors import ValidationError
-from .randomset import MassAssignment
 from .space import Event, FiniteSpace, _same_space, _unit_values
+
+#: the sufficiency of the empty event, the min over no degrees
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -41,50 +46,34 @@ class PossibilityDistribution:
         return tuple(sorted(set(self.pi)))
 
     @cached_property
-    def _ints(self) -> tuple:
-        """``(ratios, full, ranked)``: the answers' table over the degrees'
-        common denominator, the space's mask, and ``(bit, pi numerator)``
-        per element over it, pi decreasing."""
-        den, nums = over_lcd(self.pi)
-        ranked = sorted(((1 << i, v) for i, v in enumerate(nums)), key=lambda e: -e[1])
-        return Ratios(den), (1 << len(nums)) - 1, tuple(ranked)
-
-
-def _possibility_num(ranked: tuple, mask: int) -> int:
-    """The numerator of the largest degree in the event ``mask``, read off
-    its first element in a distribution's ``ranked`` view."""
-    for bit, v in ranked:
-        if mask & bit:
-            return v
-    return 0
+    def _random_set(self) -> randomset.MassAssignment:
+        """The nested random set of pi: its p-box's, built by the threshold
+        construction on the first query and shared by every bound."""
+        return pbox.to_random_set(_as_pbox(self))
 
 
 def possibility(d: PossibilityDistribution, a: Event) -> Fraction:
-    """The largest degree in a."""
+    """The largest degree in a: the plausibility of the distribution's
+    random set."""
     if a.space is not d.space:
         _same_space(d.space, a.space, "event and distribution spaces differ")
-    ratios, _, ranked = d._ints
-    return ratios[_possibility_num(ranked, a.mask)]
+    return randomset.pl(d._random_set, a)
 
 
 def necessity(d: PossibilityDistribution, a: Event) -> Fraction:
-    """Conjugate of possibility: 1 - the largest degree outside a."""
+    """Conjugate of possibility, 1 - the largest degree outside a: the
+    belief of the distribution's random set."""
     if a.space is not d.space:
         _same_space(d.space, a.space, "event and distribution spaces differ")
-    ratios, full, ranked = d._ints
-    return ratios[ratios.den - _possibility_num(ranked, a.mask ^ full)]
+    return randomset.bel(d._random_set, a)
 
 
 def sufficiency(d: PossibilityDistribution, a: Event) -> Fraction:
-    """The smallest degree in a: the first element of a in increasing pi."""
+    """The smallest degree in a, read off pi; 1 on the empty event."""
     if a.space is not d.space:
         _same_space(d.space, a.space, "event and distribution spaces differ")
-    ratios, _, ranked = d._ints
     mask = a.mask
-    for bit, v in reversed(ranked):
-        if mask & bit:
-            return ratios[v]
-    return ratios[ratios.den]
+    return min((v for i, v in enumerate(d.pi) if mask >> i & 1), default=_ONE)
 
 
 def alpha_cut(d: PossibilityDistribution, alpha, strong: bool = False) -> Event:
@@ -122,10 +111,11 @@ def to_polytope(d: PossibilityDistribution) -> CredalPolytope:
     return pbox.to_polytope(_as_pbox(d))
 
 
-def to_random_set(d: PossibilityDistribution) -> MassAssignment:
+def to_random_set(d: PossibilityDistribution) -> randomset.MassAssignment:
     """The nested random set whose contour function is pi: its p-box's,
-    with the regular cuts at the distinct non-zero degrees as focal sets."""
-    return pbox.to_random_set(_as_pbox(d))
+    with the regular cuts at the distinct non-zero degrees as focal sets.
+    Built once per distribution and shared with its bounds."""
+    return d._random_set
 
 
 def to_possibility_pair(

@@ -16,7 +16,7 @@ from ._exact import Ratios, over_lcd
 from .capacity import _zeta
 from .credal import CredalPolytope
 from .errors import ValidationError
-from .interval import ProbabilityInterval, _outer
+from .interval import ProbabilityInterval
 from .space import Event, FiniteSpace, _mask_of, _same_space, _sums_to_one
 
 
@@ -109,9 +109,13 @@ def to_interval(ms: MassAssignment) -> ProbabilityInterval:
     """Tightest probability interval outer-approximating the random set.
 
     Per element: lower = bel of the singleton, upper = pl of the
-    singleton.  The result is always reachable.
+    singleton.  The result is always reachable.  A p-box's outer
+    interval is its random set's (``convert.pbox_to_interval``).
     """
-    return _outer(ms, bel)
+    singletons = [ms.space.singleton(i) for i in range(ms.space.size)]
+    return ProbabilityInterval(
+        ms.space, [bel(ms, a) for a in singletons], [pl(ms, a) for a in singletons]
+    )
 
 
 def to_polytope(ms: MassAssignment) -> CredalPolytope:

@@ -7,6 +7,7 @@ the position of each label in the space.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,13 +152,21 @@ def _same_space(space: FiniteSpace, other: FiniteSpace, what: str) -> None:
 def _unit_values(space: FiniteSpace, values: Iterable, what: str) -> tuple[Fraction, ...]:
     """One rational in [0, 1] per element of ``space``; ``Fraction``s are
     kept as given."""
-    values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    values = tuple(v if type(v) is Fraction else _unit_fraction(v, what) for v in values)
     if len(values) != space.size:
         raise ValidationError(f"expected {space.size} {what}, got {len(values)}")
     for v in values:
         if not 0 <= v.numerator <= v.denominator:  # denominators are positive
             raise ValidationError(f"{what} must lie in [0, 1], got {v}")
     return values
+
+
+def _unit_fraction(v, what: str) -> Fraction:
+    """``Fraction(v)``, where a NaN or infinite float, which has no ratio,
+    fails the [0, 1] rule of ``_unit_values``."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValidationError(f"{what} must lie in [0, 1], got {v}")
+    return Fraction(v)
 
 
 def _sums_to_one(den: int, nums: Iterable[int], what: str) -> None:

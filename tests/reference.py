@@ -4,7 +4,10 @@ These follow the paper's constructions step by step rather than the
 library's integer views: ``algorithm1`` is the sweep that builds a
 generalized p-box's random set (checked against ``pbox.to_random_set``),
 ``lower_prob_via_possibility`` reads the lower probability off the pair
-of possibility distributions (checked against ``pbox.lower_prob``), and
+of possibility distributions (checked against ``pbox.lower_prob``), with
+their measures from ``possibility_bounds``: the library's necessity and
+possibility are ``bel`` and ``pl`` of a random set, as ``pbox.lower_prob``
+is, so they would check that route against itself, and
 ``covers_first_or_last`` is the condition under which
 ``convert.reconstruct_interval`` recovers the interval exactly.
 Acceptance criteria 2 and 3 compare against the first two.
@@ -39,7 +42,7 @@ from impbox import (
 from impbox._exact import over_lcd
 from impbox.credal import _Oracle
 from impbox.errors import ValidationError
-from impbox.possibility import necessity, possibility, to_possibility_pair
+from impbox.possibility import to_possibility_pair
 from impbox.space import Event, _same_space
 
 
@@ -103,8 +106,9 @@ def lower_prob_via_possibility(pb: GeneralizedPBox, a: Event) -> Fraction:
     for i, j in _runs(pb, a):
         up_to_j = Event(pb.space, pb.level_masks[j])
         before_i = Event(pb.space, pb.level_masks[i - 1] if i > 0 else 0)
-        term = necessity(pi_low, up_to_j) - possibility(pi_upp, before_i)
-        total += max(Fraction(0), term)
+        n_low, _ = possibility_bounds(pi_low, up_to_j)
+        _, pi_upp_before = possibility_bounds(pi_upp, before_i)
+        total += max(Fraction(0), n_low - pi_upp_before)
     return total
 
 

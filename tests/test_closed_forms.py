@@ -186,8 +186,8 @@ def test_a_queried_object_equals_hashes_copies_and_pickles_like_a_fresh_one(kind
 
 
 def _table(obj) -> Ratios:
-    """The answers' table in a queried model's integer view; a p-box
-    answers from the view of its random set."""
+    """The answers' table in a queried model's integer view; a p-box or a
+    possibility distribution answers from the view of its random set."""
     view = vars(vars(obj).get("_random_set", obj))["_ints"]
     [table] = [entry for entry in view if isinstance(entry, Ratios)]
     return table

@@ -16,6 +16,7 @@ from impbox import (
     capacity_from_probability,
     convert,
     docio,
+    from_functions,
     from_nested_sets,
 )
 from impbox.docio import DocumentError
@@ -80,6 +81,21 @@ SITES = {
         lambda: ProbabilityVector(SP, [1]),
         ValidationError,
         "expected 2 probabilities, got 1",
+    ),
+    "space._unit_values.nan": (
+        lambda: PossibilityDistribution(SP, [float("nan"), 1]),
+        ValidationError,
+        "possibility degrees must lie in [0, 1], got nan",
+    ),
+    "space._unit_values.inf": (
+        lambda: ProbabilityInterval(SP, [0, 0], [float("inf"), 1]),
+        ValidationError,
+        "bounds must lie in [0, 1], got inf",
+    ),
+    "space._unit_values.-inf": (
+        lambda: from_functions(SP, [float("-inf"), 1], [1, 1]),
+        ValidationError,
+        "distribution values must lie in [0, 1], got -inf",
     ),
 }
 

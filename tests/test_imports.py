@@ -9,7 +9,9 @@ there, not in a builder beside an unchecked dataclass constructor),
 only the oracle builds an object past its constructor, the simplex
 imports nothing from ``fractions``, ``docio`` turns event labels into
 masks in one key reader, no closed form builds its answer ``Fraction``
-past its view's table, and no module reads an environment variable.
+past its view's table, the p-box and possibility bounds are ``randomset``'s
+belief and plausibility with no loop of their own, and no module reads
+an environment variable.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers, public
@@ -569,7 +571,7 @@ def test_docio_reads_labels_only_in_its_key_reader():
 CLOSED_FORMS = {
     "interval.py": {"event_bounds", "normalize"},
     "pbox.py": {"lower_prob", "upper_prob"},
-    "possibility.py": {"_possibility_num", "necessity", "possibility", "sufficiency"},
+    "possibility.py": {"necessity", "possibility", "sufficiency"},
     "randomset.py": {"bel", "pl"},
     "space.py": {"_byte_tables"},
 }
@@ -619,6 +621,71 @@ def test_the_check_finds_fraction_calls():
 def test_closed_forms_answer_from_the_views_table(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert _fraction_calls(source, CLOSED_FORMS[module]) == []
+
+
+#: the bounds of the random-set kinds past ``randomset`` itself, by module:
+#: each is the belief or plausibility of its object's random set
+RANDOM_SET_BOUNDS = {
+    "pbox.py": {"lower_prob", "upper_prob"},
+    "possibility.py": {"necessity", "possibility"},
+}
+
+
+def _own_bound_routes(source: str, names) -> list[str]:
+    """The top-level functions ``names`` that call neither ``randomset.bel``
+    nor ``randomset.pl``, or that loop (``for``, ``while`` or a
+    comprehension), as ``"function: what"``; a name with no such function
+    is reported as ``"function: missing"``.  Either is a per-event route
+    of its own beside the random set's."""
+    functions = {
+        stmt.name: stmt for stmt in ast.parse(source).body if isinstance(stmt, ast.FunctionDef)
+    }
+    found = []
+    for name in sorted(names):
+        if name not in functions:
+            found.append(f"{name}: missing")
+            continue
+        nodes = list(ast.walk(functions[name]))
+        if not any(
+            isinstance(node, ast.Attribute)
+            and node.attr in {"bel", "pl"}
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "randomset"
+            for node in nodes
+        ):
+            found.append(f"{name}: no randomset.bel or randomset.pl")
+        found.extend(
+            f"{name}: {type(node).__name__}"
+            for node in nodes
+            if isinstance(node, (ast.For, ast.While, ast.comprehension))
+        )
+    return found
+
+
+def test_the_check_finds_own_bound_routes():
+    source = (
+        "def lower(ms, a):\n"
+        "    return randomset.bel(ms._random_set, a)\n"
+        "def upper(ms, a):\n"
+        "    return bel(ms, a), ms.pl(a)\n"
+        "def walk(ms, a):\n"
+        "    for mask in ms.focal:\n"
+        "        while mask: mask >>= 1\n"
+        "    return randomset.pl(ms, a), max(m for m in ms.focal)\n"
+    )
+    assert _own_bound_routes(source, {"lower", "upper", "walk", "gone"}) == [
+        "gone: missing",
+        "upper: no randomset.bel or randomset.pl",
+        "walk: For",
+        "walk: While",
+        "walk: comprehension",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(RANDOM_SET_BOUNDS))
+def test_random_set_kinds_answer_only_through_bel_and_pl(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert _own_bound_routes(source, RANDOM_SET_BOUNDS[module]) == []
 
 
 #: the names that read the process environment

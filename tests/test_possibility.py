@@ -13,6 +13,7 @@ from impbox import (
     bel,
     enumerate_events,
     is_member,
+    pl,
 )
 from impbox.possibility import (
     _as_pbox,
@@ -143,7 +144,21 @@ def test_transform_bel_equals_necessity_and_contour_roundtrip():
         assert is_nested(ms)
         assert contour(ms) == d.pi
         for event in enumerate_events(sp):
-            assert bel(ms, event) == necessity(d, event)
+            assert (bel(ms, event), pl(ms, event)) == reference.possibility_bounds(d, event)
+
+
+def test_the_random_set_is_built_once_and_shared():
+    """The first bound query builds the distribution's random set, which
+    then answers every bound and is what ``to_random_set`` returns."""
+    from impbox.randomset import is_nested
+
+    sp = gen.SPACES[4]
+    d = PossibilityDistribution(sp, [F(1, 3), F(1), F(0), F(2, 3)])
+    assert "_random_set" not in vars(d)
+    necessity(d, sp.event(["x2"]))
+    ms = to_random_set(d)
+    assert ms is to_random_set(d) is vars(d)["_random_set"]
+    assert is_nested(ms)
 
 
 def test_pbox_is_the_one_built_level_by_level():
