@@ -17,7 +17,9 @@ from typing import Iterator, Mapping, Sequence
 
 from ._exact import over_lcd, too_long, too_long_message
 from .errors import ValidationError
-from .space import Event, FiniteSpace, _mask_of, _same_space, _sums_to_one, _unit_values
+from .space import (
+    Event, FiniteSpace, _fraction, _mask_of, _same_space, _sums_to_one, _unit_values
+)
 
 
 def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple[Fraction, ...]:
@@ -30,7 +32,9 @@ def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple
             if table[mask] is not fill:
                 earlier = next(k for k in values if _mask_of(space, k) == mask)
                 raise ValidationError(f"keys {earlier!r} and {key!r} name one event")
-            table[mask] = val if type(val) is Fraction else Fraction(val)
+            if type(val) is not Fraction:
+                val = _fraction(val, "set function values", "must be finite")
+            table[mask] = val
         if fill is None and len(values) < n_events:  # each key set a different mask
             missing = next(m for m, v in enumerate(table) if v is None)
             raise ValidationError(
@@ -38,7 +42,7 @@ def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple
                 f"missing mask {missing:#b}"
             )
         return tuple(table)
-    table = tuple(Fraction(v) for v in values)
+    table = tuple(_fraction(v, "set function values", "must be finite") for v in values)
     if len(table) != n_events:
         raise ValidationError(f"expected {n_events} values (one per event), got {len(table)}")
     return table

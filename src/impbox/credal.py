@@ -57,7 +57,7 @@ from typing import Iterable, NamedTuple
 from . import _simplex
 from ._exact import over_lcd
 from .errors import InfeasibleError, OracleError, ValidationError
-from .space import Event, FiniteSpace, _same_space, _sums_to_one, _unit_values
+from .space import Event, FiniteSpace, _fraction, _same_space, _sums_to_one, _unit_values
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class CredalPolytope:
         checked = []
         for event, lo, hi in constraints:
             _same_space(space, event.space, "constraint event on a different space")
-            lo, hi = Fraction(lo), Fraction(hi)
+            lo, hi = _fraction(lo, "constraint bounds"), _fraction(hi, "constraint bounds")
             if not 0 <= lo <= hi <= 1:
                 raise ValidationError(
                     f"constraint bounds must satisfy 0 <= lo <= hi <= 1, "

@@ -27,7 +27,7 @@ from . import randomset
 from ._exact import over_lcd
 from .credal import CredalPolytope
 from .errors import ValidationError
-from .space import Event, FiniteSpace, _same_space, _unit_values
+from .space import Event, FiniteSpace, _fraction, _same_space, _unit_values
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,10 @@ class GeneralizedPBox:
 
     def __init__(self, space: FiniteSpace, block_masks, level_alpha, level_beta):
         block_masks = tuple(block_masks)
-        level_alpha = tuple(v if type(v) is Fraction else Fraction(v) for v in level_alpha)
-        level_beta = tuple(v if type(v) is Fraction else Fraction(v) for v in level_beta)
+        level_alpha, level_beta = (
+            tuple(v if type(v) is Fraction else _fraction(v, "level bounds") for v in bounds)
+            for bounds in (level_alpha, level_beta)
+        )
         if not len(block_masks) == len(level_alpha) == len(level_beta):
             raise ValidationError(f"expected {len(block_masks)} alphas and betas, one per block")
         covered, full = 0, (1 << space.size) - 1
@@ -176,7 +178,7 @@ def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
     levels = []
     for event, lo, hi in nested:
         _same_space(space, event.space, "nested event on a different space")
-        levels.append((event, Fraction(lo), Fraction(hi)))
+        levels.append((event, _fraction(lo, "level bounds"), _fraction(hi, "level bounds")))
     if not levels:
         raise ValidationError("at least one nested level is required")
     for (e1, _, _), (e2, _, _) in zip(levels, levels[1:]):

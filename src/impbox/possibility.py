@@ -3,12 +3,13 @@
 The possibility measure of an event is the max of the distribution over
 it, necessity is its conjugate, sufficiency the min.  Conventions on
 the empty event: possibility 0, necessity 0 on the complement side,
-sufficiency 1 (empty min).  A distribution is a generalized p-box, so
-its credal polytope and nested random set are those of its p-box.  Its
-necessity is the consonant belief function of that random set (Shafer
-1976): the first possibility or necessity query builds the random set,
-and every answer is its plausibility or belief.  Sufficiency reads the
-degrees themselves.
+sufficiency 1 (empty min).  The credal set is pi's own, one row
+P({pi > alpha}) >= 1 - alpha per degree, written once in ``to_polytope``.
+A distribution is a generalized p-box, and only its nested random set
+comes from that p-box.  Its necessity is the consonant belief function
+of that random set (Shafer 1976): the first possibility or necessity
+query builds the random set, and every answer is its plausibility or
+belief.  Sufficiency reads the degrees themselves.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from functools import cached_property
 from typing import Iterable
 
 from . import pbox, randomset
-from .credal import CredalPolytope, ProbabilityVector
+from .credal import CredalPolytope, ProbabilityVector, is_member
 from .errors import ValidationError
-from .space import Event, FiniteSpace, _same_space, _unit_values
+from .space import Event, FiniteSpace, _fraction, _same_space, _unit_values
 
 #: the sufficiency of the empty event, the min over no degrees
 _ONE = Fraction(1)
@@ -78,7 +79,7 @@ def sufficiency(d: PossibilityDistribution, a: Event) -> Fraction:
 
 def alpha_cut(d: PossibilityDistribution, alpha, strong: bool = False) -> Event:
     """Superlevel set of pi: {pi > alpha} (strong) or {pi >= alpha}."""
-    alpha = Fraction(alpha)
+    alpha = _fraction(alpha, "alpha")
     if not 0 <= alpha <= 1:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
     mask = 0
@@ -89,16 +90,9 @@ def alpha_cut(d: PossibilityDistribution, alpha, strong: bool = False) -> Event:
 
 
 def contains(d: PossibilityDistribution, p: ProbabilityVector) -> bool:
-    """Membership of p in the credal set of the distribution.
-
-    Checks 1 - alpha <= P({pi > alpha}) at every distinct level of pi;
-    cuts are step functions of alpha, so these levels suffice.
-    """
+    """Membership of p in the credal set of the distribution."""
     _same_space(d.space, p.space, "vector and distribution spaces differ")
-    return all(
-        1 - alpha <= p.prob(alpha_cut(d, alpha, strong=True))
-        for alpha in d.levels()
-    )
+    return is_member(to_polytope(d), p)
 
 
 def _as_pbox(d: PossibilityDistribution) -> pbox.GeneralizedPBox:
@@ -107,8 +101,13 @@ def _as_pbox(d: PossibilityDistribution) -> pbox.GeneralizedPBox:
 
 
 def to_polytope(d: PossibilityDistribution) -> CredalPolytope:
-    """The credal polytope of the distribution's p-box."""
-    return pbox.to_polytope(_as_pbox(d))
+    """The credal set of pi: 1 - alpha <= P({pi > alpha}) at every distinct
+    degree alpha < 1.  Cuts are step functions of alpha, so these levels
+    suffice; the polytope reads no p-box, so ``verify`` checks the p-box's
+    random set against pi's own definition."""
+    return CredalPolytope(
+        d.space, [(alpha_cut(d, alpha, strong=True), 1 - alpha, 1) for alpha in d.levels()[:-1]]
+    )
 
 
 def to_random_set(d: PossibilityDistribution) -> randomset.MassAssignment:

@@ -17,7 +17,7 @@ from .capacity import _zeta
 from .credal import CredalPolytope
 from .errors import ValidationError
 from .interval import ProbabilityInterval
-from .space import Event, FiniteSpace, _mask_of, _same_space, _sums_to_one
+from .space import Event, FiniteSpace, _fraction, _mask_of, _same_space, _sums_to_one
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class MassAssignment:
         canonical: dict[int, Fraction] = {}
         for key, val in masses.items():
             mask = _mask_of(space, key, "focal event")
-            val = Fraction(val)
+            val = _fraction(val, "masses")
             if val < 0:
                 raise ValidationError(f"negative mass {val} on {Event(space, mask)}")
             if val == 0:
@@ -92,7 +92,7 @@ def is_nested(ms: MassAssignment) -> bool:
 
 def simple_support(a: Event, mass_on_a) -> MassAssignment:
     """The two-focal assignment m(a) = mass, m(X) = 1 - mass."""
-    mass_on_a = Fraction(mass_on_a)
+    mass_on_a = _fraction(mass_on_a, "mass")
     if a.is_empty:
         raise ValidationError("a simple support set must be non-empty")
     if not 0 <= mass_on_a <= 1:

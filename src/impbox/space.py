@@ -152,7 +152,7 @@ def _same_space(space: FiniteSpace, other: FiniteSpace, what: str) -> None:
 def _unit_values(space: FiniteSpace, values: Iterable, what: str) -> tuple[Fraction, ...]:
     """One rational in [0, 1] per element of ``space``; ``Fraction``s are
     kept as given."""
-    values = tuple(v if type(v) is Fraction else _unit_fraction(v, what) for v in values)
+    values = tuple(v if type(v) is Fraction else _fraction(v, what) for v in values)
     if len(values) != space.size:
         raise ValidationError(f"expected {space.size} {what}, got {len(values)}")
     for v in values:
@@ -161,11 +161,11 @@ def _unit_values(space: FiniteSpace, values: Iterable, what: str) -> tuple[Fract
     return values
 
 
-def _unit_fraction(v, what: str) -> Fraction:
+def _fraction(v, what: str, rule: str = "must lie in [0, 1]") -> Fraction:
     """``Fraction(v)``, where a NaN or infinite float, which has no ratio,
-    fails the [0, 1] rule of ``_unit_values``."""
+    fails the ``rule`` that the caller holds ``what`` to."""
     if isinstance(v, float) and not math.isfinite(v):
-        raise ValidationError(f"{what} must lie in [0, 1], got {v}")
+        raise ValidationError(f"{what} {rule}, got {v}")
     return Fraction(v)
 
 

@@ -169,9 +169,9 @@ def test_criterion_07_mobius_machinery():
 def test_criterion_08_possibility_axioms():
     rng = random.Random(131)
     from impbox.possibility import (
+        _as_pbox,
         necessity,
         possibility,
-        to_polytope as poss_polytope,
         to_random_set as poss_to_random_set,
     )
     from impbox.randomset import contour
@@ -187,7 +187,7 @@ def test_criterion_08_possibility_axioms():
                     possibility(d, a), possibility(d, b)
                 )
         assert contour(poss_to_random_set(d)) == d.pi
-        poly = poss_polytope(d)
+        poly = to_polytope(_as_pbox(d))  # the p-box's credal set
         for _ in range(20):
             p = gen.rand_probability(rng, sp)
             assert contains(d, p) == is_member(poly, p)

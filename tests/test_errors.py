@@ -7,7 +7,11 @@ import pytest
 
 from impbox import (
     Capacity,
+    CredalPolytope,
     FiniteSpace,
+    GeneralizedPBox,
+    MassAssignment,
+    MobiusAssignment,
     NotReachableError,
     PossibilityDistribution,
     ProbabilityInterval,
@@ -28,6 +32,8 @@ SP = FiniteSpace(["x1", "x2"])
 REACHABLE = ProbabilityInterval(SP, [F(1, 4), F(1, 2)], [F(1, 2), F(3, 4)])
 #: non-empty but not reachable: l1 = 0 needs P(x2) = 1 > u2 = 1/4
 UNREACHABLE = ProbabilityInterval(SP, [0, 0], [1, F(1, 4)])
+NAN, INF = float("nan"), float("inf")
+X1 = SP.event(["x1"])
 
 SITES = {
     "capacity._as_table": (
@@ -96,6 +102,86 @@ SITES = {
         lambda: from_functions(SP, [float("-inf"), 1], [1, 1]),
         ValidationError,
         "distribution values must lie in [0, 1], got -inf",
+    ),
+    "MassAssignment.nan": (
+        lambda: MassAssignment(SP, {X1: NAN, SP.full: 0.5}),
+        ValidationError,
+        "masses must lie in [0, 1], got nan",
+    ),
+    "MassAssignment.inf": (
+        lambda: MassAssignment(SP, {X1: INF}),
+        ValidationError,
+        "masses must lie in [0, 1], got inf",
+    ),
+    "CredalPolytope.nan": (
+        lambda: CredalPolytope(SP, [(X1, NAN, 1)]),
+        ValidationError,
+        "constraint bounds must lie in [0, 1], got nan",
+    ),
+    "CredalPolytope.-inf": (
+        lambda: CredalPolytope(SP, [(X1, 0, -INF)]),
+        ValidationError,
+        "constraint bounds must lie in [0, 1], got -inf",
+    ),
+    "GeneralizedPBox.nan": (
+        lambda: GeneralizedPBox(SP, [0b01, 0b10], [NAN, 1], [1, 1]),
+        ValidationError,
+        "level bounds must lie in [0, 1], got nan",
+    ),
+    "GeneralizedPBox.inf": (
+        lambda: GeneralizedPBox(SP, [0b01, 0b10], [0, 1], [INF, 1]),
+        ValidationError,
+        "level bounds must lie in [0, 1], got inf",
+    ),
+    "from_nested_sets.nan": (
+        lambda: from_nested_sets(SP, [(X1, NAN, 1)]),
+        ValidationError,
+        "level bounds must lie in [0, 1], got nan",
+    ),
+    "from_nested_sets.inf": (
+        lambda: from_nested_sets(SP, [(X1, 0, INF)]),
+        ValidationError,
+        "level bounds must lie in [0, 1], got inf",
+    ),
+    "capacity._as_table.nan": (
+        lambda: Capacity(SP, [0, NAN, 0.5, 1]),
+        ValidationError,
+        "set function values must be finite, got nan",
+    ),
+    "capacity._as_table.inf": (
+        lambda: Capacity(SP, {0: 0, X1: INF, 0b10: 0, SP.full: 1}),
+        ValidationError,
+        "set function values must be finite, got inf",
+    ),
+    "MobiusAssignment.nan": (
+        lambda: MobiusAssignment(SP, {X1: NAN}),
+        ValidationError,
+        "set function values must be finite, got nan",
+    ),
+    "MobiusAssignment.-inf": (
+        lambda: MobiusAssignment(SP, [0, -INF, 1, 1]),
+        ValidationError,
+        "set function values must be finite, got -inf",
+    ),
+    "simple_support.nan": (
+        lambda: simple_support(X1, NAN),
+        ValidationError,
+        "mass must lie in [0, 1], got nan",
+    ),
+    "simple_support.inf": (
+        lambda: simple_support(X1, INF),
+        ValidationError,
+        "mass must lie in [0, 1], got inf",
+    ),
+    "alpha_cut.nan": (
+        lambda: alpha_cut(PossibilityDistribution(SP, [F(1, 2), 1]), NAN),
+        ValidationError,
+        "alpha must lie in [0, 1], got nan",
+    ),
+    "alpha_cut.-inf": (
+        lambda: alpha_cut(PossibilityDistribution(SP, [F(1, 2), 1]), -INF),
+        ValidationError,
+        "alpha must lie in [0, 1], got -inf",
     ),
 }
 

@@ -10,8 +10,9 @@ only the oracle builds an object past its constructor, the simplex
 imports nothing from ``fractions``, ``docio`` turns event labels into
 masks in one key reader, no closed form builds its answer ``Fraction``
 past its view's table, the p-box and possibility bounds are ``randomset``'s
-belief and plausibility with no loop of their own, and no module reads
-an environment variable.
+belief and plausibility with no loop of their own, no module reads
+an environment variable, and a kind's polytope names no other model
+module, none of the closed forms and no route to its random set.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers, public
@@ -724,3 +725,59 @@ def test_the_library_reads_no_environment_variable(module):
     """Every input reaches the library as an argument, so no setting
     outside a call, such as a second space-size cap, can change a result."""
     assert _environment_reads((SRC / module).read_text(encoding="utf-8")) == []
+
+
+#: the polytope that ``verify`` checks each random-set or interval kind's
+#: closed form against, by module
+POLYTOPE_MODULES = ("interval.py", "pbox.py", "possibility.py", "randomset.py")
+
+#: what a kind's polytope may not name: the routes to its random set, and
+#: the closed forms ``verify`` checks against it
+BOUND_CODE = {"_as_pbox", "_random_set", "to_random_set"}.union(*CLOSED_FORMS.values())
+
+
+def _shared_bound_code(source: str, module: str) -> list[str]:
+    """The names and attributes in the top-level ``to_polytope`` of
+    ``source`` that are a model module other than ``module`` or in
+    ``BOUND_CODE``, sorted; ``"to_polytope: missing"`` when it has none.
+
+    Each would build the polytope from code that also computes the
+    closed form, so ``verify`` would check that code against itself."""
+    functions = {
+        stmt.name: stmt for stmt in ast.parse(source).body if isinstance(stmt, ast.FunctionDef)
+    }
+    if "to_polytope" not in functions:
+        return ["to_polytope: missing"]
+    banned = MODELS - {module} | BOUND_CODE
+    names = set()
+    for node in ast.walk(functions["to_polytope"]):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return sorted(names & banned)
+
+
+def test_the_check_finds_shared_bound_code():
+    source = (
+        "def to_polytope(d):\n"
+        "    cuts = [alpha_cut(d, a) for a in d.levels()] + [_zeta(d.table)]\n"
+        "    box = pbox.to_polytope(_as_pbox(d))\n"
+        "    bounds = bel(d._random_set, a), randomset.pl(to_random_set(d), a)\n"
+        "    return CredalPolytope(d.space, cuts), possibility(d, a), interval\n"
+    )
+    assert _shared_bound_code(source, "interval") == [
+        "_as_pbox", "_random_set", "bel", "pbox", "pl", "possibility", "randomset",
+        "to_random_set",
+    ]
+    assert _shared_bound_code("def to_interval(ms): pass\n", "randomset") == [
+        "to_polytope: missing"
+    ]
+
+
+@pytest.mark.parametrize("module", POLYTOPE_MODULES)
+def test_a_kinds_polytope_shares_no_bound_code(module):
+    """A kind's polytope and its closed form share no code that computes
+    a bound, so ``verify`` compares two independent statements."""
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert _shared_bound_code(source, module.removesuffix(".py")) == []

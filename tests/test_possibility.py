@@ -13,6 +13,7 @@ from impbox import (
     bel,
     enumerate_events,
     is_member,
+    pbox,
     pl,
 )
 from impbox.possibility import (
@@ -123,11 +124,12 @@ def test_min_max_characteristic_properties():
 
 
 def test_contains_matches_polytope_membership():
+    """Membership in pi's credal set is membership in its p-box's."""
     rng = random.Random(43)
     for _ in range(25):
         sp = gen.SPACES[rng.randint(2, 4)]
         d = gen.rand_possibility(rng, sp)
-        poly = to_polytope(d)
+        poly = pbox.to_polytope(_as_pbox(d))
         for _ in range(20):
             p = gen.rand_probability(rng, sp)
             assert contains(d, p) == is_member(poly, p)
