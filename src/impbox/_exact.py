@@ -38,6 +38,14 @@ def unprintable(*values) -> bool:
     return any(too_long(max(abs(q.numerator), q.denominator)) for q in values)
 
 
+def shown(q) -> str:
+    """``str(q)`` for a rational an error message names, or ``<number over
+    N digits>`` when its numerator or denominator passes the digit limit N."""
+    if unprintable(q):
+        return f"<number over {sys.get_int_max_str_digits()} digits>"
+    return str(q)
+
+
 def too_long_message(what: str = "a derived numerator or denominator") -> str:
     return f"{what} exceeds {sys.get_int_max_str_digits()} digits"
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from operator import add, gt, sub
 from typing import Iterator, Mapping, Sequence
 
-from ._exact import over_lcd, too_long, too_long_message
+from ._exact import over_lcd, shown, too_long, too_long_message
 from .errors import ValidationError
 from .space import (
     Event, FiniteSpace, _fraction, _mask_of, _same_space, _sums_to_one, _unit_values
@@ -97,9 +97,11 @@ class Capacity:
     def __init__(self, space: FiniteSpace, values):
         table = _as_table(space, values)
         if table[0] != 0:
-            raise ValidationError(f"capacity of the empty set must be 0, got {table[0]}")
+            raise ValidationError(f"capacity of the empty set must be 0, got {shown(table[0])}")
         if table[-1] != 1:
-            raise ValidationError(f"capacity of the whole space must be 1, got {table[-1]}")
+            raise ValidationError(
+                f"capacity of the whole space must be 1, got {shown(table[-1])}"
+            )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", table)
         v = self._table
@@ -109,8 +111,8 @@ class Capacity:
             mask, bit = next((m, b) for m in range(len(v)) for b in bits if v[m] > v[m | b])
             small, big = Event(space, mask), Event(space, mask | bit)
             raise ValidationError(
-                f"monotonicity violated: mu({small})={table[mask]} > "
-                f"mu({big})={table[mask | bit]}",
+                f"monotonicity violated: mu({small})={shown(table[mask])} > "
+                f"mu({big})={shown(table[mask | bit])}",
                 witness=(small, big),
             )
 
@@ -147,7 +149,7 @@ class MobiusAssignment:
     def __init__(self, space: FiniteSpace, masses):
         table = _as_table(space, masses, fill=Fraction(0))
         if table[0] != 0:
-            raise ValidationError(f"mass of the empty set must be 0, got {table[0]}")
+            raise ValidationError(f"mass of the empty set must be 0, got {shown(table[0])}")
         _sums_to_one(*over_lcd(table), "masses")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "masses", table)

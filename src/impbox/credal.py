@@ -55,7 +55,7 @@ from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import _simplex
-from ._exact import over_lcd
+from ._exact import over_lcd, shown
 from .errors import InfeasibleError, OracleError, ValidationError
 from .space import Event, FiniteSpace, _fraction, _same_space, _sums_to_one, _unit_values
 
@@ -93,7 +93,7 @@ class CredalPolytope:
             if not 0 <= lo <= hi <= 1:
                 raise ValidationError(
                     f"constraint bounds must satisfy 0 <= lo <= hi <= 1, "
-                    f"got [{lo}, {hi}] for {event}"
+                    f"got [{shown(lo)}, {shown(hi)}] for {event}"
                 )
             checked.append((event, lo, hi))
         object.__setattr__(self, "space", space)

@@ -209,11 +209,11 @@ def _sigma_pbox(iv: interval.ProbabilityInterval, sigma: str | None) -> pbox.Gen
         raise DocumentError(str(exc), "--sigma") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Kind:
     """Everything the library and the CLI need to handle one document kind.
 
-    Entries call layer functions through their modules (``pbox.lower_prob``
+    Entries call layer functions through their modules (``pbox.to_random_set``
     inside a lambda, not the function object), so the names resolve at
     call time and wrappers rebound on module attributes, such as
     ``perfbench/tracer.py``'s, see every call.
@@ -225,12 +225,15 @@ class Kind:
     read: Callable[[dict, FiniteSpace], Any]
     #: ``write(obj)``: the kind-specific fields of the canonical form
     write: Callable[[Any], dict]
+    #: ``random_set(obj)``: the random set the object is, if the paper shows
+    #: its kind to be one; ``__post_init__`` derives the rest from it
+    random_set: Callable[[Any], randomset.MassAssignment] | None = None
     #: ``lower(obj, event)``: closed-form lower probability; upper is its conjugate
-    lower: Callable[[Any, Event], Fraction]
+    lower: Callable[[Any, Event], Fraction] | None = None
     #: ``polytope(obj)``: the credal set ``verify`` checks against, if any
-    polytope: Callable[[Any], credal.CredalPolytope] | None
+    polytope: Callable[[Any], credal.CredalPolytope] | None = None
     #: ``facts(obj)``: the ``name: value`` lines ``check`` reports
-    facts: Callable[[Any], dict[str, Any]]
+    facts: Callable[[Any], dict[str, Any]] = lambda obj: {}
     #: ``to[target](obj, sigma)``: ``obj`` as kind ``target``; ``sigma``: ``--sigma``
     to: dict[str, Callable[[Any, str | None], Any]] = field(default_factory=dict)
     #: whether the ``to`` conversions read ``sigma``; if not, it is refused
@@ -238,16 +241,30 @@ class Kind:
     #: ``warnings(obj)``: the ``warning:`` lines the CLI prints for a valid document
     warnings: Callable[[Any], tuple[str, ...]] = lambda obj: ()
 
+    def __post_init__(self):
+        """A random-set kind's bound is ``bel`` of its random set, its ``mass``
+        and ``interval`` conversions are that set and its outer interval, and
+        ``check`` appends that set's facts to the kind's own."""
+        if (rs := self.random_set) is None:
+            return
+        own, to = self.facts, self.to
+        object.__setattr__(self, "lower", lambda obj, a: randomset.bel(rs(obj), a))
+        object.__setattr__(self, "facts", lambda obj: {
+            **own(obj), "focal events": len(rs(obj).focal), "nested": randomset.is_nested(rs(obj))
+        })
+        object.__setattr__(self, "to", {
+            **to, "mass": lambda obj, sigma: rs(obj),
+            "interval": lambda obj, sigma: randomset.to_interval(rs(obj)),
+        })
+
 
 #: the two p-box kinds differ only in their payload
 _PBOX = dict(
     cls=pbox.GeneralizedPBox,
-    lower=lambda pb, a: pbox.lower_prob(pb, a),
+    random_set=lambda pb: pbox.to_random_set(pb),
     polytope=lambda pb: pbox.to_polytope(pb),
     facts=lambda pb: {"comonotone": True, "levels": len(pb.block_masks)},
     to={
-        "mass": lambda pb, sigma: pbox.to_random_set(pb),
-        "interval": lambda pb, sigma: convert.pbox_to_interval(pb),
         "gen_pbox": lambda pb, sigma: _gen_pbox_form(pb),
         "nested_bounds": lambda pb, sigma: pb,
     },
@@ -271,7 +288,6 @@ KINDS: dict[str, Kind] = {
             }
         },
         lower=lambda c, a: c(a),
-        polytope=None,
         facts=lambda c: {
             "2-monotone": capacity.is_2_monotone(c),
             "infinity-monotone": capacity.is_infty_monotone(c),
@@ -288,13 +304,8 @@ KINDS: dict[str, Kind] = {
                 _event_key(Event(ms.space, mask)): str(m) for mask, m in ms.focal
             }
         },
-        lower=lambda ms, a: randomset.bel(ms, a),
+        random_set=lambda ms: ms,
         polytope=lambda ms: randomset.to_polytope(ms),
-        facts=lambda ms: {
-            "focal events": len(ms.focal),
-            "nested": randomset.is_nested(ms),
-        },
-        to={"interval": lambda ms, sigma: randomset.to_interval(ms)},
     ),
     "possibility": Kind(
         cls=possibility.PossibilityDistribution,
@@ -302,10 +313,9 @@ KINDS: dict[str, Kind] = {
             space, _vector(payload, "pi", space)
         ),
         write=lambda d: {"pi": _strs(d.pi)},
-        lower=lambda d, a: possibility.necessity(d, a),
+        random_set=lambda d: possibility.to_random_set(d),
         polytope=lambda d: possibility.to_polytope(d),
         facts=lambda d: {"distinct levels": len(d.levels())},
-        to={"mass": lambda d, sigma: possibility.to_random_set(d)},
     ),
     "interval": Kind(
         cls=interval.ProbabilityInterval,
@@ -349,7 +359,6 @@ KINDS: dict[str, Kind] = {
         polytope=lambda p: credal.CredalPolytope(
             p.space, [(p.space.singleton(i), v, v) for i, v in enumerate(p.p)]
         ),
-        facts=lambda p: {},
     ),
 }
 

@@ -24,7 +24,7 @@ from operator import gt, or_
 from typing import Iterable, Sequence
 
 from . import randomset
-from ._exact import over_lcd
+from ._exact import over_lcd, shown
 from .credal import CredalPolytope
 from .errors import ValidationError
 from .space import Event, FiniteSpace, _fraction, _same_space, _unit_values
@@ -133,7 +133,9 @@ def _spread(pb: GeneralizedPBox, per_level: Sequence[Fraction]) -> tuple[Fractio
 
 
 def _bounds_error(lo: Fraction, hi: Fraction) -> ValidationError:
-    return ValidationError(f"bounds must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
+    return ValidationError(
+        f"bounds must satisfy 0 <= lo <= hi <= 1, got [{shown(lo)}, {shown(hi)}]"
+    )
 
 
 def from_functions(space: FiniteSpace, flow: Sequence, fupp: Sequence) -> GeneralizedPBox:
@@ -147,7 +149,7 @@ def from_functions(space: FiniteSpace, flow: Sequence, fupp: Sequence) -> Genera
     for i in range(space.size):
         if flow[i] > fupp[i]:
             raise ValidationError(
-                f"lower exceeds upper at {space.labels[i]}: {flow[i]} > {fupp[i]}"
+                f"lower exceeds upper at {space.labels[i]}: {shown(flow[i])} > {shown(fupp[i])}"
             )
     order = sorted(range(space.size), key=lambda i: (flow[i], fupp[i]))
     for a, b in zip(order, order[1:]):
@@ -193,7 +195,7 @@ def from_nested_sets(space: FiniteSpace, nested: Iterable) -> GeneralizedPBox:
         if not 0 <= lo <= hi <= 1:
             raise _bounds_error(lo, hi)
         if lo:
-            raise ValidationError(f"the empty set cannot have lower bound {lo}")
+            raise ValidationError(f"the empty set cannot have lower bound {shown(lo)}")
         if hi > levels[0][2]:
             raise ValidationError("level bounds must be non-decreasing outward")
     events, alpha, beta = zip(*levels)

@@ -20,6 +20,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import pbox, randomset
+from ._exact import shown
 from .credal import CredalPolytope, ProbabilityVector, is_member
 from .errors import ValidationError
 from .space import Event, FiniteSpace, _fraction, _same_space, _unit_values
@@ -81,7 +82,7 @@ def alpha_cut(d: PossibilityDistribution, alpha, strong: bool = False) -> Event:
     """Superlevel set of pi: {pi > alpha} (strong) or {pi >= alpha}."""
     alpha = _fraction(alpha, "alpha")
     if not 0 <= alpha <= 1:
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
+        raise ValidationError(f"alpha must lie in [0, 1], got {shown(alpha)}")
     mask = 0
     for i, v in enumerate(d.pi):
         if v > alpha or (not strong and v == alpha):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from ._exact import Ratios, over_lcd
+from ._exact import Ratios, over_lcd, shown
 from .capacity import _zeta
 from .credal import CredalPolytope
 from .errors import ValidationError
@@ -34,7 +34,7 @@ class MassAssignment:
             mask = _mask_of(space, key, "focal event")
             val = _fraction(val, "masses")
             if val < 0:
-                raise ValidationError(f"negative mass {val} on {Event(space, mask)}")
+                raise ValidationError(f"negative mass {shown(val)} on {Event(space, mask)}")
             if val == 0:
                 continue
             if mask == 0:
@@ -96,7 +96,7 @@ def simple_support(a: Event, mass_on_a) -> MassAssignment:
     if a.is_empty:
         raise ValidationError("a simple support set must be non-empty")
     if not 0 <= mass_on_a <= 1:
-        raise ValidationError(f"mass must lie in [0, 1], got {mass_on_a}")
+        raise ValidationError(f"mass must lie in [0, 1], got {shown(mass_on_a)}")
     if a.is_full:  # {a: m, X: 1 - m} would be one key, keeping only 1 - m
         return MassAssignment(a.space, {a.mask: 1})
     full = a.space.full

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from ._exact import too_long_message, unprintable
+from ._exact import shown, too_long_message, unprintable
 from .errors import SpaceMismatchError, SpaceSizeError, ValidationError
 
 #: Hard cap on the number of elements, so that full 2^n enumeration
@@ -157,7 +157,7 @@ def _unit_values(space: FiniteSpace, values: Iterable, what: str) -> tuple[Fract
         raise ValidationError(f"expected {space.size} {what}, got {len(values)}")
     for v in values:
         if not 0 <= v.numerator <= v.denominator:  # denominators are positive
-            raise ValidationError(f"{what} must lie in [0, 1], got {v}")
+            raise ValidationError(f"{what} must lie in [0, 1], got {shown(v)}")
     return values
 
 

@@ -18,7 +18,6 @@ from impbox import (
     interval,
     is_member,
     pbox,
-    possibility,
     randomset,
 )
 from impbox._exact import too_long_message
@@ -109,7 +108,7 @@ def test_check_echoes_a_warning_as_one_line(runner, tmp_path):
     )
     assert result.stdout == (
         "kind: gen_pbox\nspace: 3 elements\nvalid: yes\n"
-        "comonotone: yes\nlevels: 3\n"
+        "comonotone: yes\nlevels: 3\nfocal events: 2\nnested: yes\n"
     )
     path.write_text(
         '{"kind": "nested_bounds", "space": ["a", "b", "c"], "levels": ['
@@ -123,7 +122,7 @@ def test_check_echoes_a_warning_as_one_line(runner, tmp_path):
     )
     assert result.stdout == (
         "kind: nested_bounds\nspace: 3 elements\nvalid: yes\n"
-        "comonotone: yes\nlevels: 3\n"
+        "comonotone: yes\nlevels: 3\nfocal events: 2\nnested: yes\n"
     )
     # a possibility distribution with a zero degree has the same p-box, silently
     path.write_text(
@@ -133,6 +132,7 @@ def test_check_echoes_a_warning_as_one_line(runner, tmp_path):
     assert (result.exit_code, result.stderr) == (0, "")
     assert result.stdout == (
         "kind: possibility\nspace: 3 elements\nvalid: yes\ndistinct levels: 3\n"
+        "focal events: 2\nnested: yes\n"
     )
 
 
@@ -395,7 +395,8 @@ def _unsupported(source, target):
         f"unsupported conversion {source}->{target}; supported: gen_pbox->interval, "
         "gen_pbox->mass, gen_pbox->nested_bounds, interval->gen_pbox, "
         "interval->nested_bounds, mass->interval, nested_bounds->gen_pbox, "
-        "nested_bounds->interval, nested_bounds->mass, possibility->mass",
+        "nested_bounds->interval, nested_bounds->mass, possibility->interval, "
+        "possibility->mass",
     )
 
 
@@ -443,20 +444,26 @@ ALL_KINDS_GOLDEN = {
     ("mass", "lower"): _ok("3/4 = 0.75"),
     ("mass", "upper"): _ok("1 = 1.0"),
     ("mass", "verify"): AGREE,
-    ("mass", "to_mass"): _unsupported("mass", "mass"),
+    ("mass", "to_mass"): _document(
+        "mass", focal={"x1": "1/4", "x1,x2": "1/2", "x2,x3": "1/4"}
+    ),
     ("mass", "to_interval"): _document(
         "interval", l=["1/4", "0", "0"], u=["3/4", "3/4", "1/4"]
     ),
     ("mass", "to_gen_pbox"): _unsupported("mass", "gen_pbox"),
     ("mass", "to_nested_bounds"): _unsupported("mass", "nested_bounds"),
-    ("possibility", "check"): _check("possibility", "distinct levels: 3"),
+    ("possibility", "check"): _check(
+        "possibility", "distinct levels: 3", "focal events: 3", "nested: yes"
+    ),
     ("possibility", "lower"): _ok("3/4 = 0.75"),
     ("possibility", "upper"): _ok("1 = 1.0"),
     ("possibility", "verify"): AGREE,
     ("possibility", "to_mass"): _document(
         "mass", focal={"x1": "1/2", "x1,x2": "1/4", "x1,x2,x3": "1/4"}
     ),
-    ("possibility", "to_interval"): _unsupported("possibility", "interval"),
+    ("possibility", "to_interval"): _document(
+        "interval", l=["1/2", "0", "0"], u=["1", "1/2", "1/4"]
+    ),
     ("possibility", "to_gen_pbox"): _unsupported("possibility", "gen_pbox"),
     ("possibility", "to_nested_bounds"): _unsupported("possibility", "nested_bounds"),
     ("interval", "check"): _check("interval", "non-empty: yes", "reachable: yes"),
@@ -481,7 +488,9 @@ ALL_KINDS_GOLDEN = {
         "convert",
         f"Invalid value for '--to': 'banana' is not one of {KIND_CHOICES}.",
     ),
-    ("gen_pbox", "check"): _check("gen_pbox", "comonotone: yes", "levels: 3"),
+    ("gen_pbox", "check"): _check(
+        "gen_pbox", "comonotone: yes", "levels: 3", "focal events: 4", "nested: no"
+    ),
     ("gen_pbox", "lower"): _ok("1/5 = 0.2"),
     ("gen_pbox", "upper"): _ok("7/10 = 0.7"),
     ("gen_pbox", "verify"): AGREE,
@@ -498,7 +507,9 @@ ALL_KINDS_GOLDEN = {
     ("gen_pbox", "to_nested_bounds"): _levels(
         ("x1", "0", "3/10"), ("x1,x2", "1/5", "7/10"), ("x1,x2,x3", "1", "1")
     ),
-    ("nested_bounds", "check"): _check("nested_bounds", "comonotone: yes", "levels: 3"),
+    ("nested_bounds", "check"): _check(
+        "nested_bounds", "comonotone: yes", "levels: 3", "focal events: 5", "nested: no"
+    ),
     ("nested_bounds", "lower"): _ok("1/2 = 0.5"),
     ("nested_bounds", "upper"): _ok("4/5 = 0.8"),
     ("nested_bounds", "verify"): AGREE,
@@ -771,12 +782,13 @@ def _assert_validation_failure(runner, tmp_path, text, args):
 def test_verify_mismatch_exits_3_with_witness(
     runner, expert_file, monkeypatch, masks, side, formula
 ):
-    # wrong closed forms; upper({x3,x4,x5}) reads lower({x1,x2,x6})
-    honest = pbox.lower_prob
+    # wrong closed forms, the belief of the p-box's random set;
+    # upper({x3,x4,x5}) reads lower({x1,x2,x6})
+    honest = randomset.bel
     monkeypatch.setattr(
-        pbox,
-        "lower_prob",
-        lambda pb, a: honest(pb, a) + (F(1, 10) if a.mask in masks else 0),
+        randomset,
+        "bel",
+        lambda ms, a: honest(ms, a) + (F(1, 10) if a.mask in masks else 0),
     )
     result = runner.invoke(main, ["verify", expert_file])
     assert result.exit_code == 3
@@ -800,10 +812,10 @@ def test_verify_mismatch_exits_3_with_witness(
 @pytest.mark.parametrize(
     "module, name, text",
     [
-        (pbox, "lower_prob", EXPERT_TEXT),
+        (randomset, "bel", EXPERT_TEXT),
         (
-            possibility,
-            "necessity",
+            randomset,
+            "bel",
             '{"kind": "possibility", "space": ["a", "b", "c", "d"], '
             '"pi": ["1/4", "1", "1/2", "0"]}',
         ),
@@ -820,8 +832,8 @@ def test_verify_mismatch_exits_3_with_witness(
             '"l": ["1/10", "1/5", "3/10"], "u": ["1/2", "1/2", "3/5"]}',
         ),
         (
-            pbox,
-            "lower_prob",
+            randomset,
+            "bel",
             '{"kind": "nested_bounds", "space": ["a", "b", "c"], "levels": ['
             '{"event": "b", "lo": "1/10", "hi": "2/5"}, '
             '{"event": "a,b", "lo": "1/2", "hi": "4/5"}]}',

@@ -14,6 +14,7 @@ from impbox import (
     GeneralizedPBox,
     MassAssignment,
     ValidationError,
+    bel,
     docio,
 )
 from impbox.cli import main
@@ -278,6 +279,42 @@ def test_pbox_conversions_write_the_pbox_or_refuse():
             assert _reread("gen_pbox", functions) == pb
             written += 1
     assert written and rejected
+
+
+#: a seeded generator for each kind whose ``KINDS`` entry states its random set
+RANDOM_SET_SOURCES = {
+    "mass": gen.rand_mass,
+    "possibility": gen.rand_possibility,
+    "gen_pbox": lambda rng, space: gen.rand_pbox(rng, space, ties=rng.random() < 0.5),
+    "nested_bounds": gen.rand_nested_pbox,
+}
+
+
+def test_the_random_set_sources_are_the_kinds_with_a_random_set():
+    assert {k for k, e in docio.KINDS.items() if e.random_set} == set(RANDOM_SET_SOURCES)
+
+
+@pytest.mark.parametrize("kind", RANDOM_SET_SOURCES)
+def test_the_random_set_conversions_keep_their_claims(kind):
+    """``to["mass"]`` is exact, ``to["interval"]`` is outer and tightest per
+    element, and the mass document parses back to the random set."""
+    entry, interval_lower = docio.KINDS[kind], docio.KINDS["interval"].lower
+    rng = random.Random(5323)
+    for i in range(120):
+        space = gen.SPACES[1 + i % 6]
+        obj = RANDOM_SET_SOURCES[kind](rng, space)
+        ms, iv = entry.to["mass"](obj, None), entry.to["interval"](obj, None)
+        for event in enumerate_events(space):
+            lower = entry.lower(obj, event)
+            assert bel(ms, event) == lower, (obj, event)
+            assert interval_lower(iv, event) <= lower, (obj, event)
+            if event.mask.bit_count() == 1:
+                assert interval_lower(iv, event) == lower, (obj, event)
+                upper = 1 - entry.lower(obj, event.complement())
+                assert 1 - interval_lower(iv, event.complement()) == upper, (obj, event)
+        again = parse(serialize(Document("mass", space, ms))).obj
+        assert again == ms
+        assert kind != "mass" or again == obj
 
 
 def _reference_read(kind, payload):

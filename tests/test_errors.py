@@ -1,6 +1,7 @@
 """Raise sites that the behaviour tests never reach: each one's exception
 type and exact message, from one call through the public entry point."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -34,6 +35,9 @@ REACHABLE = ProbabilityInterval(SP, [F(1, 4), F(1, 2)], [F(1, 2), F(3, 4)])
 UNREACHABLE = ProbabilityInterval(SP, [0, 0], [1, F(1, 4)])
 NAN, INF = float("nan"), float("inf")
 X1 = SP.event(["x1"])
+#: rationals whose denominator has more digits than ``str`` prints, and
+#: how a message names them
+TINY, LONG = F(1, 10**5000), f"<number over {sys.get_int_max_str_digits()} digits>"
 
 SITES = {
     "capacity._as_table": (
@@ -182,6 +186,66 @@ SITES = {
         lambda: alpha_cut(PossibilityDistribution(SP, [F(1, 2), 1]), -INF),
         ValidationError,
         "alpha must lie in [0, 1], got -inf",
+    ),
+    "space._unit_values.over_long": (
+        lambda: ProbabilityVector(SP, [-TINY, 1]),
+        ValidationError,
+        f"probabilities must lie in [0, 1], got {LONG}",
+    ),
+    "MassAssignment.over_long": (
+        lambda: MassAssignment(SP, {X1: -TINY, SP.full: 1}),
+        ValidationError,
+        f"negative mass {LONG} on {{x1}}",
+    ),
+    "simple_support.over_long": (
+        lambda: simple_support(X1, -TINY),
+        ValidationError,
+        f"mass must lie in [0, 1], got {LONG}",
+    ),
+    "alpha_cut.over_long": (
+        lambda: alpha_cut(PossibilityDistribution(SP, [F(1, 2), 1]), -TINY),
+        ValidationError,
+        f"alpha must lie in [0, 1], got {LONG}",
+    ),
+    "CredalPolytope.over_long": (
+        lambda: CredalPolytope(SP, [(X1, TINY, 0)]),
+        ValidationError,
+        f"constraint bounds must satisfy 0 <= lo <= hi <= 1, got [{LONG}, 0] for {{x1}}",
+    ),
+    "pbox._bounds_error.over_long": (
+        lambda: GeneralizedPBox(SP, [0b01, 0b10], [TINY, 1], [0, 1]),
+        ValidationError,
+        f"bounds must satisfy 0 <= lo <= hi <= 1, got [{LONG}, 0]",
+    ),
+    "from_nested_sets.empty.over_long": (
+        lambda: from_nested_sets(SP, [(SP.event([]), TINY, F(1, 2)), (X1, F(1, 2), 1)]),
+        ValidationError,
+        f"the empty set cannot have lower bound {LONG}",
+    ),
+    "from_functions.over_long": (
+        lambda: from_functions(SP, [TINY, 1], [0, 1]),
+        ValidationError,
+        f"lower exceeds upper at x1: {LONG} > 0",
+    ),
+    "Capacity.empty.over_long": (
+        lambda: Capacity(SP, [TINY, 0, 0, 1]),
+        ValidationError,
+        f"capacity of the empty set must be 0, got {LONG}",
+    ),
+    "Capacity.full.over_long": (
+        lambda: Capacity(SP, [0, 0, 0, 1 - TINY]),
+        ValidationError,
+        f"capacity of the whole space must be 1, got {LONG}",
+    ),
+    "Capacity.monotonicity.over_long": (
+        lambda: Capacity(SP, [0, 10**5000, 0, 1]),
+        ValidationError,
+        f"monotonicity violated: mu({{x1}})={LONG} > mu({{x1,x2}})=1",
+    ),
+    "MobiusAssignment.over_long": (
+        lambda: MobiusAssignment(SP, {0: TINY, SP.full: 1}),
+        ValidationError,
+        f"mass of the empty set must be 0, got {LONG}",
     ),
 }
 

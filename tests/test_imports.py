@@ -11,8 +11,10 @@ imports nothing from ``fractions``, ``docio`` turns event labels into
 masks in one key reader, no closed form builds its answer ``Fraction``
 past its view's table, the p-box and possibility bounds are ``randomset``'s
 belief and plausibility with no loop of their own, no module reads
-an environment variable, and a kind's polytope names no other model
-module, none of the closed forms and no route to its random set.
+an environment variable, a kind's polytope names no other model
+module, none of the closed forms and no route to its random set, and
+``docio`` reaches a random-set kind's bound, conversions and facts only
+through ``Kind.random_set``.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers, public
@@ -725,6 +727,69 @@ def test_the_library_reads_no_environment_variable(module):
     """Every input reaches the library as an argument, so no setting
     outside a call, such as a second space-size cap, can change a result."""
     assert _environment_reads((SRC / module).read_text(encoding="utf-8")) == []
+
+
+#: the random-set routes ``docio`` may name only where ``Kind`` derives a
+#: random-set kind's bound, conversions and facts, or where an entry says
+#: which random set its object is
+RANDOM_SET_ROUTES = {
+    "bel", "to_interval", "is_nested", "to_random_set", "lower_prob", "necessity",
+    "pbox_to_interval",
+}
+
+
+def _random_set_routes(source: str) -> list[str]:
+    """Names, attributes and imports in ``RANDOM_SET_ROUTES`` outside
+    ``Kind.__post_init__`` and the values of ``random_set=`` keywords, as
+    ``"line: name"``."""
+    tree, allowed = ast.parse(source), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "Kind":
+            allowed.update(
+                id(inner)
+                for stmt in node.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"
+                for inner in ast.walk(stmt)
+            )
+        elif isinstance(node, ast.keyword) and node.arg == "random_set":
+            allowed.update(id(inner) for inner in ast.walk(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            name = getattr(node, "attr", None)
+        if name in RANDOM_SET_ROUTES and id(node) not in allowed:
+            found.append((node.lineno, name))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_check_finds_random_set_routes():
+    source = (
+        "class Kind:\n"
+        "    def __post_init__(self):\n"
+        "        self.lower = lambda obj, a: randomset.bel(self.random_set(obj), a)\n"
+        "    def other(self):\n"
+        "        return randomset.is_nested\n"
+        "MASS = Kind(random_set=lambda pb: pbox.to_random_set(pb))\n"
+        "PBOX = dict(lower=lambda pb, a: pbox.lower_prob(pb, a))\n"
+        "TO = {'interval': lambda pb, sigma: convert.pbox_to_interval(pb)}\n"
+        "from .possibility import necessity\n"
+        "N = necessity\n"
+    )
+    assert _random_set_routes(source) == [
+        "5: is_nested", "7: lower_prob", "8: pbox_to_interval", "9: necessity",
+        "10: necessity",
+    ]
+
+
+def test_docio_names_each_random_set_route_once():
+    """A random-set kind states its random set, and ``Kind`` derives its
+    bound, its ``mass`` and ``interval`` conversions and its facts."""
+    source = (SRC / "docio.py").read_text(encoding="utf-8")
+    assert _random_set_routes(source) == []
 
 
 #: the polytope that ``verify`` checks each random-set or interval kind's

@@ -34,7 +34,8 @@ from impbox.pbox import (
     upper_prob,
 )
 from impbox.possibility import contains, to_possibility_pair
-from reference import algorithm1, lower_prob_via_possibility
+from impbox.randomset import is_nested
+from reference import algorithm1, lower_prob_via_possibility, pbox_bounds
 
 
 def test_expert_pbox_blocks(expert_pbox, space6):
@@ -416,3 +417,49 @@ def test_possibility_embedding():
         for _ in range(20):
             p = gen.rand_probability(rng, sp)
             assert is_member(poly, p) == contains(d, p)
+
+
+def _is_necessity(pb) -> bool:
+    """Whether the p-box's lower probability N, walked level by level
+    (``reference.pbox_bounds``), is a necessity measure: N(A & B) =
+    min(N(A), N(B)) for every pair of events A, B."""
+    table = [pbox_bounds(pb, e)[0] for e in enumerate_events(pb.space)]
+    return all(
+        table[a & b] == min(table[a], table[b])
+        for a in range(len(table))
+        for b in range(a + 1, len(table))
+    )
+
+
+#: how each seeded p-box is drawn, and the document kind that states it
+NESTED_FACT_SOURCES = {
+    "untied": ("gen_pbox", gen.rand_pbox),
+    "tied": ("gen_pbox", lambda rng, space: gen.rand_pbox(rng, space, ties=True)),
+    "nested": ("nested_bounds", gen.rand_nested_pbox),
+}
+
+
+def test_the_nested_fact_says_whether_a_pbox_is_a_possibility_distribution():
+    """A random set is consonant exactly when its belief is a necessity
+    measure, and a p-box and its random set share their lower probability."""
+    rng = random.Random(1231)
+    answers = []
+    for name, (kind, build) in NESTED_FACT_SOURCES.items():
+        for i in range(300):
+            pb = build(rng, gen.SPACES[1 + i % 6])
+            nested = is_nested(to_random_set(pb))
+            assert docio.KINDS[kind].facts(pb)["nested"] is nested
+            assert nested == _is_necessity(pb), (name, pb)
+            answers.append(nested)
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_a_repeated_full_level_hides_a_possibility_distribution():
+    # alpha = (0, 1, 1), beta = (1/2, 1, 1): neither is every beta 1 nor
+    # every alpha before the last level 0, yet the lower probability is
+    # a necessity measure, with focal sets {x2} and {x1,x2}
+    pb = GeneralizedPBox(gen.SPACES[3], [0b001, 0b010, 0b100], [0, 1, 1], [F(1, 2), 1, 1])
+    assert _is_necessity(pb)
+    assert dict(to_random_set(pb).focal) == {0b010: F(1, 2), 0b011: F(1, 2)}
+    assert is_nested(to_random_set(pb))
+    assert docio.KINDS["nested_bounds"].facts(pb)["nested"] is True
