@@ -7,6 +7,7 @@ of their focal maps.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,7 +18,15 @@ from .capacity import _zeta
 from .credal import CredalPolytope
 from .errors import ValidationError
 from .interval import ProbabilityInterval
-from .space import Event, FiniteSpace, _fraction, _mask_of, _same_space, _sums_to_one
+from .space import (
+    Event,
+    FiniteSpace,
+    _byte_tables,
+    _fraction,
+    _mask_of,
+    _same_space,
+    _sums_to_one,
+)
 
 
 @dataclass(frozen=True)
@@ -52,31 +61,65 @@ class MassAssignment:
         den, nums = over_lcd([m for _, m in self.focal])
         return Ratios(den), tuple(zip((mask for mask, _ in self.focal), nums))
 
+    @cached_property
+    def _hits(self) -> tuple:
+        """``(h0, h1, h2, c0, c1, c2, every, answers)``, built from the focal
+        masks on the first bound query.
+
+        A hit set is a bitset of focal events, bit i for the i-th pair of
+        ``focal``.  ``h0[m & 255] | h1[m >> 8 & 255] | h2[m >> 16]`` is the
+        hit set of the focal events that meet the event mask ``m``: the
+        ``_byte_tables`` of each element's hit set, combined by union.
+        ``c0, c1, c2`` are the same tables reversed, so they read the
+        complement of ``m``.  ``every`` holds all k bits, and ``answers``
+        maps each hit set a query has met to its total mass, from the
+        ``_ints`` table; like that table, it only grows, by equal values.
+        """
+        n = self.space.size
+        spec = f"0{n}b"
+        # n bits per focal event, the last pair first, so that every n-th
+        # bit from element x's column spells the hit set of {x} in binary
+        bits = "".join([format(mask, spec) for mask, _ in reversed(self.focal)])
+        hits = _byte_tables([int(bits[n - 1 - x :: n], 2) for x in range(n)], operator.or_)
+        return (*hits, *(table[::-1] for table in hits), (1 << len(self.focal)) - 1, {})
+
 
 def bel(ms: MassAssignment, a: Event) -> Fraction:
-    """Total mass of focal events contained in a."""
+    """Total mass of focal events contained in a: those that do not meet
+    its complement."""
     if a.space is not ms.space:
         _same_space(ms.space, a.space, "event and mass assignment spaces differ")
-    ratios, focal = ms._ints
-    outside = ~a.mask
-    total = 0
-    for mask, m in focal:
-        if not mask & outside:
-            total += m
-    return ratios[total]
+    _, _, _, c0, c1, c2, every, answers = ms._hits
+    mask = a.mask
+    hit = every ^ (c0[mask & 255] | c1[mask >> 8 & 255] | c2[mask >> 16])
+    answer = answers.get(hit)
+    if answer is None:
+        ratios, focal = ms._ints
+        outside = ~mask
+        total = 0
+        for focal_mask, m in focal:
+            if not focal_mask & outside:
+                total += m
+        answer = answers[hit] = ratios[total]
+    return answer
 
 
 def pl(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events meeting a; equals 1 - bel(complement)."""
     if a.space is not ms.space:
         _same_space(ms.space, a.space, "event and mass assignment spaces differ")
-    ratios, focal = ms._ints
-    inside = a.mask
-    total = 0
-    for mask, m in focal:
-        if mask & inside:
-            total += m
-    return ratios[total]
+    h0, h1, h2, _, _, _, _, answers = ms._hits
+    mask = a.mask
+    hit = h0[mask & 255] | h1[mask >> 8 & 255] | h2[mask >> 16]
+    answer = answers.get(hit)
+    if answer is None:
+        ratios, focal = ms._ints
+        total = 0
+        for focal_mask, m in focal:
+            if focal_mask & mask:
+                total += m
+        answer = answers[hit] = ratios[total]
+    return answer
 
 
 def contour(ms: MassAssignment) -> tuple[Fraction, ...]:

@@ -179,19 +179,22 @@ def _sums_to_one(den: int, nums: Iterable[int], what: str) -> None:
         raise ValidationError(f"{what} must sum to 1, got {total}")
 
 
-def _byte_tables(values: Sequence[int]) -> tuple[tuple, tuple, tuple]:
-    """``(t0, t1, t2)``: sums of ``values``, one int per element, by byte
+def _byte_tables(values: Sequence[int], combine=operator.add) -> tuple[tuple, tuple, tuple]:
+    """``(t0, t1, t2)``: ``values``, one int per element, combined by byte
     of a mask, so their sum over a mask ``m`` below ``2**MAX_ELEMENTS`` is
     ``t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16]``.
 
-    Table k has one entry per subset of the elements of byte k, 0 for the
-    empty one: 2**8 entries at most, and a single entry past the last
-    element."""
+    ``combine`` is the combining step, ``operator.add`` by default; given
+    ``operator.or_``, the tables hold unions of bitsets instead, read with
+    ``|``.  Either way it must be associative and commutative, with 0 as
+    its identity.  Table k has one entry per subset of the elements of
+    byte k, 0 for the empty one: 2**8 entries at most, and a single entry
+    past the last element."""
     tables = []
     for start in (0, 8, 16):
         table = [0]
         for value in values[start : start + 8]:
-            table += [total + value for total in table]
+            table += [combine(total, value) for total in table]
         tables.append(tuple(table))
     return tuple(tables)
 
@@ -226,7 +229,12 @@ class Permutation:
     def __init__(self, order: Iterable[int]):
         order = tuple(order)
         if sorted(order) != list(range(len(order))):
-            raise ValidationError(f"not a bijection on 0..{len(order) - 1}: {order}")
+            # the tuple as ``str`` writes it, each rational through ``shown``
+            entries = [shown(i) if isinstance(i, (int, Fraction)) else repr(i) for i in order]
+            shape = "({})" if len(order) != 1 else "({},)"
+            raise ValidationError(
+                f"not a bijection on 0..{len(order) - 1}: {shape.format(', '.join(entries))}"
+            )
         object.__setattr__(self, "order", order)
 
     @property

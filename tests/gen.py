@@ -69,7 +69,8 @@ def rand_dense_mass(rng: random.Random, space: FiniteSpace) -> MassAssignment:
     Its polytope keeps a bound on nearly every event, the oracle's
     densest row set.
     """
-    masks = [m for m in range(1, 1 << space.size) if m.bit_count() <= 2]
+    singles = [1 << i for i in range(space.size)]
+    masks = sorted(singles + [a | b for a in singles for b in singles if a < b])
     weights = [rng.randint(1, 9) for _ in masks]
     total = sum(weights)
     return MassAssignment(space, {m: Fraction(w, total) for m, w in zip(masks, weights)})

@@ -56,6 +56,9 @@ MODELS = {
         pbox.to_polytope,
     ),
     "mass": (gen.rand_mass, randomset.bel, randomset.pl, randomset.to_polytope),
+    # mass on every event of one or two elements: n(n + 1)/2 focal sets,
+    # so a hit set is wider than a machine word from n = 11 on
+    "dense_mass": (gen.rand_dense_mass, randomset.bel, randomset.pl, randomset.to_polytope),
     "possibility": (
         gen.rand_possibility,
         possibility.necessity,
@@ -95,6 +98,7 @@ REFERENCES = {
     "nested_pbox": reference.pbox_bounds,
     "gen_pbox_fine": reference.pbox_bounds,
     "mass": reference.mass_bounds,
+    "dense_mass": reference.mass_bounds,
     "possibility": reference.possibility_bounds,
     "interval": reference.interval_bounds,
 }

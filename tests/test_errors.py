@@ -14,6 +14,7 @@ from impbox import (
     MassAssignment,
     MobiusAssignment,
     NotReachableError,
+    Permutation,
     PossibilityDistribution,
     ProbabilityInterval,
     ProbabilityVector,
@@ -246,6 +247,11 @@ SITES = {
         lambda: MobiusAssignment(SP, {0: TINY, SP.full: 1}),
         ValidationError,
         f"mass of the empty set must be 0, got {LONG}",
+    ),
+    "space.Permutation.over_long": (
+        lambda: Permutation([10**5000]),
+        ValidationError,
+        f"not a bijection on 0..0: ({LONG},)",
     ),
 }
 

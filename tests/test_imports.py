@@ -12,9 +12,10 @@ masks in one key reader, no closed form builds its answer ``Fraction``
 past its view's table, the p-box and possibility bounds are ``randomset``'s
 belief and plausibility with no loop of their own, no module reads
 an environment variable, a kind's polytope names no other model
-module, none of the closed forms and no route to its random set, and
-``docio`` reaches a random-set kind's bound, conversions and facts only
-through ``Kind.random_set``.
+module, none of the closed forms and no route to its random set or to
+the hit tables ``bel`` and ``pl`` answer from, those tables are built
+without ``capacity._zeta``, and ``docio`` reaches a random-set kind's
+bound, conversions and facts only through ``Kind.random_set``.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers, public
@@ -796,9 +797,12 @@ def test_docio_names_each_random_set_route_once():
 #: closed form against, by module
 POLYTOPE_MODULES = ("interval.py", "pbox.py", "possibility.py", "randomset.py")
 
-#: what a kind's polytope may not name: the routes to its random set, and
-#: the closed forms ``verify`` checks against it
-BOUND_CODE = {"_as_pbox", "_random_set", "to_random_set"}.union(*CLOSED_FORMS.values())
+#: what a kind's polytope may not name: the routes to its random set, the
+#: hit tables its ``bel`` and ``pl`` answer from, and the closed forms
+#: ``verify`` checks against it
+BOUND_CODE = {"_as_pbox", "_random_set", "to_random_set", "_hits"}.union(
+    *CLOSED_FORMS.values()
+)
 
 
 def _shared_bound_code(source: str, module: str) -> list[str]:
@@ -846,3 +850,54 @@ def test_a_kinds_polytope_shares_no_bound_code(module):
     a bound, so ``verify`` compares two independent statements."""
     source = (SRC / module).read_text(encoding="utf-8")
     assert _shared_bound_code(source, module.removesuffix(".py")) == []
+
+
+def _zeta_in_hits(source: str) -> list[str]:
+    """The names and attributes ``_zeta`` in ``MassAssignment._hits`` of
+    ``source``, as ``"line: source text"``; ``["_hits: missing"]`` when it
+    has no such method.
+
+    The hit tables that ``bel`` and ``pl`` answer from are built from the
+    focal masks; built from the ``_zeta`` sums that the mass polytope is
+    built from, ``verify`` would check that code against itself."""
+    methods = [
+        stmt
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == "MassAssignment"
+        for stmt in node.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "_hits"
+    ]
+    if not methods:
+        return ["_hits: missing"]
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for method in methods
+        for node in ast.walk(method)
+        if isinstance(node, ast.Name) and node.id == "_zeta"
+        or isinstance(node, ast.Attribute) and node.attr == "_zeta"
+    ]
+
+
+def test_the_check_finds_zeta_in_the_hit_tables():
+    source = (
+        "class MassAssignment:\n"
+        "    def _hits(self):\n"
+        "        below = _zeta(self.table)\n"
+        "        return below, capacity._zeta, self.zeta\n"
+        "    def _ints(self):\n"
+        "        return _zeta(self.table)\n"
+        "def _hits(ms):\n"
+        "    return _zeta(ms.table)\n"
+    )
+    assert _zeta_in_hits(source) == ["3: _zeta", "4: capacity._zeta"]
+    assert _zeta_in_hits("class MassAssignment:\n    def _ints(self): pass\n") == [
+        "_hits: missing"
+    ]
+
+
+def test_the_hit_tables_are_built_from_the_focal_masks():
+    """``bel`` and ``pl`` answer from tables that share no code with the
+    ``_zeta``-built mass polytope, so ``verify`` compares two independent
+    statements."""
+    source = (SRC / "randomset.py").read_text(encoding="utf-8")
+    assert _zeta_in_hits(source) == []
