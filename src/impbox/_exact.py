@@ -8,6 +8,7 @@ it and stays an independent check.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -41,13 +42,40 @@ def unprintable(*values) -> bool:
 def shown(q) -> str:
     """``str(q)`` for a rational an error message names, or ``<number over
     N digits>`` when its numerator or denominator passes the digit limit N."""
-    if unprintable(q):
-        return f"<number over {sys.get_int_max_str_digits()} digits>"
-    return str(q)
+    return over_limit() if unprintable(q) else str(q)
+
+
+def over_limit() -> str:
+    """How an error message names a number over the digit limit N."""
+    return f"<number over {sys.get_int_max_str_digits()} digits>"
 
 
 def too_long_message(what: str = "a derived numerator or denominator") -> str:
     return f"{what} exceeds {sys.get_int_max_str_digits()} digits"
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
+
+
+def huge_exponent(text: str) -> bool:
+    """Whether a decimal literal's exponent exceeds the int->str digit limit,
+    read off the text: ``Fraction`` would first build 10**exponent."""
+    limit = sys.get_int_max_str_digits()
+    if not (limit and (match := _EXPONENT.search(text))):
+        return False
+    digits = match.group(1).lstrip("+-").replace("_", "").lstrip("0")
+    return len(digits) > len(str(limit)) or int(digits or 0) > limit
+
+
+def long_digit_run(text: str) -> bool:
+    """Whether a run of digits in ``text`` (underscores apart) is longer
+    than the int->str digit limit, which ``int``, and so ``Fraction``,
+    refuses to read."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and any(
+        len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(text)
+    )
 
 
 class Ratios(dict):

@@ -30,14 +30,13 @@ with its value whose left side at each element, y_eq plus the duals
 of the rows holding it, is at most 1 everywhere and at most 0 off its
 reach; so two stored duals whose reaches are disjoint sum to one such
 dual, with the sum of their values, on the union of their reaches.
-An event whose two bounds meet needs no LP: it is proven again, over
-integers, from the one witness and the one dual the tables picked.
-Where they do not meet, one more lookup adds the dual picked for the
-rest of the event, past the first dual's reach; where that sum meets
-the witness, the event is proven again, over integers, from the
-witness and the two duals, and the sum joins the tables as one dual.
-Every other event is solved and certified as in a short batch, and
-its witness and dual join the tables.
+An event whose two bounds meet needs no LP.  Where they do not meet,
+one more lookup adds the dual picked for the rest of the event, past
+the first dual's reach, and where that sum meets the witness, the sum
+joins the tables as one dual.  Either way the event is proven again by
+one check, over integers, from the one witness and the one dual, picked
+or summed.  Every other event is solved and certified as in a short
+batch, and its witness and dual join the tables.
 
 This module is the independent verifier the rest of the library is
 checked against, so it deliberately knows nothing about p-boxes,
@@ -269,9 +268,11 @@ class _Tables:
     Where the two tables meet, lower(A) is known without an LP.  Where
     they do not, the dual picked on A plus the dual picked on the rest
     of A past its reach may still meet the witness, and then lower(A)
-    is their sum, which joins the tables as A's one dual.  Either answer
-    is proven again from its certificates alone, over the elements, so
-    a wrong table entry can cost an LP or raise ``OracleError``, never
+    is their sum, which joins the tables as A's one dual before it is
+    checked; a failed check raises out of the batch, whose tables are
+    dropped.  One check proves either answer, over the elements: the
+    dual's reach lies in A and its value is the witness's P(A).  So a
+    wrong table entry can cost an LP or raise ``OracleError``, never
     give a wrong answer.
     """
 
@@ -305,50 +306,42 @@ class _Tables:
         the witness table; else from one certified LP, whose witness and
         dual then join the tables."""
         up, down, shift, index = self.upper[mask], self.lower[mask], self.shift, self.index
-        if up >> shift == down >> shift:
-            point = self.points[up & index]
-            reach, value = self.duals[down & index]
-            # a member with P(mask) = value, and a dual feasible for mask with it
-            attained = sum(compress(point.x, map(mask.__and__, self.bits)))
-            if reach & ~mask or value.denominator * attained != value.numerator * point.x_den:
-                raise OracleError(
-                    f"the stored certificates for the event {mask:#b} failed "
-                    "their exact check"
-                )
-            return Envelope(value, point.witness)
-        first = self.duals[down & index]
-        other = self.lower[mask & ~first[0]]
-        if (down >> shift) + (other >> shift) == up >> shift:
-            return self.add_sum(mask, self.points[up & index], first, self.duals[other & index])
-        envelope, proof = _solve(self.oracle, mask)
-        if id(proof.witness) not in self.seen:
-            self.add_point(proof)
-        self.add_dual(proof.reach, envelope.value)
-        return envelope
+        dual = self.duals[down & index]
+        if up >> shift != down >> shift:
+            other = self.lower[mask & ~dual[0]]
+            if (down >> shift) + (other >> shift) != up >> shift:
+                envelope, proof = _solve(self.oracle, mask)
+                if id(proof.witness) not in self.seen:
+                    self.add_point(proof)
+                self.add_dual(proof.reach, envelope.value)
+                return envelope
+            dual = self.add_sum(mask, dual, self.duals[other & index])
+        point = self.points[up & index]
+        reach, value = dual
+        # a member with P(mask) = value, and a dual feasible for mask with it
+        attained = sum(compress(point.x, map(mask.__and__, self.bits)))
+        if reach & ~mask or value.denominator * attained != value.numerator * point.x_den:
+            raise OracleError(
+                f"the stored certificates for the event {mask:#b} failed "
+                "their exact check"
+            )
+        return Envelope(value, point.witness)
 
     def add_sum(
-        self, mask: int, point: _Proof, first: tuple[int, Fraction], second: tuple[int, Fraction]
-    ) -> Envelope:
-        """Lower(mask) from a witness and two stored duals whose sum meets
-        it: proven over integers, the sum then joins the tables as one
-        dual.  Raises ``OracleError`` unless both reaches lie in mask and
-        are disjoint, and the two values add up to the witness's P(mask)."""
+        self, mask: int, first: tuple[int, Fraction], second: tuple[int, Fraction]
+    ) -> tuple[int, Fraction]:
+        """The sum of two stored duals, which joins the tables as one dual.
+        Raises ``OracleError`` unless the second reaches only mask past the
+        first's reach."""
         (reach, value), (more, extra) = first, second
-        attained = sum(compress(point.x, map(mask.__and__, self.bits)))
-        # value + extra == attained / x_den, cross-multiplied
-        total = value.numerator * extra.denominator + extra.numerator * value.denominator
-        if (
-            reach & ~mask
-            or more & ~(mask ^ reach)
-            or total * point.x_den != attained * value.denominator * extra.denominator
-        ):
+        if more & (reach | ~mask):
             raise OracleError(
                 f"the stored certificates summed for the event {mask:#b} failed "
                 "their exact check"
             )
-        value = Fraction(attained, point.x_den)
-        self.add_dual(reach | more, value)
-        return Envelope(value, point.witness)
+        total = value + extra
+        self.add_dual(reach | more, total)
+        return reach | more, total
 
     def add_point(self, proof: _Proof) -> None:
         """Lower ``upper`` to the sums of a new certified witness."""
@@ -369,9 +362,9 @@ class _Tables:
 
     def add_dual(self, reach: int, value: Fraction) -> None:
         """Raise ``lower`` to ``value`` on every mask that contains ``reach``.
-        ``den`` needs no rescale: the value's denominator divides the rows' lcd
-        or, as ``certified`` and ``add_sum`` check, its witness's ``x_den``,
-        which ``den`` is over."""
+        ``den`` needs no rescale: the value's denominator divides the rows'
+        lcd or its LP witness's ``x_den``, which ``den`` is over, and the
+        sum of two stored values is over ``den`` too."""
         lower = self.lower
         num = value.numerator * (self.den // value.denominator)
         if lower[reach] >> self.shift >= num:

@@ -8,15 +8,15 @@ are exact and canonical output is byte-stable.
 from __future__ import annotations
 
 import json
-import re
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterator
 
 from . import capacity, convert, credal, interval, pbox, possibility, randomset
-from ._exact import too_long, too_long_message, unprintable
+from ._exact import (
+    huge_exponent, long_digit_run, over_limit, too_long, too_long_message, unprintable
+)
 from .errors import ImpboxError, SpaceMismatchError, ValidationError
 from .space import Event, FiniteSpace, Permutation, enumerate_events
 
@@ -47,46 +47,19 @@ class _Number:
     text: str
 
     def __repr__(self) -> str:
-        if _long_digit_run(self.text):
-            return f"<number over {sys.get_int_max_str_digits()} digits>"
-        return self.text
-
-
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
-_DIGIT_RUN = re.compile(r"\d[\d_]*")
-
-
-def _huge_exponent(text: str) -> bool:
-    """Whether a decimal literal's exponent exceeds the int->str digit limit,
-    read off the text: ``Fraction`` would first build 10**exponent."""
-    limit = sys.get_int_max_str_digits()
-    match = _EXPONENT.search(text)
-    if not limit or not match:
-        return False
-    digits = match.group(1).lstrip("+-").replace("_", "").lstrip("0")
-    return len(digits) > len(str(limit)) or int(digits or 0) > limit
-
-
-def _long_digit_run(text: str) -> bool:
-    """Whether a run of digits in ``text`` (underscores apart) is longer
-    than the int->str digit limit, which ``int``, and so ``Fraction``,
-    refuses to read."""
-    limit = sys.get_int_max_str_digits()
-    return bool(limit) and any(
-        len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(text)
-    )
+        return over_limit() if long_digit_run(self.text) else self.text
 
 
 def _rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError("expected a rational number, got a boolean", path)
     text = value.text if isinstance(value, _Number) else value
-    if isinstance(text, str) and _huge_exponent(text):
+    if isinstance(text, str) and huge_exponent(text):
         raise DocumentError(too_long_message("numerator or denominator"), path)
     try:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
-        if isinstance(text, str) and _long_digit_run(text):
+        if isinstance(text, str) and long_digit_run(text):
             raise DocumentError(too_long_message("numerator or denominator"), path) from None
         raise DocumentError(f"cannot parse {value!r} as a rational", path) from None
     # every accepted value must print again: str() of a longer int raises

@@ -63,17 +63,17 @@ class MassAssignment:
 
     @cached_property
     def _hits(self) -> tuple:
-        """``(h0, h1, h2, c0, c1, c2, every, answers)``, built from the focal
+        """``(h0, h1, h2, full, every, answers)``, built from the focal
         masks on the first bound query.
 
         A hit set is a bitset of focal events, bit i for the i-th pair of
         ``focal``.  ``h0[m & 255] | h1[m >> 8 & 255] | h2[m >> 16]`` is the
         hit set of the focal events that meet the event mask ``m``: the
         ``_byte_tables`` of each element's hit set, combined by union.
-        ``c0, c1, c2`` are the same tables reversed, so they read the
-        complement of ``m``.  ``every`` holds all k bits, and ``answers``
-        maps each hit set a query has met to its total mass, from the
-        ``_ints`` table; like that table, it only grows, by equal values.
+        ``full`` is the space's mask and ``every`` holds all k bits.
+        ``answers`` maps each set of focal events a query has summed to its
+        total mass, from the ``_ints`` table; like that table, it only
+        grows, by equal values.
         """
         n = self.space.size
         spec = f"0{n}b"
@@ -81,26 +81,27 @@ class MassAssignment:
         # bit from element x's column spells the hit set of {x} in binary
         bits = "".join([format(mask, spec) for mask, _ in reversed(self.focal)])
         hits = _byte_tables([int(bits[n - 1 - x :: n], 2) for x in range(n)], operator.or_)
-        return (*hits, *(table[::-1] for table in hits), (1 << len(self.focal)) - 1, {})
+        return (*hits, (1 << n) - 1, (1 << len(self.focal)) - 1, {})
+
+
+def _meeting(ms: MassAssignment, mask: int) -> int:
+    """The total mass of the focal events that meet ``mask``, as a
+    numerator over the masses' common denominator."""
+    return sum([m for focal_mask, m in ms._ints[1] if focal_mask & mask])
 
 
 def bel(ms: MassAssignment, a: Event) -> Fraction:
-    """Total mass of focal events contained in a: those that do not meet
-    its complement."""
+    """Total mass of focal events contained in a: those that miss its
+    complement, so every focal event but the complement's hit set."""
     if a.space is not ms.space:
         _same_space(ms.space, a.space, "event and mass assignment spaces differ")
-    _, _, _, c0, c1, c2, every, answers = ms._hits
-    mask = a.mask
-    hit = every ^ (c0[mask & 255] | c1[mask >> 8 & 255] | c2[mask >> 16])
-    answer = answers.get(hit)
+    h0, h1, h2, full, every, answers = ms._hits
+    outside = a.mask ^ full
+    inside = every ^ (h0[outside & 255] | h1[outside >> 8 & 255] | h2[outside >> 16])
+    answer = answers.get(inside)
     if answer is None:
-        ratios, focal = ms._ints
-        outside = ~mask
-        total = 0
-        for focal_mask, m in focal:
-            if not focal_mask & outside:
-                total += m
-        answer = answers[hit] = ratios[total]
+        ratios = ms._ints[0]
+        answer = answers[inside] = ratios[ratios.den - _meeting(ms, outside)]
     return answer
 
 
@@ -108,17 +109,12 @@ def pl(ms: MassAssignment, a: Event) -> Fraction:
     """Total mass of focal events meeting a; equals 1 - bel(complement)."""
     if a.space is not ms.space:
         _same_space(ms.space, a.space, "event and mass assignment spaces differ")
-    h0, h1, h2, _, _, _, _, answers = ms._hits
+    h0, h1, h2, _, _, answers = ms._hits
     mask = a.mask
     hit = h0[mask & 255] | h1[mask >> 8 & 255] | h2[mask >> 16]
     answer = answers.get(hit)
     if answer is None:
-        ratios, focal = ms._ints
-        total = 0
-        for focal_mask, m in focal:
-            if focal_mask & mask:
-                total += m
-        answer = answers[hit] = ratios[total]
+        answer = answers[hit] = ms._ints[0][_meeting(ms, mask)]
     return answer
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from ._exact import shown, too_long_message, unprintable
+from ._exact import huge_exponent, long_digit_run, shown, too_long_message, unprintable
 from .errors import SpaceMismatchError, SpaceSizeError, ValidationError
 
 #: Hard cap on the number of elements, so that full 2^n enumeration
@@ -162,11 +162,21 @@ def _unit_values(space: FiniteSpace, values: Iterable, what: str) -> tuple[Fract
 
 
 def _fraction(v, what: str, rule: str = "must lie in [0, 1]") -> Fraction:
-    """``Fraction(v)``, where a NaN or infinite float, which has no ratio,
-    fails the ``rule`` that the caller holds ``what`` to."""
+    """``Fraction(v)``: a NaN or infinite float, which has no ratio, fails
+    the ``rule`` the caller holds ``what`` to; a value ``Fraction`` cannot
+    read, or a string past the int->str digit limit, fails naming ``what``."""
     if isinstance(v, float) and not math.isfinite(v):
         raise ValidationError(f"{what} {rule}, got {v}")
-    return Fraction(v)
+    text = isinstance(v, str)
+    try:
+        if not (text and huge_exponent(v)):
+            return Fraction(v)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        if not text:
+            raise ValidationError(f"{what}: expected a rational, got {type(v).__name__}") from None
+        if not long_digit_run(v):
+            raise ValidationError(f"{what}: cannot parse {v!r} as a rational") from None
+    raise ValidationError(too_long_message(f"{what}: numerator or denominator"))
 
 
 def _sums_to_one(den: int, nums: Iterable[int], what: str) -> None:

@@ -910,6 +910,28 @@ def test_a_refused_document_prints_one_error_line(runner, tmp_path, text, args, 
     assert (result.exit_code, result.stdout, result.stderr) == (1, "", f"error: {line}\n")
 
 
+@pytest.mark.parametrize(
+    "l, u",
+    [(["2/3", "2/3"], ["1", "1"]), (["0"] * 16, ["1"] + ["1/64"] * 15)],
+    ids=["empty", "unreachable-16"],
+)
+def test_verify_refuses_an_interval_before_the_oracle_sweep(
+    runner, tmp_path, monkeypatch, l, u
+):
+    """The closed forms run first: an interval they refuse, empty or not
+    reachable, is one error line, and no oracle sweep runs for it."""
+    sweeps = []
+    monkeypatch.setattr(credal, "lower_envelopes", lambda poly, events: sweeps.append(poly))
+    path = tmp_path / "doc.json"
+    space = [f"x{i}" for i in range(1, len(l) + 1)]
+    path.write_text(json.dumps({"kind": "interval", "space": space, "l": l, "u": u}))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        1, "", "error: event bounds need a reachable interval; call normalize first\n"
+    )
+    assert sweeps == []
+
+
 def _dense_mass_text():
     ms = gen.rand_dense_mass(random.Random(6), gen.SPACES[6])
     return docio.serialize(docio.Document("mass", ms.space, ms))

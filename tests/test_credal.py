@@ -758,14 +758,14 @@ def test_a_sum_of_stored_duals_is_proven_before_it_answers(monkeypatch, expert_p
     sums = []
     honest = credal._Tables.add_sum
 
-    def add_sum(tables, mask, point, first, second):
+    def add_sum(tables, mask, first, second):
         sums.append(mask)
         more, extra = second
         if tamper == "overlap":
             second = (more | first[0], extra)
         elif tamper == "total":
             second = (more, extra + F(1, 7))
-        return honest(tables, mask, point, first, second)
+        return honest(tables, mask, first, second)
 
     monkeypatch.setattr(credal._Tables, "add_sum", add_sum)
     if tamper is None:

@@ -2,6 +2,7 @@
 type and exact message, from one call through the public entry point."""
 
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -252,6 +253,38 @@ SITES = {
         lambda: Permutation([10**5000]),
         ValidationError,
         f"not a bijection on 0..0: ({LONG},)",
+    ),
+    # Fraction would build 10**30000000 before it read the exponent's sign
+    "space._fraction.huge_exponent": (
+        lambda: alpha_cut(PossibilityDistribution(SP, [F(1, 2), 1]), "1e-30000000"),
+        ValidationError,
+        f"alpha: numerator or denominator exceeds {sys.get_int_max_str_digits()} digits",
+    ),
+    "space._fraction.long_digit_run": (
+        lambda: MassAssignment(SP, {X1: "1" * 5000}),
+        ValidationError,
+        f"masses: numerator or denominator exceeds {sys.get_int_max_str_digits()} digits",
+    ),
+    "space._fraction.unparsable": (
+        lambda: MassAssignment(SP, {X1: "abc"}),
+        ValidationError,
+        "masses: cannot parse 'abc' as a rational",
+    ),
+    "space._fraction.zero_denominator": (
+        lambda: MassAssignment(SP, {X1: "1/0"}),
+        ValidationError,
+        "masses: cannot parse '1/0' as a rational",
+    ),
+    "space._fraction.not_a_number": (
+        lambda: MassAssignment(SP, {X1: None}),
+        ValidationError,
+        "masses: expected a rational, got NoneType",
+    ),
+    # Fraction raises OverflowError for an infinite Decimal
+    "space._fraction.infinite_decimal": (
+        lambda: CredalPolytope(SP, [(X1, 0, Decimal("Infinity"))]),
+        ValidationError,
+        "constraint bounds: expected a rational, got Decimal",
     ),
 }
 

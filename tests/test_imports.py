@@ -15,7 +15,8 @@ an environment variable, a kind's polytope names no other model
 module, none of the closed forms and no route to its random set or to
 the hit tables ``bel`` and ``pl`` answer from, those tables are built
 without ``capacity._zeta``, and ``docio`` reaches a random-set kind's
-bound, conversions and facts only through ``Kind.random_set``.
+bound, conversions and facts only through ``Kind.random_set``, and no
+module but ``_exact`` reads the int->str digit limit.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers, public
@@ -728,6 +729,43 @@ def test_the_library_reads_no_environment_variable(module):
     """Every input reaches the library as an argument, so no setting
     outside a call, such as a second space-size cap, can change a result."""
     assert _environment_reads((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _digit_limit_reads(source: str) -> list[str]:
+    """The names, attributes and imports ``get_int_max_str_digits`` in
+    ``source``, as ``"line: source text"``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name == "get_int_max_str_digits":
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_the_check_finds_digit_limit_reads():
+    source = (
+        "import sys\n"
+        "from sys import get_int_max_str_digits as limit\n"
+        "def f(text):\n"
+        "    return len(text) > sys.get_int_max_str_digits() or limit()\n"
+        "def g(get_int_max_str_digits):\n"
+        "    return get_int_max_str_digits, sys.maxsize\n"
+    )
+    assert _digit_limit_reads(source) == [
+        "2: get_int_max_str_digits as limit",
+        "4: sys.get_int_max_str_digits",
+        "6: get_int_max_str_digits",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_exact_reads_the_digit_limit(module):
+    """``_exact`` is the digit limit's one home: every other module asks
+    it whether a number is too long and how to name one that is."""
+    reads = _digit_limit_reads((SRC / module).read_text(encoding="utf-8"))
+    assert (reads != []) == (module == "_exact.py")
 
 
 #: the random-set routes ``docio`` may name only where ``Kind`` derives a

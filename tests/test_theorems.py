@@ -22,11 +22,13 @@ import gen
 from impbox import (
     CredalPolytope,
     FiniteSpace,
+    MassAssignment,
     PossibilityDistribution,
     enumerate_events,
     interval_to_sigma_pbox,
     lower_envelopes,
     pbox,
+    randomset,
     reduced_permutation_set,
 )
 from impbox.credal import _le_rows
@@ -109,6 +111,11 @@ THEOREMS = {
         lambda d: _le_rows(to_polytope(d)),
         lambda d: _le_rows(pbox.to_polytope(_as_pbox(d))),
     ),
+    "p-box = its random set": (
+        _all_pboxes,
+        lambda pb: _lower(randomset.to_polytope(pbox.to_random_set(pb))),
+        lambda pb: _lower(pbox.to_polytope(pb)),
+    ),
     "p-box = the intersection of its possibility pair": (
         _all_pboxes,
         lambda pb: _lower(_pair_meet(to_possibility_pair(pb))),
@@ -132,8 +139,28 @@ def _pair_from_largest_smaller_alpha(pb):
     return to_possibility_pair(pb)[0], lower
 
 
+def _random_set_from_own_alpha(pb):
+    """The threshold random set, with each block joining a focal event
+    from its own level's alpha, not the previous level's: the two differ
+    where neighbouring levels share a bound.  ``None`` where that puts
+    mass on the empty set."""
+    den, alpha, beta = pb._ints
+    masses, previous = {}, 0
+    for gamma in sorted({*alpha, *beta} - {0}):
+        mask = sum(k for k, a, b in zip(pb.block_masks, alpha, beta) if b >= gamma > a)
+        masses[mask] = masses.get(mask, 0) + gamma - previous
+        previous = gamma
+    if 0 not in masses:
+        return MassAssignment(pb.space, {mask: F(num, den) for mask, num in masses.items()})
+
+
 #: name: (seeded objects, wrong side, right side); they must differ on some object
 CONTROLS = {
+    "threshold random set from each block's own alpha": (
+        lambda: tuple(pb for pb in _pboxes("tied") if _random_set_from_own_alpha(pb)),
+        lambda pb: _lower(randomset.to_polytope(_random_set_from_own_alpha(pb))),
+        lambda pb: _lower(pbox.to_polytope(pb)),
+    ),
     "pair from the largest strictly smaller alpha": (
         lambda: _pboxes("tied"),
         lambda pb: _lower(_pair_meet(_pair_from_largest_smaller_alpha(pb))),
