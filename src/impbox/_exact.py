@@ -1,5 +1,6 @@
-"""Exact integers for rationals, the int->str digit limit, and the
-table that turns such integers back into ``Fraction``s.
+"""Exact integers for rationals, the int->str digit limit, how an error
+message names long values, and the table that turns such integers back
+into ``Fraction``s.
 
 Nothing here knows about spaces or models, so the credal oracle shares
 it and stays an independent check.
@@ -48,6 +49,22 @@ def shown(q) -> str:
 def over_limit() -> str:
     """How an error message names a number over the digit limit N."""
     return f"<number over {sys.get_int_max_str_digits()} digits>"
+
+
+#: the longest ``repr`` of an outside value that an error message quotes
+QUOTE_LIMIT = 100
+
+
+def quoted(value) -> str:
+    """``repr(value)`` for a value from outside the library that an error
+    message names, or ``<repr of N characters>`` past ``QUOTE_LIMIT``
+    characters, so no message grows with its input; ``over_limit()`` if
+    ``repr`` refuses an int in it past the digit limit."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return over_limit()
+    return text if len(text) <= QUOTE_LIMIT else f"<repr of {len(text)} characters>"
 
 
 def too_long_message(what: str = "a derived numerator or denominator") -> str:

@@ -15,7 +15,7 @@ from functools import cached_property
 from operator import add, gt, sub
 from typing import Iterator, Mapping, Sequence
 
-from ._exact import over_lcd, shown, too_long, too_long_message
+from ._exact import over_lcd, quoted, shown, too_long, too_long_message
 from .errors import ValidationError
 from .space import (
     Event, FiniteSpace, _fraction, _mask_of, _same_space, _sums_to_one, _unit_values
@@ -31,7 +31,7 @@ def _as_table(space: FiniteSpace, values, fill: Fraction | None = None) -> tuple
             mask = key if type(key) is int and 0 <= key < n_events else _mask_of(space, key)
             if table[mask] is not fill:
                 earlier = next(k for k in values if _mask_of(space, k) == mask)
-                raise ValidationError(f"keys {earlier!r} and {key!r} name one event")
+                raise ValidationError(f"keys {quoted(earlier)} and {quoted(key)} name one event")
             if type(val) is not Fraction:
                 val = _fraction(val, "set function values", "must be finite")
             table[mask] = val

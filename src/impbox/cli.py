@@ -11,10 +11,9 @@ import sys
 
 import click
 
-from . import credal, docio
+from . import docio
 from ._exact import too_long_message, unprintable
 from .errors import ImpboxError
-from .space import enumerate_events
 
 
 def _echo(message: str, err: bool = False, nl: bool = True) -> None:
@@ -117,34 +116,19 @@ def query(file, event_spec, bound):
 def verify(file):
     """Cross-check every event bound against the exact polytope oracle."""
     doc = _load(file)
-    kind = docio.KINDS[doc.kind]
-    if kind.polytope is None:
+    if docio.KINDS[doc.kind].polytope is None:
         supported = ", ".join(k for k, e in docio.KINDS.items() if e.polytope)
         raise click.UsageError(
             f"verify does not support {doc.kind} documents; "
             f"supported kinds: {supported}"
         )
     try:
-        poly = kind.polytope(doc.obj)
-        events = list(enumerate_events(doc.space))
-        # one closed form and one oracle answer per event, as upper(A) = 1 - lower(A^c);
-        # the closed forms first, so a document they refuse costs no sweep; in mask
-        # order, each LP the batch solves warm-starts from the basis of the one before
-        closed = [kind.lower(doc.obj, event) for event in events]
-        lowers = credal.lower_envelopes(poly, events)
+        mismatch = docio.verify(doc)
     except ImpboxError as exc:
         _fail(str(exc))
-    # upper(A) = 1 - lower(A^c) on both sides, so the upper side of A is
-    # wrong exactly when the lower side of A^c is
-    wrong = [m for m, (lo, env) in enumerate(zip(closed, lowers)) if lo != env.value]
-    if wrong:
-        full = len(events) - 1
-        event = events[min(wrong[0], full ^ wrong[-1])]
-        lo, hi = closed[event.mask], 1 - closed[full ^ event.mask]
-        below, above = lowers[event.mask], lowers[full ^ event.mask]
-        oracle_lo, oracle_hi = below.value, 1 - above.value
-        side, envelope = ("lower", below) if lo != oracle_lo else ("upper", above)
-        if unprintable(lo, hi, oracle_lo, oracle_hi, *envelope.witness.p):
+    if mismatch is not None:
+        event, side, (lo, hi), (oracle_lo, oracle_hi), point = mismatch
+        if unprintable(lo, hi, oracle_lo, oracle_hi, *point.p):
             _echo(f"mismatch on {event!r}: {too_long_message()}", err=True)
             sys.exit(3)
         _echo(
@@ -152,11 +136,12 @@ def verify(file):
             f"oracle [{oracle_lo}, {oracle_hi}]",
             err=True,
         )
-        values = zip(doc.space.labels, envelope.witness.p)
+        values = zip(doc.space.labels, point.p)
         witness = ", ".join(f"{lab}={v}" for lab, v in values)
         _echo(f"oracle {side} witness: {witness}", err=True)
         sys.exit(3)
-    _echo(f"{len(events)}/{len(events)} events agree")
+    n_events = 2**doc.space.size
+    _echo(f"{n_events}/{n_events} events agree")
 
 
 if __name__ == "__main__":

@@ -11,14 +11,12 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import capacity, convert, credal, interval, pbox, possibility, randomset
-from ._exact import (
-    huge_exponent, long_digit_run, over_limit, too_long, too_long_message, unprintable
-)
+from ._exact import long_digit_run, over_limit, quoted, too_long, too_long_message, unprintable
 from .errors import ImpboxError, SpaceMismatchError, ValidationError
-from .space import Event, FiniteSpace, Permutation, enumerate_events
+from .space import Event, FiniteSpace, Permutation, _fraction, enumerate_events
 
 
 class DocumentError(ImpboxError):
@@ -51,17 +49,17 @@ class _Number:
 
 
 def _rational(value, path: str) -> Fraction:
+    """``value`` read by ``space._fraction``, with what a document adds: no
+    boolean or non-scalar, and a result that prints again and lies in [0, 1]."""
     if isinstance(value, bool):
         raise DocumentError("expected a rational number, got a boolean", path)
-    text = value.text if isinstance(value, _Number) else value
-    if isinstance(text, str) and huge_exponent(text):
-        raise DocumentError(too_long_message("numerator or denominator"), path)
+    # JSON NaN and Infinity arrive as floats, every other number as a _Number
+    if not isinstance(value, (_Number, str, int)):
+        raise DocumentError(f"cannot parse {quoted(value)} as a rational", path)
     try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
-        if isinstance(text, str) and long_digit_run(text):
-            raise DocumentError(too_long_message("numerator or denominator"), path) from None
-        raise DocumentError(f"cannot parse {value!r} as a rational", path) from None
+        q = _fraction(value.text if isinstance(value, _Number) else value, path)
+    except ValidationError as exc:  # its message starts with the path
+        raise DocumentError(str(exc).removeprefix(f"{path}: "), path) from None
     # every accepted value must print again: str() of a longer int raises
     if too_long(max(abs(q.numerator), q.denominator)):
         raise DocumentError(too_long_message("numerator or denominator"), path)
@@ -96,7 +94,7 @@ def _key_masks(space: FiniteSpace, keys, path: Callable[[Any], str]) -> Iterator
         for part in key.split(","):
             bit = get(part)
             if bit is None:
-                raise DocumentError(f"unknown element label {part!r}", path(key))
+                raise DocumentError(f"unknown element label {quoted(part)}", path(key))
             mask |= bit
         yield mask
 
@@ -120,12 +118,12 @@ def _event_map(payload, field: str, space: FiniteSpace) -> dict[int, Fraction]:
         raise DocumentError(f"{field} must be an object", f"$.{field}")
 
     def path(key) -> str:
-        return f"$.{field}[{key!r}]"
+        return f"$.{field}[{quoted(key)}]"
 
     table, keys, texts = {}, {}, {}
     for mask, (key, val) in zip(_key_masks(space, raw, path), raw.items()):
         if mask in keys:
-            raise DocumentError(f"same event as {keys[mask]!r}", path(key))
+            raise DocumentError(f"same event as {quoted(keys[mask])}", path(key))
         keys[mask] = key
         if type(val) is not str:  # only strings, as ``serialize`` writes, share a parse
             table[mask] = _rational(val, path(key))
@@ -336,19 +334,57 @@ KINDS: dict[str, Kind] = {
 }
 
 
+class Mismatch(NamedTuple):
+    """The first event, in mask order, whose closed-form bounds differ
+    from the oracle's, and the side that differs, lower first."""
+
+    event: Event
+    side: str
+    #: ``(lower, upper)`` of the closed form and of the oracle
+    formula: tuple[Fraction, Fraction]
+    oracle: tuple[Fraction, Fraction]
+    #: the oracle's optimal point on ``side``
+    witness: credal.ProbabilityVector
+
+
+def verify(doc: Document) -> Mismatch | None:
+    """The first event whose closed-form bounds differ from the oracle's
+    envelopes of the polytope of ``doc``'s kind, or ``None`` if none does.
+
+    Both read upper(A) as 1 - lower(A^c), so the upper side of A is wrong
+    exactly when the lower side of A^c is.  The closed forms run first, so
+    a refused document costs no sweep; in mask order, each LP the batch
+    solves warm-starts from the basis of the one before."""
+    kind = KINDS[doc.kind]
+    poly = kind.polytope(doc.obj)
+    events = list(enumerate_events(doc.space))
+    closed = [kind.lower(doc.obj, event) for event in events]
+    lowers = credal.lower_envelopes(poly, events)
+    wrong = [m for m, (lo, env) in enumerate(zip(closed, lowers)) if lo != env.value]
+    if not wrong:
+        return None
+    full = len(events) - 1
+    event = events[min(wrong[0], full ^ wrong[-1])]
+    below, above = lowers[event.mask], lowers[full ^ event.mask]
+    formula = closed[event.mask], 1 - closed[full ^ event.mask]
+    oracle = below.value, 1 - above.value
+    side, envelope = ("lower", below) if formula[0] != oracle[0] else ("upper", above)
+    return Mismatch(event, side, formula, oracle, envelope.witness)
+
+
 def _object(pairs: list[tuple[str, Any]]) -> dict:
     """A JSON object; a key stated twice is rejected (``json`` keeps the last)."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise DocumentError(f"key {key!r} appears twice")
+        raise DocumentError(f"key {quoted(key)} appears twice")
     return obj
 
 
 def _check_labels(labels) -> None:
     """Event keys join labels with ",": ``parse`` and ``serialize`` refuse a label with one."""
     if commas := [label for label in labels if "," in label]:
-        raise DocumentError(f"label {commas[0]!r} contains ','", "$.space")
+        raise DocumentError(f"label {quoted(commas[0])} contains ','", "$.space")
 
 
 def parse(text: str) -> Document:
@@ -369,7 +405,7 @@ def parse(text: str) -> Document:
     kind = payload.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
         # a JSON number is named, not shown: it may be too long to print
-        got = "a number" if isinstance(kind, _Number) else repr(kind)
+        got = "a number" if isinstance(kind, _Number) else quoted(kind)
         raise DocumentError(f"kind must be one of {tuple(KINDS)}, got {got}", "$.kind")
     labels = payload.get("space")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):

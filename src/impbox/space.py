@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from ._exact import huge_exponent, long_digit_run, shown, too_long_message, unprintable
+from ._exact import huge_exponent, long_digit_run, quoted, shown, too_long_message, unprintable
 from .errors import SpaceMismatchError, SpaceSizeError, ValidationError
 
 #: Hard cap on the number of elements, so that full 2^n enumeration
@@ -38,7 +38,7 @@ class FiniteSpace:
         if not all(isinstance(lab, str) and lab for lab in labels):
             raise ValidationError("element labels must be non-empty strings")
         if len(set(labels)) != len(labels):
-            raise ValidationError(f"element labels must be distinct: {labels}")
+            raise ValidationError(f"element labels must be distinct: {quoted(labels)}")
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -49,7 +49,7 @@ class FiniteSpace:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise ValidationError(f"unknown element label {label!r}") from None
+            raise ValidationError(f"unknown element label {quoted(label)}") from None
 
     def event(self, labels: Iterable[str]) -> Event:
         mask = 0
@@ -175,7 +175,7 @@ def _fraction(v, what: str, rule: str = "must lie in [0, 1]") -> Fraction:
         if not text:
             raise ValidationError(f"{what}: expected a rational, got {type(v).__name__}") from None
         if not long_digit_run(v):
-            raise ValidationError(f"{what}: cannot parse {v!r} as a rational") from None
+            raise ValidationError(f"{what}: cannot parse {quoted(v)} as a rational") from None
     raise ValidationError(too_long_message(f"{what}: numerator or denominator"))
 
 
@@ -217,7 +217,7 @@ def _mask_of(space: FiniteSpace, key, what: str = "event") -> int:
     try:
         mask = operator.index(key)
     except TypeError:
-        raise ValidationError(f"{what} key {key!r} is neither an Event nor an int") from None
+        raise ValidationError(f"{what} key {quoted(key)} is neither an Event nor an int") from None
     return _in_range(space, mask)
 
 
@@ -240,7 +240,7 @@ class Permutation:
         order = tuple(order)
         if sorted(order) != list(range(len(order))):
             # the tuple as ``str`` writes it, each rational through ``shown``
-            entries = [shown(i) if isinstance(i, (int, Fraction)) else repr(i) for i in order]
+            entries = [shown(i) if isinstance(i, (int, Fraction)) else quoted(i) for i in order]
             shape = "({})" if len(order) != 1 else "({},)"
             raise ValidationError(
                 f"not a bijection on 0..{len(order) - 1}: {shape.format(', '.join(entries))}"

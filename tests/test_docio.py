@@ -13,9 +13,13 @@ from impbox import (
     FiniteSpace,
     GeneralizedPBox,
     MassAssignment,
+    NotReachableError,
     ValidationError,
     bel,
+    credal,
     docio,
+    is_member,
+    randomset,
 )
 from impbox.cli import main
 from impbox.docio import Document, DocumentError, parse, serialize
@@ -481,3 +485,86 @@ def test_json_nan_and_infinity_are_not_rationals(tmp_path, constant, kind, paylo
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr == f"error: {str(exc.value)}\n"
+
+
+def _cli_report(tmp_path, text) -> list[str]:
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["verify", str(path)])
+    assert (result.exit_code, result.stdout) == (3, "")
+    return result.stderr.splitlines()
+
+
+def _assert_report_is_printed_and_attained(tmp_path, text, report):
+    """The CLI prints the report, and its witness is a member of the
+    polytope that attains the oracle's bound on the report's side."""
+    doc = parse(text)
+    (lo, hi), (oracle_lo, oracle_hi) = report.formula, report.oracle
+    witness = ", ".join(f"{lab}={v}" for lab, v in zip(doc.space.labels, report.witness.p))
+    assert _cli_report(tmp_path, text) == [
+        f"mismatch on {report.event!r}: formula [{lo}, {hi}] vs oracle [{oracle_lo}, {oracle_hi}]",
+        f"oracle {report.side} witness: {witness}",
+    ]
+    assert is_member(docio.KINDS[doc.kind].polytope(doc.obj), report.witness)
+    bound = oracle_lo if report.side == "lower" else oracle_hi
+    assert report.witness.prob(report.event) == bound
+
+
+def test_verify_reports_nothing_when_every_event_agrees():
+    assert docio.verify(parse(EXPERT_DOC)) is None
+
+
+@pytest.mark.parametrize(
+    "masks, side, formula",
+    [
+        ((0b011100,), "lower", (F(3, 10), F(9, 10))),
+        ((0b100011,), "upper", (F(1, 5), F(4, 5))),
+        # {x3,x4,x5} comes before the first wrong mask, and its upper reads the later mask
+        ((0b011110, 0b100011), "upper", (F(1, 5), F(4, 5))),
+    ],
+    ids=["lower", "upper", "upper-of-a-later-mask"],
+)
+def test_verify_reports_the_first_mismatch(tmp_path, monkeypatch, masks, side, formula):
+    honest = randomset.bel
+    monkeypatch.setattr(
+        randomset, "bel", lambda ms, a: honest(ms, a) + (F(1, 10) if a.mask in masks else 0)
+    )
+    doc = parse(EXPERT_DOC)
+    report = docio.verify(doc)
+    assert report[:4] == (
+        doc.space.event(["x3", "x4", "x5"]), side, formula, (F(1, 5), F(9, 10))
+    )
+    _assert_report_is_printed_and_attained(tmp_path, EXPERT_DOC, report)
+
+
+def test_verify_reports_a_coherent_but_wrong_belief(tmp_path, monkeypatch):
+    # the pignistic probability lies in the credal set, yet is not its lower envelope
+    def pignistic(ms, a):
+        return sum(
+            (m * (mask & a.mask).bit_count() / mask.bit_count() for mask, m in ms.focal),
+            F(0),
+        )
+
+    monkeypatch.setattr(randomset, "bel", pignistic)
+    text = (
+        '{"kind": "mass", "space": ["x1", "x2", "x3"], '
+        '"focal": {"x1": "1/2", "x1,x2,x3": "1/2"}}'
+    )
+    doc = parse(text)
+    report = docio.verify(doc)
+    assert report[:4] == (
+        doc.space.event(["x1"]), "lower", (F(2, 3), F(2, 3)), (F(1, 2), F(1))
+    )
+    _assert_report_is_printed_and_attained(tmp_path, text, report)
+
+
+def test_verify_refuses_a_non_reachable_interval_before_the_sweep(monkeypatch):
+    sweeps = []
+    monkeypatch.setattr(credal, "lower_envelopes", lambda poly, events: sweeps.append(poly))
+    doc = parse(
+        '{"kind": "interval", "space": ["a", "b", "c"], '
+        '"l": ["0", "0", "0"], "u": ["1", "1/4", "1/4"]}'
+    )
+    with pytest.raises(NotReachableError):
+        docio.verify(doc)
+    assert sweeps == []

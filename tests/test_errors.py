@@ -1,6 +1,7 @@
 """Raise sites that the behaviour tests never reach: each one's exception
 type and exact message, from one call through the public entry point."""
 
+import json
 import sys
 from decimal import Decimal
 from fractions import Fraction as F
@@ -9,9 +10,11 @@ import pytest
 
 from impbox import (
     Capacity,
+    Event,
     CredalPolytope,
     FiniteSpace,
     GeneralizedPBox,
+    ImpboxError,
     MassAssignment,
     MobiusAssignment,
     NotReachableError,
@@ -26,6 +29,7 @@ from impbox import (
     from_functions,
     from_nested_sets,
 )
+from impbox._exact import QUOTE_LIMIT
 from impbox.docio import DocumentError
 from impbox.possibility import alpha_cut
 from impbox.randomset import simple_support
@@ -296,3 +300,58 @@ def test_raise_site_names_its_rule(site):
         call()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+#: a million characters of outside text, and a document around it
+HUGE = "x" * 10**6
+
+
+def _document(kind="mass", space=("a", "b"), **payload) -> str:
+    return json.dumps({"kind": kind, "space": list(space), **payload})
+
+
+#: every site that names an outside value in its message, each with a
+#: value of a million characters or more
+LONG_VALUE_SITES = {
+    "focal key": lambda: docio.parse(_document(focal={HUGE: "1"})),
+    "focal value": lambda: docio.parse(_document(focal={"a": HUGE})),
+    "focal list value": lambda: docio.parse(_document(focal={"a": [0] * 10**6})),
+    "pi value": lambda: docio.parse(_document("possibility", pi=["1", HUGE])),
+    "level event": lambda: docio.parse(
+        _document("nested_bounds", levels=[{"event": HUGE, "lo": "0", "hi": "1"}])
+    ),
+    "kind": lambda: docio.parse(_document(HUGE)),
+    "label with a comma": lambda: docio.parse(_document(space=["a", "," + HUGE])),
+    "duplicate labels": lambda: docio.parse(_document(space=[HUGE, HUGE])),
+    "same event": lambda: docio.parse(
+        _document(focal={"a": "1/2", ",".join(["a"] * 10**6): "1/2"})
+    ),
+    "key twice": lambda: docio.parse(
+        '{"kind": "mass", "%s": 1, "%s": 2}' % (HUGE, HUGE)
+    ),
+    "alpha_cut": lambda: alpha_cut(PossibilityDistribution(SP, [1, 0]), HUGE),
+    "FiniteSpace.event": lambda: SP.event([HUGE]),
+    "Permutation": lambda: Permutation([HUGE]),
+    "capacity key": lambda: Capacity(SP, {HUGE: 0}),
+    "capacity keys naming one event": lambda: Capacity(
+        FiniteSpace(["a" * 10**6]), {1: 1, Event(FiniteSpace(["a" * 10**6]), 1): 1}
+    ),
+}
+
+
+@pytest.mark.parametrize("site", LONG_VALUE_SITES)
+def test_a_long_outside_value_gives_one_short_line(site):
+    """A quoted value takes at most ``QUOTE_LIMIT`` characters, so a line
+    that names two, with its path and rule, stays under 3 times that."""
+    with pytest.raises(ImpboxError) as exc:
+        LONG_VALUE_SITES[site]()
+    message = str(exc.value)
+    assert "\n" not in message
+    assert len(message) < 3 * QUOTE_LIMIT, message[:500]
+    assert "characters>" in message
+
+
+def test_an_int_past_the_digit_limit_is_named_not_printed():
+    with pytest.raises(ValidationError) as exc:
+        SP.event([10**5000])
+    assert str(exc.value) == f"unknown element label {LONG}"

@@ -1,22 +1,24 @@
 """No module of impbox imports a name it never uses or keeps a dead helper,
-every public function and class is used, exported or documented, the CLI reaches the models only through ``docio.KINDS``, the oracle
-imports no model or front end, ``pbox`` imports nothing from
-``possibility``, no module sets a private attribute or writes into an
-instance dict (every per-object cache is a ``functools.cached_property``
-of its class), every model stores exactly what its constructor takes,
-every model has a constructor of its own (so its input is checked
-there, not in a builder beside an unchecked dataclass constructor),
-only the oracle builds an object past its constructor, the simplex
-imports nothing from ``fractions``, ``docio`` turns event labels into
-masks in one key reader, no closed form builds its answer ``Fraction``
-past its view's table, the p-box and possibility bounds are ``randomset``'s
-belief and plausibility with no loop of their own, no module reads
-an environment variable, a kind's polytope names no other model
-module, none of the closed forms and no route to its random set or to
-the hit tables ``bel`` and ``pl`` answer from, those tables are built
-without ``capacity._zeta``, and ``docio`` reaches a random-set kind's
-bound, conversions and facts only through ``Kind.random_set``, and no
-module but ``_exact`` reads the int->str digit limit.
+every public function and class is used, exported or documented, the CLI
+reaches the models only through ``docio.KINDS`` and the oracle only
+through ``docio.verify``, ``docio`` reads numbers only through
+``space._fraction``, the oracle imports no model or front end, ``pbox``
+imports nothing from ``possibility``, no module sets a private attribute
+or writes into an instance dict (every per-object cache is a
+``functools.cached_property`` of its class), every model stores exactly
+what its constructor takes, every model has a constructor of its own (so
+its input is checked there, not in a builder beside an unchecked
+dataclass constructor), only the oracle builds an object past its
+constructor, the simplex imports nothing from ``fractions``, ``docio``
+turns event labels into masks in one key reader, no closed form builds
+its answer ``Fraction`` past its view's table, the p-box and possibility
+bounds are ``randomset``'s belief and plausibility with no loop of their
+own, no module reads an environment variable, a kind's polytope names no
+other model module, none of the closed forms and no route to its random
+set or to the hit tables ``bel`` and ``pl`` answer from, those tables
+are built without ``capacity._zeta``, and ``docio`` reaches a random-set
+kind's bound, conversions and facts only through ``Kind.random_set``,
+and no module but ``_exact`` reads the int->str digit limit.
 
 No linter ships with the toolchain, so these small ``ast`` checks keep a
 refactor from leaving dead imports, uncalled private helpers, public
@@ -238,6 +240,13 @@ def test_pbox_imports_nothing_from_possibility():
     """Possibility distributions are generalized p-boxes, so
     ``possibility`` builds on ``pbox`` and never the reverse."""
     assert _imports_of((SRC / "pbox.py").read_text(encoding="utf-8"), "possibility") == []
+
+
+def test_cli_reaches_the_oracle_only_through_the_report():
+    """``docio.verify`` builds the events and runs the sweep; the CLI prints
+    its report, so it needs neither the oracle nor the event enumeration."""
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert _imports_of(source, "credal") + _imports_of(source, "space") == []
 
 
 #: what the oracle must not import: it checks these, so it cannot lean on them
@@ -626,6 +635,17 @@ def test_the_check_finds_fraction_calls():
 def test_closed_forms_answer_from_the_views_table(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert _fraction_calls(source, CLOSED_FORMS[module]) == []
+
+
+def test_docio_reads_numbers_only_through_space():
+    """``docio._rational`` hands every number to ``space._fraction``, the
+    library's one number reader, and adds only a document's own checks."""
+    source = (SRC / "docio.py").read_text(encoding="utf-8")
+    functions = {
+        stmt.name for stmt in ast.parse(source).body if isinstance(stmt, ast.FunctionDef)
+    }
+    assert "_rational" in functions
+    assert _fraction_calls(source, functions) == []
 
 
 #: the bounds of the random-set kinds past ``randomset`` itself, by module:
